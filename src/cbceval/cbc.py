@@ -22,6 +22,7 @@ from .errors import AssignmentDeadlockError, DomainError
 from .ingest import bind_and_validate
 from .kmeans import (
     KMeansConfig,
+    distance_matrix,
     kmeans_pp_init,
     normalized_matrix,
     run_kmeans,
@@ -82,10 +83,13 @@ def constrained_assign(
 
     Must-link components are placed whole, in dataset order, each to the
     nearest centroid (weighted distance of the component mean) that breaks
-    no cannot-link against already-placed components and no max size. A
-    component with no admissible cluster raises AssignmentDeadlockError;
-    greedy order can produce that even when an exhaustive search would
-    succeed. The final partition is also checked against min_cluster_size.
+    no cannot-link against already-placed components and no max size. Each
+    iteration computes one components x clusters distance matrix and sorts
+    every row once with a stable sort, so equal distances go to the lowest
+    cluster index. A component with no admissible cluster raises
+    AssignmentDeadlockError; greedy order can produce that even when an
+    exhaustive search would succeed. The final partition is also checked
+    against min_cluster_size.
     """
     n = len(dataset)
     k = len(centroids)
@@ -107,6 +111,7 @@ def constrained_assign(
     comp_rows = [np.array([index[cid] for cid in comp]) for comp in components.components]
     comp_means = np.stack([X[rows].mean(axis=0) for rows in comp_rows])
     comp_sizes = [len(rows) for rows in comp_rows]
+    row_comp = np.array([components.component_of[cid] for cid in dataset.ids()])
     m = len(comp_rows)
     adjacency = [[] for _ in range(m)]
     for a, b in components.lifted_cannot_link:
@@ -115,23 +120,23 @@ def constrained_assign(
     max_size = spec.max_cluster_size
 
     C = np.array(centroids, dtype=np.float64).reshape(k, X.shape[1])
-    comp_labels = [0] * m
     iterations = 0
     for _ in range(config.max_iterations):
+        orders = np.argsort(distance_matrix(comp_means, C, w), axis=1, kind="stable").tolist()
         counts = [0] * k
-        placed: list[list[int]] = [[] for _ in range(k)]
+        # Components are placed in index order, so every earlier component
+        # holds its label for this iteration and every later one is still -1.
+        comp_labels = [-1] * m
         for ci in range(m):
-            d = ((comp_means[ci] - C) ** 2 * w).sum(axis=1)
-            order = np.argsort(d, kind="stable")
-            for j in order:
-                j = int(j)
-                if max_size is not None and counts[j] + comp_sizes[ci] > max_size:
+            size = comp_sizes[ci]
+            apart = adjacency[ci]
+            for j in orders[ci]:
+                if max_size is not None and counts[j] + size > max_size:
                     continue
-                if any(other in placed[j] for other in adjacency[ci]):
+                if apart and any(comp_labels[other] == j for other in apart):
                     continue
                 comp_labels[ci] = j
-                counts[j] += comp_sizes[ci]
-                placed[j].append(ci)
+                counts[j] += size
                 break
             else:
                 raise AssignmentDeadlockError(
@@ -142,13 +147,12 @@ def constrained_assign(
                     component=components.components[ci],
                 )
 
-        comp_labels = _repair_empty_component_clusters(
-            comp_labels, comp_means, comp_sizes, adjacency, C, w, k, max_size
-        )
+        if 0 in counts:
+            comp_labels = _repair_empty_component_clusters(
+                comp_labels, comp_means, comp_sizes, C, w, k, max_size
+            )
 
-        labels = np.zeros(n, dtype=np.int64)
-        for ci, label in enumerate(comp_labels):
-            labels[comp_rows[ci]] = label
+        labels = np.array(comp_labels, dtype=np.int64)[row_comp]
         new_C = np.stack(
             [
                 X[labels == j].mean(axis=0) if np.any(labels == j) else C[j]
@@ -171,7 +175,7 @@ def constrained_assign(
                 f"assignment cannot guarantee minimum sizes",
             )
 
-    assignment = {cid: int(labels[index[cid]]) for cid in dataset.ids()}
+    assignment = dict(zip(dataset.ids(), labels.tolist()))
     sse_value = float(((X - C[labels]) ** 2 * w).sum())
     return Clustering(
         k=k,
@@ -183,9 +187,7 @@ def constrained_assign(
     )
 
 
-def _repair_empty_component_clusters(
-    comp_labels, comp_means, comp_sizes, adjacency, C, w, k, max_size
-):
+def _repair_empty_component_clusters(comp_labels, comp_means, comp_sizes, C, w, k, max_size):
     """Move the worst-fitting movable component into each empty cluster.
 
     Mirrors the plain-Lloyd repair exactly when components are singletons:

@@ -15,7 +15,7 @@ from .cbc import CBCConfig, run_pipeline
 from .constraints import detect_deadlock
 from .errors import AssignmentDeadlockError, CapacityError, CBCError, ParseError
 from .evaluate import deadlock_to_dict, rank, report_json, round_floats
-from .ingest import bind_and_validate, parse_constraint_spec, parse_dataset
+from .ingest import _as_number, bind_and_validate, parse_constraint_spec, parse_dataset
 from .kmeans import KMeansConfig, choose_k, run_kmeans, sse
 from .model import ConstraintSpec
 from .oracle import MAX_CANDIDATES, MAX_CLUSTERS, brute_force_feasible_exists, brute_force_min_sse
@@ -63,13 +63,11 @@ def _load_weights(path: str | None) -> dict | None:
     raw = _read(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data.values()
-    ):
+    if not isinstance(data, dict):
         raise ParseError(f"{path}: weights must be an object of attribute -> number")
-    return {k: float(v) for k, v in data.items()}
+    return {k: _as_number(v, f"{path}:{k}") for k, v in data.items()}
 
 
 def _bound_inputs(args) -> tuple:

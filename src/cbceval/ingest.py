@@ -9,6 +9,7 @@ consistency problems are collected into a :class:`ValidationReport` instead.
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
@@ -193,10 +194,18 @@ def _as_int(value, locator: str) -> int:
 
 
 def _as_number(value, locator: str) -> float:
+    """A finite JSON number as a float. Python's json accepts NaN and
+    +-Infinity, and an integer too large for a float overflows to inf."""
     _reject_bool(value, locator)
     if not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", locator=locator)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"expected a finite number, got {number!r}", locator=locator)
+    return number
 
 
 def _parse_pairs(raw, locator: str) -> list[tuple[str, str]]:
@@ -289,7 +298,7 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
     """
     try:
         data = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")

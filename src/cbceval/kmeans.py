@@ -6,12 +6,13 @@ package's portable generator, so identical inputs reproduce identical
 clusterings bit for bit.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CBCError, DomainError
 from .model import AttributeSchema, CandidateDataset, Clustering, normalize
 from .rng import SplitMix64, child_seed
 
@@ -57,6 +58,8 @@ def weight_vector(
     for name, value in weights.items():
         if name not in schema.names:
             raise DomainError(f"unknown attribute {name!r} in weights")
+        if not math.isfinite(value):
+            raise DomainError(f"weight for {name} is not finite")
         if value < 0:
             raise DomainError(f"weight for {name} is negative")
     vec = np.array([float(weights.get(n, 1.0)) for n in schema.names], dtype=np.float64)
@@ -67,6 +70,15 @@ def weight_vector(
 
 def _sq_distances(X: np.ndarray, point: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ((X - point) ** 2 * w).sum(axis=1)
+
+
+def distance_matrix(X: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows x centroids matrix of weighted squared distances.
+
+    Entry (i, j) is bit-identical to ``((X[i] - C[j]) ** 2 * w).sum()``:
+    each is one reduction over the d coordinates of a contiguous row.
+    """
+    return np.stack([_sq_distances(X, C[j], w) for j in range(len(C))], axis=1)
 
 
 def kmeans_pp_init(
@@ -150,15 +162,18 @@ def lloyd(
     iterations = 0
     prev_sse = np.inf
     for _ in range(config.max_iterations):
-        D = np.stack([_sq_distances(X, C[j], w) for j in range(k)], axis=1)
-        labels = D.argmin(axis=1)
+        labels = distance_matrix(X, C, w).argmin(axis=1)
         labels = _repair_empty_clusters(labels, X, C, w, k)
         new_C = np.stack([X[labels == j].mean(axis=0) for j in range(k)])
         movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
         C = new_C
         iterations += 1
         current = float(((X - C[labels]) ** 2 * w).sum())
-        assert current <= prev_sse + 1e-9, "SSE increased within a Lloyd run"
+        if not current <= prev_sse + 1e-9:
+            raise CBCError(
+                f"SSE rose from {prev_sse!r} to {current!r} at Lloyd iteration "
+                f"{iterations}; inputs must be finite"
+            )
         prev_sse = current
         if movement <= config.convergence_tol:
             break
@@ -208,37 +223,45 @@ def sse(
     return float(((X - C[labels]) ** 2 * w).sum())
 
 
+SILHOUETTE_BLOCK = 256
+
+
 def silhouette(dataset: CandidateDataset, clustering: Clustering) -> float:
     """Mean silhouette coefficient with plain Euclidean distance on the
     normalized ratings. Singleton members contribute 0, as does the
-    degenerate a = b = 0 case."""
-    if clustering.k < 2:
+    degenerate a = b = 0 case.
+
+    Distances are computed for ``SILHOUETTE_BLOCK`` rows at a time, so
+    memory is O(block * n * d) rather than O(n^2 * d). Each mean runs over
+    its members in dataset order, so the block size never changes a score.
+    """
+    k = clustering.k
+    if k < 2:
         raise DomainError("silhouette needs at least 2 clusters")
     X = normalized_matrix(dataset)
     labels = np.array(
         [clustering.assignment[c.id] for c in dataset.candidates], dtype=np.int64
     )
-    counts = np.bincount(labels, minlength=clustering.k)
+    counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise DomainError("silhouette needs every cluster non-empty")
-    D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    members = [np.flatnonzero(labels == j) for j in range(k)]
 
-    scores = []
-    for i in range(len(dataset)):
-        own = labels[i]
-        if counts[own] < 2:
-            scores.append(0.0)
-            continue
-        same = labels == own
-        same[i] = False
-        a = float(D[i, same].mean())
-        b = min(
-            float(D[i, labels == other].mean())
-            for other in range(clustering.k)
-            if other != own
-        )
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0.0 else (b - a) / denom)
+    n = len(dataset)
+    scores = np.zeros(n)
+    for start in range(0, n, SILHOUETTE_BLOCK):
+        block = X[start : start + SILHOUETTE_BLOCK]
+        D = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        for r, own in enumerate(labels[start : start + len(block)].tolist()):
+            if counts[own] < 2:
+                continue
+            i = start + r
+            same = members[own]
+            a = float(D[r, same[same != i]].mean())
+            b = min(float(D[r, members[other]].mean()) for other in range(k) if other != own)
+            denom = max(a, b)
+            if denom != 0.0:
+                scores[i] = (b - a) / denom
     return float(np.mean(scores))
 
 

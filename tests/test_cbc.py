@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from cbceval.cbc import (
     refine_micro_clusters,
     run_pipeline,
 )
+from cbceval.constraints import build_link_components
 from cbceval.errors import AssignmentDeadlockError, DomainError
 from cbceval.kmeans import KMeansConfig, kmeans_pp_init, lloyd, partition_signature, run_kmeans
 from cbceval.model import ConstraintSpec, ExistentialRule, FEASIBLE, INFEASIBLE
@@ -27,6 +29,58 @@ GOLDEN_PIPELINE_SIGNATURE = (0, 0, 1, 2, 0, 0, 0, 0, 0, 0)
 
 def spec_at(tau=6, **kwargs):
     return ConstraintSpec(feasibility_threshold=tau, **kwargs)
+
+
+def pinned_instance(seed, n, d, k, must, cannot, max_size, far=False):
+    """Uniform integer ratings, random must-link pairs, cannot-link pairs
+    across components, a max cluster size and k-means++ init. ``far`` moves
+    the last centroid outside the unit cube so that cluster starts empty."""
+    rng = random.Random(seed)
+    dataset = random_dataset(rng, n, d)
+    ids = list(dataset.ids())
+    must_link = [tuple(rng.sample(ids, 2)) for _ in range(must)]
+    component_of = build_link_components(
+        ConstraintSpec(must_link=must_link), dataset
+    ).component_of
+    cannot_link = []
+    while len(cannot_link) < cannot:
+        a, b = rng.sample(ids, 2)
+        if component_of[a] != component_of[b]:
+            cannot_link.append((a, b))
+    spec = ConstraintSpec(
+        must_link=must_link, cannot_link=cannot_link, max_cluster_size=max_size
+    )
+    config = KMeansConfig(k=k, seed=seed)
+    init = kmeans_pp_init(dataset, config)
+    if far:
+        init = init[:-1] + ((3.0,) * d,)
+    return dataset, spec, config, init
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# pinned_instance arguments -> (partition signature digest, centroid tuple
+# digest, repr(sse), iterations). Any change to the greedy pass's arithmetic,
+# visiting order or tie-breaking moves at least one of these.
+PINNED_ASSIGNMENTS = {
+    (1, 200, 6, 5, 30, 10, 48): ("c95516738adebb62", "c48350a35e4f05e8", "85.84206192545759", 12),
+    (2, 300, 6, 8, 60, 20, 42): ("af9fd13575524e78", "65509d16e4908566", "118.26745828732089", 11),
+    (3, 400, 8, 8, 80, 30, 56): ("855eb494cbab8ade", "5790fa49fc89aa33", "228.22781136558916", 30),
+    (4, 250, 8, 5, 40, 15, 55): ("083ced72bf885102", "a9043363a456062f", "151.67360447439177", 18),
+    (5, 350, 6, 8, 70, 25, 45): ("a7ffa6ab77937276", "632d621b9e6f1252", "141.83308419278995", 11),
+    (6, 400, 8, 8, 120, 40, 50): ("bb023a3691a1dcc0", "2aedda808a871247", "258.74543209876543", 20),
+    (2, 300, 6, 8, 60, 20, 60, True): ("024d9da6cf63dee3", "c7ded920242584d4", "118.10438267773205", 15),
+    (13, 260, 6, 5, 50, 20, 70, True): ("b7899db3d42d4ac6", "58be95f9fad33531", "120.74551512386526", 25),
+}
+
+# pinned_instance arguments -> (failing iteration, component) of a greedy
+# pass that finds no admissible cluster.
+PINNED_DEADLOCKS = {
+    (21, 240, 6, 6, 40, 20, 41): (3, ("C232",)),
+    (9, 200, 6, 5, 100, 20, 40): (1, ("C179",)),
+}
 
 
 def test_constrained_reduces_to_lloyd_on_empty_spec(sample_dataset):
@@ -83,6 +137,33 @@ def test_assignment_deadlock_raises(sample_dataset):
     init = kmeans_pp_init(sample_dataset, config)
     with pytest.raises(AssignmentDeadlockError, match="no admissible cluster"):
         constrained_assign(sample_dataset, init, spec, config)
+
+
+@pytest.mark.parametrize("args", list(PINNED_ASSIGNMENTS))
+def test_constrained_assign_pinned(args):
+    dataset, spec, config, init = pinned_instance(*args)
+    clustering = constrained_assign(dataset, init, spec, config)
+    assert (
+        _digest(partition_signature(clustering.assignment, dataset)),
+        _digest(clustering.centroids),
+        repr(clustering.sse),
+        clustering.iterations,
+    ) == PINNED_ASSIGNMENTS[args]
+    assert assignment_satisfies(clustering.assignment, spec, config.k) == []
+
+
+@pytest.mark.parametrize("args", list(PINNED_DEADLOCKS))
+def test_constrained_assign_pinned_deadlock(args):
+    dataset, spec, config, init = pinned_instance(*args)
+    iteration, component = PINNED_DEADLOCKS[args]
+    with pytest.raises(AssignmentDeadlockError) as exc:
+        constrained_assign(dataset, init, spec, config)
+    assert exc.value.component == component
+    assert str(exc.value) == (
+        f"no admissible cluster for must-link component {component} at "
+        f"iteration {iteration}; greedy order found no slot (an exhaustive "
+        f"search may still succeed at small n)"
+    )
 
 
 def test_min_size_checked_after_convergence(sample_dataset):

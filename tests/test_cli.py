@@ -262,6 +262,75 @@ def test_cluster_with_weights_file(sample_paths, tmp_path, capsys):
     assert code == 1
 
 
+# JSON literals Python's json accepts that are not finite floats.
+NON_FINITE = pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "overflowing-int"],
+)
+
+
+@NON_FINITE
+@pytest.mark.parametrize(
+    "template, locator",
+    [
+        ('{"distance_weights": {"reusability": %s}}', "distance_weights.reusability"),
+        ('{"feasibility_threshold": %s}', "feasibility_threshold"),
+        (
+            '{"existential": [{"attribute": "scalability", "op": ">=", '
+            '"threshold": %s, "min_count": 1}]}',
+            "existential[0].threshold",
+        ),
+    ],
+)
+def test_evaluate_rejects_non_finite_spec_numbers(sample_paths, tmp_path, capsys, literal, template, locator):
+    data, _ = sample_paths
+    spec = tmp_path / "spec.json"
+    spec.write_text(template % literal, encoding="utf-8")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(spec), "--k", "3",
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{locator}: expected a finite number" in err
+
+
+def test_integer_literal_over_digit_limit_is_input_error(sample_paths, tmp_path, capsys):
+    # Python refuses to convert integer literals over 4300 digits and raises
+    # a plain ValueError, not JSONDecodeError.
+    data, constraints = sample_paths
+    literal = "1" * 5000
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"feasibility_threshold": %s}' % literal, encoding="utf-8")
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"reusability": %s}' % literal, encoding="utf-8")
+    assert run_cli("evaluate", "--data", str(data), "--constraints", str(spec), "--k", "3") == 1
+    assert "invalid JSON" in capsys.readouterr().err
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(constraints), "--k", "3",
+        "--weights", str(weights),
+    )
+    assert code == 1
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@NON_FINITE
+@pytest.mark.parametrize("command", ["cluster", "evaluate"])
+def test_weights_file_rejects_non_finite_numbers(sample_paths, tmp_path, capsys, literal, command):
+    data, constraints = sample_paths
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"scalability": 1, "reusability": %s}' % literal, encoding="utf-8")
+    argv = ["--data", str(data), "--k", "3", "--weights", str(weights)]
+    if command == "cluster":
+        argv += ["--seed", "1"]
+    else:
+        argv += ["--constraints", str(constraints)]
+    code = run_cli(command, *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{weights}:reusability: expected a finite number" in err
+
+
 def test_no_color_env(sample_paths, capsys, monkeypatch):
     monkeypatch.setenv("CBC_NO_COLOR", "1")
     data, _ = sample_paths

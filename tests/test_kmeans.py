@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from cbceval.errors import DomainError
+from cbceval import kmeans
+from cbceval.errors import CBCError, DomainError
 from cbceval.kmeans import (
     KMeansConfig,
     choose_k,
+    distance_matrix,
     kmeans_pp_init,
     lloyd,
     normalized_matrix,
@@ -218,6 +220,35 @@ def test_weight_vector_validation(sample_dataset):
         weight_vector(schema, {"mystery": 1.0})
     with pytest.raises(DomainError, match="negative"):
         weight_vector(schema, {"scalability": -1.0})
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="not finite"):
+            weight_vector(schema, {"scalability": value})
+
+
+def test_lloyd_sse_check_raises_package_error(sample_dataset, monkeypatch):
+    # An infinite weight makes the SSE NaN; the check must raise a package
+    # error (not an assert, which python -O strips).
+    config = KMeansConfig(k=3, seed=42)
+    init = kmeans_pp_init(sample_dataset, config)
+    w = np.ones(6)
+    w[0] = np.inf
+    monkeypatch.setattr(kmeans, "weight_vector", lambda schema, weights: w)
+    with np.errstate(invalid="ignore"), pytest.raises(CBCError, match="SSE rose"):
+        lloyd(sample_dataset, init, config)
+
+
+@pytest.mark.parametrize("d", range(1, 20))
+def test_distance_matrix_matches_per_row_form(d):
+    rng = np.random.default_rng(d)
+    X = rng.random((37, d))
+    C = rng.random((5, d))
+    C[3] = C[1]  # equal columns exercise stable tie order
+    w = rng.random(d) * 3
+    D = distance_matrix(X, C, w)
+    for i in range(len(X)):
+        row = ((X[i] - C) ** 2 * w).sum(axis=1)
+        assert D[i].tobytes() == row.tobytes()
+        assert np.argsort(D, axis=1, kind="stable")[i].tolist() == np.argsort(row, kind="stable").tolist()
 
 
 def test_silhouette_duplicated_tight_clusters():
@@ -283,6 +314,24 @@ def test_silhouette_matches_independent_formula(sample_dataset):
     assert silhouette(sample_dataset, clustering) == pytest.approx(
         sum(expected) / len(expected), abs=1e-12
     )
+
+
+# (seed, n, d, k) -> silhouette of a seeded run_kmeans clustering of
+# random_dataset(Random(seed), n, d). No n is a multiple of the row block.
+PINNED_SILHOUETTES = {
+    (31, 300, 6, 2): 0.13861578021754875,
+    (32, 517, 6, 5): 0.1303082048131109,
+    (33, 700, 8, 8): 0.10363894693492617,
+    (34, 100, 8, 3): 0.09790686981656999,
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_SILHOUETTES))
+def test_silhouette_pinned(args):
+    seed, n, d, k = args
+    dataset = random_dataset(random.Random(seed), n, d)
+    clustering = run_kmeans(dataset, KMeansConfig(k=k, seed=seed))
+    assert silhouette(dataset, clustering) == PINNED_SILHOUETTES[args]
 
 
 def test_choose_k_two_blobs():
