@@ -1,11 +1,11 @@
 """The three-stage constraint-based clustering pipeline.
 
 Stage 0 checks the bound constraint set for deadlocks and aborts on one.
-Stage 1 clusters: plain seeded k-means when nothing constrains membership,
-otherwise greedy constrained assignment over must-link components. Stage 2
-refines each cluster into feasible/infeasible micro-clusters, and stage 3
-re-checks existential rules against the feasible population only, annotating
-(never aborting) the result.
+Stage 1 clusters with one seeded Lloyd loop over must-link components (single
+candidates when nothing links them), placing each greedily when cannot-links
+or a maximum size constrain membership. Stage 2 refines each cluster into
+feasible/infeasible micro-clusters, and stage 3 re-checks existential rules
+against the feasible population only, annotating (never aborting) the result.
 """
 
 import time
@@ -20,14 +20,7 @@ from .constraints import (
 )
 from .errors import AssignmentDeadlockError, DomainError
 from .ingest import bind_and_validate
-from .kmeans import (
-    KMeansConfig,
-    distance_matrix,
-    kmeans_pp_init,
-    normalized_matrix,
-    run_kmeans,
-    weight_vector,
-)
+from .kmeans import KMeansConfig, best_of_restarts, component_lloyd, kmeans_pp_init
 from .model import (
     CandidateDataset,
     Clustering,
@@ -39,14 +32,11 @@ from .model import (
     MicroClustering,
     Violation,
 )
-from .rng import child_seed
 
 
 @dataclass(frozen=True)
 class CBCConfig:
     kmeans: KMeansConfig
-    enforce_links: bool = True
-    refine: bool = True
 
 
 @dataclass(frozen=True)
@@ -79,24 +69,11 @@ def constrained_assign(
     spec: ConstraintSpec,
     config: KMeansConfig,
 ) -> Clustering:
-    """Greedy constrained Lloyd iteration.
-
-    Must-link components are placed whole, in dataset order, each to the
-    nearest centroid (weighted distance of the component mean) that breaks
-    no cannot-link against already-placed components and no max size. Each
-    iteration computes one components x clusters distance matrix and sorts
-    every row once with a stable sort, so equal distances go to the lowest
-    cluster index. A component with no admissible cluster raises
-    AssignmentDeadlockError; greedy order can produce that even when an
-    exhaustive search would succeed. The final partition is also checked
-    against min_cluster_size.
+    """``kmeans.component_lloyd`` over the spec's must-link components, with
+    its cannot-links and max size. A cannot-link pair inside one component is
+    rejected up front, and the final partition is checked against
+    min_cluster_size (greedy assignment cannot guarantee it).
     """
-    n = len(dataset)
-    k = len(centroids)
-    if k != config.k:
-        raise DomainError(f"init has {k} centroids but config.k is {config.k}")
-    if k > n:
-        raise DomainError("k exceeds candidate count")
     components = build_link_components(spec, dataset)
     if components.conflicts:
         a, b = components.conflicts[0]
@@ -104,69 +81,18 @@ def constrained_assign(
             f"cannot_link pair ({a}, {b}) inside one must-link component; "
             f"run detect_deadlock first"
         )
-
-    X = normalized_matrix(dataset)
-    w = weight_vector(dataset.schema, spec.distance_weights)
-    index = {cid: i for i, cid in enumerate(dataset.ids())}
-    comp_rows = [np.array([index[cid] for cid in comp]) for comp in components.components]
-    comp_means = np.stack([X[rows].mean(axis=0) for rows in comp_rows])
-    comp_sizes = [len(rows) for rows in comp_rows]
-    row_comp = np.array([components.component_of[cid] for cid in dataset.ids()])
-    m = len(comp_rows)
-    adjacency = [[] for _ in range(m)]
-    for a, b in components.lifted_cannot_link:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    max_size = spec.max_cluster_size
-
-    C = np.array(centroids, dtype=np.float64).reshape(k, X.shape[1])
-    iterations = 0
-    for _ in range(config.max_iterations):
-        orders = np.argsort(distance_matrix(comp_means, C, w), axis=1, kind="stable").tolist()
-        counts = [0] * k
-        # Components are placed in index order, so every earlier component
-        # holds its label for this iteration and every later one is still -1.
-        comp_labels = [-1] * m
-        for ci in range(m):
-            size = comp_sizes[ci]
-            apart = adjacency[ci]
-            for j in orders[ci]:
-                if max_size is not None and counts[j] + size > max_size:
-                    continue
-                if apart and any(comp_labels[other] == j for other in apart):
-                    continue
-                comp_labels[ci] = j
-                counts[j] += size
-                break
-            else:
-                raise AssignmentDeadlockError(
-                    f"no admissible cluster for must-link component "
-                    f"{components.components[ci]} at iteration {iterations + 1}; "
-                    f"greedy order found no slot (an exhaustive search may "
-                    f"still succeed at small n)",
-                    component=components.components[ci],
-                )
-
-        if 0 in counts:
-            comp_labels = _repair_empty_component_clusters(
-                comp_labels, comp_means, comp_sizes, C, w, k, max_size
-            )
-
-        labels = np.array(comp_labels, dtype=np.int64)[row_comp]
-        new_C = np.stack(
-            [
-                X[labels == j].mean(axis=0) if np.any(labels == j) else C[j]
-                for j in range(k)
-            ]
-        )
-        movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
-        C = new_C
-        iterations += 1
-        if movement <= config.convergence_tol:
-            break
+    clustering = component_lloyd(
+        dataset,
+        centroids,
+        config,
+        spec.distance_weights,
+        components.components,
+        components.lifted_cannot_link,
+        spec.max_cluster_size,
+    )
 
     if spec.min_cluster_size:
-        member_counts = np.bincount(labels, minlength=k)
+        member_counts = np.bincount(list(clustering.assignment.values()), minlength=clustering.k)
         if np.any(member_counts < spec.min_cluster_size):
             small = int(np.flatnonzero(member_counts < spec.min_cluster_size)[0])
             raise AssignmentDeadlockError(
@@ -174,51 +100,7 @@ def constrained_assign(
                 f"below min_cluster_size {spec.min_cluster_size}; greedy "
                 f"assignment cannot guarantee minimum sizes",
             )
-
-    assignment = dict(zip(dataset.ids(), labels.tolist()))
-    sse_value = float(((X - C[labels]) ** 2 * w).sum())
-    return Clustering(
-        k=k,
-        assignment=assignment,
-        centroids=tuple(tuple(float(v) for v in row) for row in C),
-        sse=sse_value,
-        iterations=iterations,
-        seed=config.seed,
-    )
-
-
-def _repair_empty_component_clusters(comp_labels, comp_means, comp_sizes, C, w, k, max_size):
-    """Move the worst-fitting movable component into each empty cluster.
-
-    Mirrors the plain-Lloyd repair exactly when components are singletons:
-    the donor is the component farthest from its current centroid whose
-    cluster keeps at least one component, ties to the lowest index.
-    """
-    comp_labels = list(comp_labels)
-    m = len(comp_labels)
-    while True:
-        counts = [0] * k
-        occupants = [0] * k
-        for ci, label in enumerate(comp_labels):
-            counts[label] += comp_sizes[ci]
-            occupants[label] += 1
-        empties = [j for j in range(k) if occupants[j] == 0]
-        if not empties:
-            return comp_labels
-        target = empties[0]
-        best = None
-        best_dist = -1.0
-        for ci in range(m):
-            if occupants[comp_labels[ci]] < 2:
-                continue
-            if max_size is not None and comp_sizes[ci] > max_size:
-                continue
-            dist = float(((comp_means[ci] - C[comp_labels[ci]]) ** 2 * w).sum())
-            if dist > best_dist:
-                best, best_dist = ci, dist
-        if best is None:
-            return comp_labels
-        comp_labels[best] = target
+    return clustering
 
 
 def refine_micro_clusters(
@@ -242,33 +124,6 @@ def refine_micro_clusters(
     return MicroClustering(
         parent=clustering, micro_clusters=tuple(micro), violations=violations
     )
-
-
-def _cluster_stage(
-    dataset: CandidateDataset, spec: ConstraintSpec, config: CBCConfig, k: int
-) -> Clustering:
-    base = replace(config.kmeans, k=k)
-    needs_constrained = config.enforce_links and spec.has_assignment_constraints
-    if not needs_constrained:
-        return run_kmeans(dataset, base, spec.distance_weights)
-
-    best: Clustering | None = None
-    first_error: AssignmentDeadlockError | None = None
-    for r in range(base.restarts):
-        seed_r = base.seed if r == 0 else child_seed(base.seed, r)
-        cfg = replace(base, seed=seed_r, restarts=1)
-        init = kmeans_pp_init(dataset, cfg, spec.distance_weights)
-        try:
-            clustering = constrained_assign(dataset, init, spec, cfg)
-        except AssignmentDeadlockError as exc:
-            if first_error is None:
-                first_error = exc
-            continue
-        if best is None or clustering.sse < best.sse:
-            best = clustering
-    if best is None:
-        raise first_error
-    return replace(best, seed=base.seed)
 
 
 def run_pipeline(
@@ -302,7 +157,13 @@ def run_pipeline(
         return CBCResult(None, None, deadlock, tuple(log), spec, config)
 
     t0 = time.perf_counter()
-    clustering = _cluster_stage(dataset, spec, config, k)
+    # With no assignment constraints every component is a single row, so
+    # constrained_assign is plain k-means.
+    weights = spec.distance_weights
+    clustering = best_of_restarts(
+        replace(config.kmeans, k=k),
+        lambda cfg: constrained_assign(dataset, kmeans_pp_init(dataset, cfg, weights), spec, cfg),
+    )
     log.append(
         StageRecord(
             "cluster",
@@ -310,9 +171,6 @@ def run_pipeline(
             f"k={k} sse={clustering.sse:.6g} iterations={clustering.iterations}",
         )
     )
-
-    if not config.refine:
-        return CBCResult(clustering, None, deadlock, tuple(log), spec, config)
 
     t0 = time.perf_counter()
     micro = refine_micro_clusters(clustering, dataset, spec)

@@ -68,9 +68,6 @@ class LinkComponents:
     lifted_cannot_link: tuple[tuple[int, int], ...]
     conflicts: tuple[tuple[str, str], ...]
 
-    def same_component(self, a: str, b: str) -> bool:
-        return self.component_of[a] == self.component_of[b]
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
 

@@ -110,8 +110,9 @@ def rank(
             "convergence_tol": config.kmeans.convergence_tol if config else None,
             "restarts": config.kmeans.restarts if config else None,
         },
-        "enforce_links": config.enforce_links if config else None,
-        "refine": config.refine if config else None,
+        # Links and refinement always apply; the keys stay so config_digest is stable.
+        "enforce_links": True if config else None,
+        "refine": True if config else None,
         "weights": dict(sorted(weights.items())) if weights else None,
     }
     meta: dict[str, object] = {

@@ -2,7 +2,6 @@
 SaaS features, and the matching user constraint spec (threshold 6)."""
 
 from importlib import resources
-from pathlib import Path
 
 from .ingest import parse_constraint_spec, parse_dataset
 from .model import CandidateDataset, ConstraintSpec
@@ -26,12 +25,3 @@ def load_sample_dataset() -> CandidateDataset:
 
 def load_sample_constraint_spec() -> ConstraintSpec:
     return parse_constraint_spec(sample_constraints_text())
-
-
-def sample_dataset_path() -> Path:
-    """Filesystem path of the bundled dataset (non-zip installs)."""
-    return Path(str(_data("sample_data.csv")))
-
-
-def sample_constraints_path() -> Path:
-    return Path(str(_data("sample_constraints.json")))

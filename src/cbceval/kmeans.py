@@ -1,4 +1,5 @@
-"""Seeded, deterministic k-means in normalized attribute space.
+"""Seeded, deterministic k-means in normalized attribute space: one Lloyd
+loop over must-link components serves plain and constrained clustering.
 
 Distance is weighted squared Euclidean on min-max-normalized ratings.
 Tie-breaking is always by lowest index and all randomness comes from the
@@ -8,11 +9,11 @@ clusterings bit for bit.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CBCError, DomainError
+from .errors import AssignmentDeadlockError, CBCError, DomainError
 from .model import AttributeSchema, CandidateDataset, Clustering, normalize
 from .rng import SplitMix64, child_seed
 
@@ -117,59 +118,115 @@ def kmeans_pp_init(
     return tuple(tuple(float(v) for v in X[i]) for i in chosen)
 
 
-def _repair_empty_clusters(
-    labels: np.ndarray, X: np.ndarray, C: np.ndarray, w: np.ndarray, k: int
-) -> np.ndarray:
-    """Reseed each empty cluster with the point farthest from its own centroid.
-
-    Sole members of a cluster are never stolen. Deterministic: ties resolve
-    to the lowest point index, empties fill lowest first.
-    """
-    labels = labels.copy()
-    while True:
-        counts = np.bincount(labels, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            return labels
-        d_own = ((X - C[labels]) ** 2 * w).sum(axis=1)
-        d_own[counts[labels] < 2] = -1.0
-        donor = int(np.argmax(d_own))
-        if d_own[donor] < 0:
-            return labels
-        labels[donor] = int(empties[0])
-
-
-def lloyd(
+def component_lloyd(
     dataset: CandidateDataset,
     init,
     config: KMeansConfig,
     weights: Mapping[str, float] | None = None,
+    components: Sequence[tuple[str, ...]] | None = None,
+    cannot_link: Sequence[tuple[int, int]] = (),
+    max_size: int | None = None,
 ) -> Clustering:
-    """Alternate nearest-centroid assignment and mean updates until the
-    largest centroid movement drops to ``convergence_tol`` (or the iteration
-    cap). SSE is non-increasing across iterations."""
-    n = len(dataset)
+    """The Lloyd loop, over must-link components placed whole by the
+    weighted distance of their means.
+
+    ``components`` partitions the ids in order of first member, as
+    ``build_link_components`` lists them (None: every candidate alone), and
+    ``cannot_link`` pairs component indices. Without cannot-links and
+    ``max_size`` each component goes to its nearest centroid and SSE must
+    not rise. Otherwise a greedy pass (COP-KMeans) takes components in index
+    order to the nearest centroid that breaks no cannot-link with a placed
+    component and no max size; one with none raises AssignmentDeadlockError,
+    even where an exhaustive search may succeed. Equal distances go to the
+    lowest cluster index.
+    """
+    ids = dataset.ids()
     k = len(init)
     if k != config.k:
         raise DomainError(f"init has {k} centroids but config.k is {config.k}")
-    if k > n:
+    if k > len(ids):
         raise DomainError("k exceeds candidate count")
     X = normalized_matrix(dataset)
     w = weight_vector(dataset.schema, weights)
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
+    if components is None or len(components) == len(ids):
+        # Single candidates in dataset order: a one-row mean is the row itself.
+        M, sizes, row_comp = X, [1] * len(X), None
+    else:
+        index = {cid: i for i, cid in enumerate(ids)}
+        rows = [[index[cid] for cid in comp] for comp in components]
+        M = X[[r[0] for r in rows]]
+        for ci, r in enumerate(rows):
+            if len(r) > 1:
+                M[ci] = X[r].mean(axis=0)
+        sizes = [len(r) for r in rows]
+        row_comp = np.empty(len(X), dtype=np.int64)
+        row_comp[[i for r in rows for i in r]] = np.repeat(np.arange(len(M)), sizes)
+    greedy = bool(cannot_link) or max_size is not None
+    if greedy:
+        apart = [[] for _ in range(len(M))]
+        for a, b in cannot_link:
+            apart[a].append(b)
+            apart[b].append(a)
 
-    labels = np.zeros(n, dtype=np.int64)
     iterations = 0
     prev_sse = np.inf
     for _ in range(config.max_iterations):
-        labels = distance_matrix(X, C, w).argmin(axis=1)
-        labels = _repair_empty_clusters(labels, X, C, w, k)
-        new_C = np.stack([X[labels == j].mean(axis=0) for j in range(k)])
+        D = distance_matrix(M, C, w)
+        if not greedy:
+            comp_labels = D.argmin(axis=1)
+        else:
+            orders = np.argsort(D, axis=1, kind="stable").tolist()
+            counts = [0] * k
+            # Components are placed in index order, so every earlier component
+            # holds its label for this iteration and every later one is still -1.
+            placed = [-1] * len(M)
+            for ci, order in enumerate(orders):
+                size = sizes[ci]
+                partners = apart[ci]
+                for j in order:
+                    if max_size is not None and counts[j] + size > max_size:
+                        continue
+                    if partners and any(placed[other] == j for other in partners):
+                        continue
+                    placed[ci] = j
+                    counts[j] += size
+                    break
+                else:
+                    component = (ids[ci],) if components is None else components[ci]
+                    raise AssignmentDeadlockError(
+                        f"no admissible cluster for must-link component "
+                        f"{component} at iteration {iterations + 1}; "
+                        f"greedy order found no slot (an exhaustive search may "
+                        f"still succeed at small n)",
+                        component=component,
+                    )
+            comp_labels = np.array(placed, dtype=np.int64)
+        # Reseed each empty cluster with the component farthest from its own
+        # centroid, never a cluster's sole one (any placed component fits a
+        # max size alone). Ties go to the lowest index, empties fill lowest first.
+        while True:
+            occupants = np.bincount(comp_labels, minlength=k)
+            empties = np.flatnonzero(occupants == 0)
+            if empties.size == 0:
+                break
+            d_own = ((M - C[comp_labels]) ** 2 * w).sum(axis=1)
+            d_own[occupants[comp_labels] < 2] = -1.0
+            donor = int(np.argmax(d_own))
+            if d_own[donor] < 0:
+                break
+            comp_labels[donor] = int(empties[0])
+
+        labels = comp_labels if row_comp is None else comp_labels[row_comp]
+        members = np.bincount(labels, minlength=k)
+        new_C = np.stack([X[labels == j].mean(axis=0) if members[j] else C[j] for j in range(k)])
         movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
         C = new_C
         iterations += 1
         current = float(((X - C[labels]) ** 2 * w).sum())
-        if not current <= prev_sse + 1e-9:
+        # Nearest-centroid placement cannot raise SSE, so a rise means
+        # non-finite input; the greedy pass trades distance for admissibility.
+        if not greedy and not current <= prev_sse + 1e-9:
             raise CBCError(
                 f"SSE rose from {prev_sse!r} to {current!r} at Lloyd iteration "
                 f"{iterations}; inputs must be finite"
@@ -178,10 +235,9 @@ def lloyd(
         if movement <= config.convergence_tol:
             break
 
-    assignment = {c.id: int(labels[i]) for i, c in enumerate(dataset.candidates)}
     return Clustering(
         k=k,
-        assignment=assignment,
+        assignment=dict(zip(ids, labels.tolist())),
         centroids=tuple(tuple(float(v) for v in row) for row in C),
         sse=prev_sse,
         iterations=iterations,
@@ -189,23 +245,55 @@ def lloyd(
     )
 
 
+def lloyd(
+    dataset: CandidateDataset,
+    init,
+    config: KMeansConfig,
+    weights: Mapping[str, float] | None = None,
+) -> Clustering:
+    """Plain k-means: ``component_lloyd`` with every candidate its own
+    component, so SSE is non-increasing across iterations."""
+    return component_lloyd(dataset, init, config, weights)
+
+
+def best_of_restarts(
+    config: KMeansConfig, attempt: Callable[[KMeansConfig], Clustering]
+) -> Clustering:
+    """Best of ``config.restarts`` attempts, restart r > 0 at ``child_seed(seed, r)``.
+
+    Results reduce by (SSE, restart index), so the selected run never depends
+    on execution order. Restarts that raise AssignmentDeadlockError are
+    skipped; if all do, the first error is raised. The record carries the
+    base seed."""
+    best: Clustering | None = None
+    first_error: AssignmentDeadlockError | None = None
+    for r in range(config.restarts):
+        seed_r = config.seed if r == 0 else child_seed(config.seed, r)
+        try:
+            clustering = attempt(replace(config, seed=seed_r, restarts=1))
+        except AssignmentDeadlockError as exc:
+            if first_error is None:
+                first_error = exc
+            continue
+        if best is None or clustering.sse < best.sse:
+            best = clustering
+    if best is None:
+        raise first_error
+    return replace(best, seed=config.seed)
+
+
 def run_kmeans(
     dataset: CandidateDataset,
     config: KMeansConfig,
     weights: Mapping[str, float] | None = None,
 ) -> Clustering:
-    """Best-of-restarts k-means; results reduce by (SSE, restart index) so
-    the selected run never depends on execution order. The returned record
-    carries the base seed."""
-    best: Clustering | None = None
-    for r in range(config.restarts):
-        seed_r = config.seed if r == 0 else child_seed(config.seed, r)
-        cfg = replace(config, seed=seed_r, restarts=1)
-        init = kmeans_pp_init(dataset, cfg, weights)
-        clustering = lloyd(dataset, init, cfg, weights)
-        if best is None or clustering.sse < best.sse:
-            best = clustering
-    return replace(best, seed=config.seed)
+    """Best-of-restarts plain k-means from k-means++ seeds."""
+    # ``lloyd`` is looked up per restart, so wrapping the module attribute
+    # sees every call.
+    return best_of_restarts(
+        config,
+        lambda cfg: lloyd(dataset, kmeans_pp_init(dataset, cfg, weights), cfg, weights),
+    )
 
 
 def sse(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 
-#: The six core SaaS features every schema recognizes.
+#: The six core SaaS features: the paper's default rating schema.
 KEY_FEATURES = (
     "reusability",
     "customizability",
@@ -19,29 +19,6 @@ KEY_FEATURES = (
     "data_management",
     "pay_per_use",
 )
-
-#: Extended catalog of forward-looking evaluation attributes.
-POTENTIAL_ATTRIBUTES = (
-    "adaptability",
-    "reliability",
-    "task_productivity",
-    "price",
-    "back_end_integration",
-    "longevity",
-    "ecosystem",
-)
-
-#: ISO/IEC 9126 software quality attributes.
-ISO9126_ATTRIBUTES = (
-    "functionality",
-    "reliability",
-    "usability",
-    "efficiency",
-    "maintainability",
-    "portability",
-)
-
-CATALOG_TAGS = ("key-feature", "potential", "iso9126", "custom")
 
 DEFAULT_SCALE_MIN = 1.0
 DEFAULT_SCALE_MAX = 10.0
@@ -55,22 +32,6 @@ COMPARATORS = (">=", "<=", ">", "<", "==")
 BUDGET_CLASSES = ("low", "medium", "high")
 
 
-def catalog_for(name: str) -> str:
-    """Catalog tag for an attribute name (case-insensitive).
-
-    "reliability" appears in both extended catalogs; the potential-attribute
-    tag wins. Tags are metadata only and carry no scoring semantics.
-    """
-    lowered = name.strip().lower()
-    if lowered in KEY_FEATURES:
-        return "key-feature"
-    if lowered in POTENTIAL_ATTRIBUTES:
-        return "potential"
-    if lowered in ISO9126_ATTRIBUTES:
-        return "iso9126"
-    return "custom"
-
-
 @dataclass(frozen=True)
 class AttributeSchema:
     """Ordered rating attributes plus the shared rating scale."""
@@ -78,7 +39,6 @@ class AttributeSchema:
     names: tuple[str, ...]
     scale_min: float = DEFAULT_SCALE_MIN
     scale_max: float = DEFAULT_SCALE_MAX
-    catalog_tags: tuple[str, ...] = ()
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -94,17 +54,6 @@ class AttributeSchema:
             raise DomainError(
                 f"scale_min {self.scale_min} must be below scale_max {self.scale_max}"
             )
-        tags = tuple(self.catalog_tags) or tuple(catalog_for(n) for n in names)
-        if len(tags) != len(names):
-            raise DomainError("catalog_tags length must match names")
-        for tag in tags:
-            if tag not in CATALOG_TAGS:
-                raise DomainError(f"unknown catalog tag {tag!r}")
-        object.__setattr__(self, "catalog_tags", tags)
-
-    @property
-    def midpoint(self) -> float:
-        return (self.scale_min + self.scale_max) / 2.0
 
     def index_of(self, name: str) -> int:
         try:
@@ -359,10 +308,6 @@ class ConstraintSpec:
             object.__setattr__(self, "distance_weights", weights)
         object.__setattr__(self, "existential", tuple(self.existential))
 
-    @classmethod
-    def empty(cls) -> "ConstraintSpec":
-        return cls()
-
     @property
     def has_assignment_constraints(self) -> bool:
         """True when the spec constrains cluster membership or sizes."""
@@ -395,9 +340,6 @@ class Clustering:
         for cid, label in self.assignment.items():
             if not 0 <= label < self.k:
                 raise DomainError(f"candidate {cid} assigned to invalid cluster {label}")
-
-    def members(self, label: int) -> tuple[str, ...]:
-        return tuple(cid for cid, c in self.assignment.items() if c == label)
 
 
 FEASIBLE = "feasible"

@@ -1,7 +1,9 @@
 """Shared generators and fixtures for the test suite."""
 
+import hashlib
 import random
 
+from cbceval.kmeans import partition_signature
 from cbceval.model import (
     AttributeSchema,
     Candidate,
@@ -103,3 +105,18 @@ def assignment_satisfies(assignment: dict, spec: ConstraintSpec, k: int) -> list
             if c > spec.max_cluster_size:
                 problems.append(f"cluster {j} above max size: {c}")
     return problems
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def pinned_values(clustering, dataset: CandidateDataset) -> tuple:
+    """(partition signature digest, centroid tuple digest, repr(sse),
+    iterations): the bit-level fingerprint that pinned-result tests compare."""
+    return (
+        _digest(partition_signature(clustering.assignment, dataset)),
+        _digest(clustering.centroids),
+        repr(clustering.sse),
+        clustering.iterations,
+    )

@@ -1,4 +1,3 @@
-import hashlib
 import random
 
 import pytest
@@ -18,6 +17,7 @@ from cbceval.oracle import brute_force_feasible_exists, brute_force_min_sse
 from helpers import (
     FEASIBLE_AT_6,
     assignment_satisfies,
+    pinned_values,
     random_constraint_spec,
     random_dataset,
 )
@@ -57,10 +57,6 @@ def pinned_instance(seed, n, d, k, must, cannot, max_size, far=False):
     return dataset, spec, config, init
 
 
-def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
 # pinned_instance arguments -> (partition signature digest, centroid tuple
 # digest, repr(sse), iterations). Any change to the greedy pass's arithmetic,
 # visiting order or tie-breaking moves at least one of these.
@@ -82,6 +78,15 @@ PINNED_DEADLOCKS = {
     (9, 200, 6, 5, 100, 20, 40): (1, ("C179",)),
 }
 
+# pinned_instance arguments -> pinned values as above, for specs with
+# must-links only: components go to their nearest centroid, no greedy pass.
+PINNED_MUST_LINK_ONLY = {
+    (7, 300, 6, 5, 60, 0, None): ("f7110f2bee4feeb2", "117dfa40078a52b2", "134.62103001981", 7),
+    (8, 400, 8, 8, 150, 0, None): ("dc6854da8a7e500f", "e90595d7882fb3bb", "253.7357272484118", 9),
+    (10, 350, 12, 6, 100, 0, None): ("4948a22135fa17d3", "3fc08d0ec863d29e", "358.16270007729054", 17),
+    (8, 400, 8, 8, 150, 0, None, True): ("1328769e3b7f2bcc", "289b246090175e89", "253.72643921396923", 13),
+}
+
 
 def test_constrained_reduces_to_lloyd_on_empty_spec(sample_dataset):
     for seed in (0, 11, 42, 77):
@@ -89,10 +94,9 @@ def test_constrained_reduces_to_lloyd_on_empty_spec(sample_dataset):
         init = kmeans_pp_init(sample_dataset, config)
         plain = lloyd(sample_dataset, init, config)
         constrained = constrained_assign(sample_dataset, init, spec_at(), config)
-        assert partition_signature(
-            plain.assignment, sample_dataset
-        ) == partition_signature(constrained.assignment, sample_dataset)
-        assert constrained.sse == pytest.approx(plain.sse, abs=1e-12)
+        assert constrained.assignment == plain.assignment
+        assert constrained.centroids == plain.centroids
+        assert constrained.sse == plain.sse
         assert constrained.iterations == plain.iterations
 
 
@@ -139,16 +143,12 @@ def test_assignment_deadlock_raises(sample_dataset):
         constrained_assign(sample_dataset, init, spec, config)
 
 
-@pytest.mark.parametrize("args", list(PINNED_ASSIGNMENTS))
+@pytest.mark.parametrize("args", [*PINNED_ASSIGNMENTS, *PINNED_MUST_LINK_ONLY])
 def test_constrained_assign_pinned(args):
     dataset, spec, config, init = pinned_instance(*args)
     clustering = constrained_assign(dataset, init, spec, config)
-    assert (
-        _digest(partition_signature(clustering.assignment, dataset)),
-        _digest(clustering.centroids),
-        repr(clustering.sse),
-        clustering.iterations,
-    ) == PINNED_ASSIGNMENTS[args]
+    expected = {**PINNED_ASSIGNMENTS, **PINNED_MUST_LINK_ONLY}[args]
+    assert pinned_values(clustering, dataset) == expected
     assert assignment_satisfies(clustering.assignment, spec, config.k) == []
 
 

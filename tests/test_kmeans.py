@@ -22,7 +22,7 @@ from cbceval.model import AttributeSchema, Candidate, CandidateDataset, normaliz
 from cbceval.oracle import brute_force_min_sse
 from cbceval.rng import SplitMix64
 
-from helpers import random_dataset
+from helpers import pinned_values, random_dataset
 
 # Golden fixture: seeded k-means++ on the bundled sample, k=3, seed=42,
 # picks candidates T103, T101, T102 (indices 3, 1, 2) in that order.
@@ -126,6 +126,62 @@ def test_lloyd_repairs_empty_cluster():
     for label in clustering.assignment.values():
         counts[label] += 1
     assert all(c >= 1 for c in counts)
+
+
+def lloyd_instance(seed, n, d, k, far=False):
+    """Seeded random_dataset and k-means++ init; ``far`` moves the last
+    centroid outside the unit cube so that cluster starts empty."""
+    dataset = random_dataset(random.Random(seed), n, d)
+    config = KMeansConfig(k=k, seed=seed)
+    init = kmeans_pp_init(dataset, config)
+    if far:
+        init = init[:-1] + ((3.0,) * d,)
+    return dataset, config, init
+
+
+# lloyd_instance arguments -> (partition signature digest, centroid tuple
+# digest, repr(sse), iterations). Any change to the assignment step, the
+# empty-cluster repair or the mean update moves at least one of these.
+PINNED_LLOYD = {
+    (41, 500, 6, 5): ("ff9f96735d6b7efe", "58856975e2ebb11b", "199.9737490014229", 20),
+    (41, 500, 6, 5, True): ("0ab67973ea471c48", "928b561d1ab8970e", "202.7359698690563", 16),
+    (42, 1500, 8, 8): ("478057b01b91bce2", "19eab883f31068ff", "804.5666106970932", 55),
+    (42, 1500, 8, 8, True): ("6f7bb4006991c841", "15381144d2297eec", "808.4479024942018", 42),
+    (43, 2500, 12, 6): ("8b2633f95755a2f1", "adf2bf7013fc2db3", "2487.564241350443", 40),
+    (43, 2500, 12, 6, True): ("dc4dc8e41168a8c1", "20b8166aa5d5da5f", "2478.2274140412687", 42),
+    (44, 4000, 19, 7): ("d17aee6bdf977f81", "06c768c67c25f8e7", "6732.542204223003", 100),
+    (44, 4000, 19, 7, True): ("d41a9b57d07eff6f", "f7ebfda3350a8dcb", "6737.602066748299", 56),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_LLOYD))
+def test_lloyd_pinned(args):
+    dataset, config, init = lloyd_instance(*args)
+    assert pinned_values(lloyd(dataset, init, config), dataset) == PINNED_LLOYD[args]
+
+
+def test_run_kmeans_restarts_pinned():
+    dataset = random_dataset(random.Random(51), 600, 8)
+    clustering = run_kmeans(dataset, KMeansConfig(k=6, seed=51, restarts=4))
+    assert pinned_values(clustering, dataset) == (
+        "e34cf68c0cd3db65", "947f4c475ae7bcf2", "345.63765955472263", 19
+    )
+    assert clustering.seed == 51
+
+
+def test_run_kmeans_calls_module_lloyd_per_restart(sample_dataset, monkeypatch):
+    # Wrapping kmeans.lloyd must see every restart (the traced benchmark
+    # pass counts Lloyd calls this way).
+    calls = []
+    original = kmeans.lloyd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kmeans, "lloyd", counted)
+    run_kmeans(sample_dataset, KMeansConfig(k=3, seed=42, restarts=3))
+    assert len(calls) == 3
 
 
 def test_golden_run_on_sample(sample_dataset):

@@ -13,23 +13,9 @@ from cbceval.model import (
     ExistentialRule,
     KEY_FEATURES,
     UserConstraintSpec,
-    catalog_for,
     denormalize,
     normalize,
 )
-
-
-def test_key_feature_names_always_recognized():
-    for name in KEY_FEATURES:
-        assert catalog_for(name) == "key-feature"
-        assert catalog_for(name.upper()) == "key-feature"
-
-
-def test_catalog_tags_cover_all_catalogs():
-    assert catalog_for("adaptability") == "potential"
-    assert catalog_for("usability") == "iso9126"
-    assert catalog_for("reliability") == "potential"  # appears in both catalogs
-    assert catalog_for("support_tier") == "custom"
 
 
 def test_schema_rejects_duplicates_and_bad_scale():
