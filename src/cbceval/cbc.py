@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constraints import (
+    LinkComponents,
     build_link_components,
     detect_deadlock,
     feasibility_partition,
@@ -30,7 +31,6 @@ from .model import (
     INFEASIBLE,
     MicroCluster,
     MicroClustering,
-    Violation,
 )
 
 
@@ -68,13 +68,18 @@ def constrained_assign(
     centroids,
     spec: ConstraintSpec,
     config: KMeansConfig,
+    *,
+    components: LinkComponents | None = None,
 ) -> Clustering:
     """``kmeans.component_lloyd`` over the spec's must-link components, with
     its cannot-links and max size. A cannot-link pair inside one component is
     rejected up front, and the final partition is checked against
-    min_cluster_size (greedy assignment cannot guarantee it).
+    min_cluster_size (greedy assignment cannot guarantee it). ``components``
+    is the spec's ``build_link_components`` result when the caller already
+    has it.
     """
-    components = build_link_components(spec, dataset)
+    if components is None:
+        components = build_link_components(spec, dataset)
     if components.conflicts:
         a, b = components.conflicts[0]
         raise DomainError(
@@ -107,22 +112,33 @@ def refine_micro_clusters(
     clustering: Clustering, dataset: CandidateDataset, spec: ConstraintSpec
 ) -> MicroClustering:
     """Split each parent cluster into its feasible and infeasible members
-    (empty sides omitted). Parent assignments are never touched."""
+    (empty sides omitted), each in dataset order. Parent assignments are
+    never touched."""
     feasible_ids, infeasible = feasibility_partition(dataset, spec)
-    feasible_set = set(feasible_ids)
-    violations: dict[str, tuple[Violation, ...]] = dict(infeasible)
+    ids = dataset.ids()
+    infeasible_rows = np.ones(len(ids), dtype=np.int64)
+    infeasible_rows[[dataset.row_of[cid] for cid in feasible_ids]] = 0
+    labels = np.array([clustering.assignment[cid] for cid in ids], dtype=np.int64)
+    # Sorting by (parent, side) with a stable sort groups each side's members
+    # in dataset order, feasible side first.
+    groups = 2 * labels + infeasible_rows
+    order = np.argsort(groups, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(groups, minlength=2 * clustering.k)).tolist()
 
     micro = []
-    for j in range(clustering.k):
-        members = [c.id for c in dataset.candidates if clustering.assignment[c.id] == j]
-        good = tuple(cid for cid in members if cid in feasible_set)
-        bad = tuple(cid for cid in members if cid not in feasible_set)
-        if good:
-            micro.append(MicroCluster(parent=j, label=FEASIBLE, members=good))
-        if bad:
-            micro.append(MicroCluster(parent=j, label=INFEASIBLE, members=bad))
+    start = 0
+    for group, end in enumerate(ends):
+        if end > start:
+            micro.append(
+                MicroCluster(
+                    parent=group // 2,
+                    label=INFEASIBLE if group % 2 else FEASIBLE,
+                    members=tuple(ids[i] for i in order[start:end]),
+                )
+            )
+        start = end
     return MicroClustering(
-        parent=clustering, micro_clusters=tuple(micro), violations=violations
+        parent=clustering, micro_clusters=tuple(micro), violations=dict(infeasible)
     )
 
 
@@ -144,7 +160,8 @@ def run_pipeline(
     log.append(StageRecord("bind", time.perf_counter() - t0, f"ok, k={k}"))
 
     t0 = time.perf_counter()
-    deadlock = detect_deadlock(spec, dataset, k)
+    components = build_link_components(spec, dataset)
+    deadlock = detect_deadlock(spec, dataset, k, components=components)
     log.append(
         StageRecord(
             "deadlock",
@@ -162,7 +179,9 @@ def run_pipeline(
     weights = spec.distance_weights
     clustering = best_of_restarts(
         replace(config.kmeans, k=k),
-        lambda cfg: constrained_assign(dataset, kmeans_pp_init(dataset, cfg, weights), spec, cfg),
+        lambda cfg: constrained_assign(
+            dataset, kmeans_pp_init(dataset, cfg, weights), spec, cfg, components=components
+        ),
     )
     log.append(
         StageRecord(

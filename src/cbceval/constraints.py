@@ -11,6 +11,8 @@ and the report carries a "not checked" warning.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .model import (
     AttributeSchema,
@@ -74,28 +76,30 @@ class LinkComponents:
 
 def build_link_components(spec: ConstraintSpec, dataset: CandidateDataset) -> LinkComponents:
     """Union-find over must_link pairs; cannot_link re-expressed between
-    components. A cannot-link pair falling inside one component is recorded
-    as a conflict, not raised (deadlock detection owns that verdict)."""
-    ids = dataset.ids()
-    known = set(ids)
+    components. Components are listed in dataset order of their first member,
+    and ids in no must-link pair are singletons. A cannot-link pair falling
+    inside one component is recorded as a conflict, not raised (deadlock
+    detection owns that verdict)."""
+    known = dataset.row_of
     for a, b in (*spec.must_link, *spec.cannot_link):
         for cid in (a, b):
             if cid not in known:
                 raise DomainError(f"unknown id {cid} in link constraints")
 
-    uf = _UnionFind(ids)
+    uf = _UnionFind({cid for pair in spec.must_link for cid in pair})
     for a, b in spec.must_link:
         uf.union(a, b)
 
     roots: dict[str, int] = {}
     members: list[list[str]] = []
-    for cid in ids:
-        root = uf.find(cid)
+    component_of: dict[str, int] = {}
+    for cid in known:
+        root = uf.find(cid) if cid in uf.parent else cid
         if root not in roots:
             roots[root] = len(members)
             members.append([])
+        component_of[cid] = roots[root]
         members[roots[root]].append(cid)
-    component_of = {cid: roots[uf.find(cid)] for cid in ids}
 
     lifted = set()
     conflicts = []
@@ -172,61 +176,90 @@ def effective_rules(spec: ConstraintSpec, schema: AttributeSchema) -> tuple[Exis
     return (*spec.existential, *user_spec_rules(spec, schema))
 
 
+def _failed_checks(
+    spec: ConstraintSpec, schema: AttributeSchema, ratings: np.ndarray, constraints: np.ndarray
+) -> list[tuple[ExistentialRule | None, int, np.ndarray]]:
+    """Each per-candidate check as (rule, column, mask of failing rows), in
+    violation order: the feasibility threshold (rule None) first, then every
+    per-candidate rule. ``ratings`` is rows x d, ``constraints`` one per row."""
+    checks = [(None, -1, constraints < spec.feasibility_threshold)]
+    for rule in effective_rules(spec, schema):
+        if rule.per_candidate:
+            column = schema.index_of(rule.attribute)
+            checks.append((rule, column, ~rule.satisfied_by(ratings[:, column])))
+    return checks
+
+
+def _row_violations(checks, row: int, candidate: Candidate, tau: float) -> tuple[Violation, ...]:
+    """Violation records of one row of ``checks``, observed values taken
+    from ``candidate``."""
+    violations = []
+    for rule, column, failed in checks:
+        if not failed[row]:
+            continue
+        if rule is None:
+            violations.append(
+                Violation(
+                    rule="feasibility_threshold",
+                    attribute="constraints",
+                    op=">=",
+                    required=tau,
+                    observed=candidate.constraints_rating,
+                    message=f"constraints_rating {candidate.constraints_rating:g} < {tau:g}",
+                )
+            )
+            continue
+        value = candidate.ratings[column]
+        violations.append(
+            Violation(
+                rule=rule.origin or "existential",
+                attribute=rule.attribute,
+                op=rule.op,
+                required=rule.threshold,
+                observed=value,
+                message=f"{rule.attribute} {value:g} violates {rule.op} {rule.threshold:g}",
+            )
+        )
+    return tuple(violations)
+
+
 def object_feasible(
     candidate: Candidate, schema: AttributeSchema, spec: ConstraintSpec
 ) -> tuple[bool, tuple[Violation, ...]]:
     """A candidate is feasible iff its constraints rating reaches the
     threshold and every per-candidate rule passes. Violations are collected
-    exhaustively, never short-circuited."""
-    violations = []
-    tau = spec.feasibility_threshold
-    if candidate.constraints_rating < tau:
-        violations.append(
-            Violation(
-                rule="feasibility_threshold",
-                attribute="constraints",
-                op=">=",
-                required=tau,
-                observed=candidate.constraints_rating,
-                message=f"constraints_rating {candidate.constraints_rating:g} < {tau:g}",
-            )
-        )
-    for rule in effective_rules(spec, schema):
-        if not rule.per_candidate:
-            continue
-        idx = schema.index_of(rule.attribute)
-        value = candidate.ratings[idx]
-        if not rule.satisfied_by(value):
-            violations.append(
-                Violation(
-                    rule=rule.origin or "existential",
-                    attribute=rule.attribute,
-                    op=rule.op,
-                    required=rule.threshold,
-                    observed=value,
-                    message=(
-                        f"{rule.attribute} {value:g} violates "
-                        f"{rule.op} {rule.threshold:g}"
-                    ),
-                )
-            )
-    return (not violations, tuple(violations))
+    exhaustively, never short-circuited. The single-row case of
+    :func:`feasibility_partition`."""
+    checks = _failed_checks(
+        spec,
+        schema,
+        np.array([candidate.ratings], dtype=np.float64),
+        np.array([candidate.constraints_rating], dtype=np.float64),
+    )
+    violations = _row_violations(checks, 0, candidate, spec.feasibility_threshold)
+    return (not violations, violations)
+
+
+def _infeasible_mask(checks) -> np.ndarray:
+    return np.logical_or.reduce([failed for _, _, failed in checks])
 
 
 def feasibility_partition(
     dataset: CandidateDataset, spec: ConstraintSpec
 ) -> tuple[list[str], list[tuple[str, tuple[Violation, ...]]]]:
     """Split candidates into feasible ids and (id, violations) pairs, both in
-    dataset order."""
-    feasible: list[str] = []
-    infeasible: list[tuple[str, tuple[Violation, ...]]] = []
-    for cand in dataset.candidates:
-        ok, violations = object_feasible(cand, dataset.schema, spec)
-        if ok:
-            feasible.append(cand.id)
-        else:
-            infeasible.append((cand.id, violations))
-    return feasible, infeasible
+    dataset order. Violation records are built for infeasible rows only."""
+    checks = _failed_checks(spec, dataset.schema, dataset.ratings, dataset.constraints_ratings)
+    infeasible = _infeasible_mask(checks)
+    ids = dataset.ids()
+    tau = spec.feasibility_threshold
+    return (
+        [ids[i] for i in np.flatnonzero(~infeasible).tolist()],
+        [
+            (ids[i], _row_violations(checks, i, dataset.candidates[i], tau))
+            for i in np.flatnonzero(infeasible).tolist()
+        ],
+    )
 
 
 def _pack_components(
@@ -288,19 +321,23 @@ def detect_deadlock(
     stage: str = "bind",
     population: list[str] | None = None,
     structural: bool = True,
+    components: LinkComponents | None = None,
 ) -> DeadlockReport:
     """Report every discovered cause of unsatisfiability (or certify none).
 
     ``population`` restricts existential counting and the feasible-set check
     to a subset of candidates (used for the post-refinement re-check, where
     ``structural`` is off because link and size rules were already settled).
+    ``components`` is the spec's ``build_link_components`` result when the
+    caller already has it.
     """
     causes: list[DeadlockCause] = []
     warnings: list[str] = []
     n = len(dataset)
 
     if structural:
-        components = build_link_components(spec, dataset)
+        if components is None:
+            components = build_link_components(spec, dataset)
         sizes = list(components.sizes())
         m = len(sizes)
 
@@ -441,7 +478,12 @@ def detect_deadlock(
                         f"constrained components exceed the exact limit "
                         f"{EXACT_COMPONENT_LIMIT}"
                     )
-                if spec.min_cluster_size or spec.max_cluster_size is not None:
+                # With only single candidates and no cannot-link, the size
+                # arithmetic above is exact: some partition of n candidates
+                # into k clusters fits the bounds iff k*min <= n <= k*max.
+                if (spec.min_cluster_size or spec.max_cluster_size is not None) and (
+                    cl_pairs or m < n
+                ):
                     warnings.append(
                         "size and link constraint interaction not exhaustively "
                         f"checked: {m} components exceed the exact limit "
@@ -450,14 +492,18 @@ def detect_deadlock(
         if needs_packing and k is None:
             warnings.append("cluster count unknown; size and coloring rules skipped")
 
-    candidates = dataset.candidates
+    ratings, constraints = dataset.ratings, dataset.constraints_ratings
     if population is not None:
-        wanted = set(population)
-        candidates = tuple(c for c in candidates if c.id in wanted)
+        rows = np.fromiter(
+            {dataset.row_of[cid] for cid in population if cid in dataset.row_of},
+            dtype=np.intp,
+        )
+        ratings, constraints = ratings[rows], constraints[rows]
+    population_size = len(constraints)
 
     for rule in effective_rules(spec, dataset.schema):
-        idx = dataset.schema.index_of(rule.attribute)
-        satisfying = sum(1 for c in candidates if rule.satisfied_by(c.ratings[idx]))
+        column = dataset.schema.index_of(rule.attribute)
+        satisfying = int(np.count_nonzero(rule.satisfied_by(ratings[:, column])))
         if satisfying < rule.min_count:
             origin = rule.origin or "existential"
             causes.append(
@@ -474,15 +520,12 @@ def detect_deadlock(
                         "threshold": rule.threshold,
                         "min_count": rule.min_count,
                         "satisfying": satisfying,
-                        "population": len(candidates),
+                        "population": population_size,
                     },
                 )
             )
 
-    feasible = [
-        c.id for c in candidates if object_feasible(c, dataset.schema, spec)[0]
-    ]
-    if not feasible:
+    if _infeasible_mask(_failed_checks(spec, dataset.schema, ratings, constraints)).all():
         causes.append(
             DeadlockCause(
                 kind="empty-feasible-set",
@@ -492,7 +535,7 @@ def detect_deadlock(
                 ),
                 witness={
                     "feasibility_threshold": spec.feasibility_threshold,
-                    "population": len(candidates),
+                    "population": population_size,
                 },
             )
         )

@@ -11,6 +11,8 @@ import json
 from datetime import datetime, timezone
 from typing import Mapping
 
+import numpy as np
+
 from .cbc import CBCResult
 from .errors import DomainError
 from .ingest import constraint_spec_to_dict, serialize_dataset
@@ -27,6 +29,22 @@ from .model import (
 )
 
 
+def _weighted_means(
+    X: np.ndarray, schema: AttributeSchema, weights: Mapping[str, float] | None
+) -> np.ndarray:
+    """Row scores of normalized ratings ``X``. The sum runs over the columns
+    left to right, one rounding per term, so a row's score does not depend
+    on the other rows (``X @ w`` and row sums may add in another order)."""
+    w = weight_vector(schema, weights)
+    total = float(w.sum())
+    if total <= 0:
+        raise DomainError("weights need at least one positive entry")
+    s = np.zeros(len(X))
+    for j in range(X.shape[1]):
+        s = s + w[j] * X[:, j]
+    return s / total
+
+
 def score_candidate(
     candidate: Candidate,
     schema: AttributeSchema,
@@ -37,12 +55,8 @@ def score_candidate(
     Weights are normalized to sum 1 at use time; the default weighs every
     attribute equally.
     """
-    w = weight_vector(schema, weights)
-    total = float(w.sum())
-    if total <= 0:
-        raise DomainError("weights need at least one positive entry")
-    values = normalize(candidate.ratings, schema)
-    return float(sum(wi * v for wi, v in zip(w, values)) / total)
+    X = np.array([normalize(candidate.ratings, schema)], dtype=np.float64)
+    return float(_weighted_means(X, schema, weights)[0])
 
 
 def round_floats(value):
@@ -56,8 +70,10 @@ def round_floats(value):
     return value
 
 
-def _digest(payload) -> str:
-    canonical = json.dumps(round_floats(payload), sort_keys=True, separators=(",", ":"))
+def _digest(rounded) -> str:
+    """sha256 of canonical JSON of a payload whose floats are already rounded
+    (rounding is idempotent, so a rounded payload is hashed as is)."""
+    canonical = json.dumps(rounded, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -118,7 +134,7 @@ def rank(
     meta: dict[str, object] = {
         "seed": seed,
         "k": k,
-        "config_digest": _digest(config_payload),
+        "config_digest": _digest(round_floats(config_payload)),
         "dataset_digest": hashlib.sha256(
             serialize_dataset(dataset).encode("utf-8")
         ).hexdigest(),
@@ -137,23 +153,21 @@ def rank(
             excluded=(),
         )
 
-    scores = {
-        c.id: score_candidate(c, dataset.schema, weights) for c in dataset.candidates
-    }
-    per_attribute = {
-        c.id: dict(zip(dataset.schema.names, normalize(c.ratings, dataset.schema)))
-        for c in dataset.candidates
-    }
-
-    feasible_ids = set(result.micro.feasible_ids())
+    X = dataset.normalized
+    row_scores = _weighted_means(X, dataset.schema, weights).tolist()
+    feasible_ids = result.micro.feasible_ids()
+    scores = {cid: row_scores[dataset.row_of[cid]] for cid in feasible_ids}
+    names = dataset.schema.names
     ranking = tuple(
-        RankedCandidate(id=cid, score=scores[cid], per_attribute=per_attribute[cid])
+        RankedCandidate(
+            id=cid,
+            score=scores[cid],
+            per_attribute=dict(zip(names, X[dataset.row_of[cid]].tolist())),
+        )
         for cid in sorted(feasible_ids, key=lambda cid: (-scores[cid], cid))
     )
     excluded = tuple(
-        (c.id, result.micro.violations[c.id])
-        for c in dataset.candidates
-        if c.id not in feasible_ids
+        (cid, result.micro.violations[cid]) for cid in dataset.ids() if cid not in scores
     )
     return EvaluationReport(
         meta=meta,

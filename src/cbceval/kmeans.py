@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import AssignmentDeadlockError, CBCError, DomainError
-from .model import AttributeSchema, CandidateDataset, Clustering, normalize
+from .model import AttributeSchema, CandidateDataset, Clustering
 from .rng import SplitMix64, child_seed
 
 
@@ -40,11 +40,9 @@ class KMeansConfig:
 
 
 def normalized_matrix(dataset: CandidateDataset) -> np.ndarray:
-    """n x d float64 matrix of normalized candidate ratings."""
-    return np.array(
-        [normalize(c.ratings, dataset.schema) for c in dataset.candidates],
-        dtype=np.float64,
-    ).reshape(len(dataset), len(dataset.schema.names))
+    """n x d float64 matrix of normalized candidate ratings (the dataset's
+    read-only cached copy)."""
+    return dataset.normalized
 
 
 def weight_vector(

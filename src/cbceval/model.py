@@ -6,7 +6,12 @@ records produced by the clustering pipeline. No I/O, and no algorithms
 beyond rating normalization.
 """
 
+import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -27,7 +32,14 @@ DEFAULT_SCALE_MAX = 10.0
 #: Always overridable in the constraint spec.
 DEFAULT_FEASIBILITY_THRESHOLD = 5.5
 
-COMPARATORS = (">=", "<=", ">", "<", "==")
+_COMPARE = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    ">": operator.gt,
+    "<": operator.lt,
+    "==": operator.eq,
+}
+COMPARATORS = tuple(_COMPARE)
 
 BUDGET_CLASSES = ("low", "medium", "high")
 
@@ -116,45 +128,85 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateDataset:
-    """Ordered candidates over a shared schema. Order is the determinism anchor."""
+    """Ordered candidates over a shared schema. Order is the determinism anchor.
+
+    The columnar form is built once, here, and is read-only: ``ratings``
+    (n x d raw ratings), ``normalized`` (the same matrix mapped onto [0, 1]
+    exactly as :func:`normalize` maps one row), ``constraints_ratings``
+    (length n) and ``row_of`` (id -> row index, in dataset order).
+    """
 
     schema: AttributeSchema
     candidates: tuple[Candidate, ...]
+    ratings: np.ndarray = field(init=False, repr=False, compare=False)
+    normalized: np.ndarray = field(init=False, repr=False, compare=False)
+    constraints_ratings: np.ndarray = field(init=False, repr=False, compare=False)
+    row_of: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        seen = set()
-        for cand in self.candidates:
-            if cand.id in seen:
-                raise DomainError(f"duplicate candidate id {cand.id}")
-            seen.add(cand.id)
-            if len(cand.ratings) != len(self.schema.names):
-                raise DomainError(
-                    f"candidate {cand.id}: expected {len(self.schema.names)} ratings, "
-                    f"got {len(cand.ratings)}"
+        candidates = tuple(self.candidates)
+        object.__setattr__(self, "candidates", candidates)
+        schema = self.schema
+        d = len(schema.names)
+        # Rows before the first duplicate id or wrong-length row are range
+        # checked first, so the error raised is the one for the earliest row.
+        row_of: dict[str, int] = {}
+        shape_error = None
+        for cand in candidates:
+            if cand.id in row_of:
+                shape_error = f"duplicate candidate id {cand.id}"
+                break
+            if len(cand.ratings) != d:
+                shape_error = (
+                    f"candidate {cand.id}: expected {d} ratings, got {len(cand.ratings)}"
                 )
-            for name, r in zip(self.schema.names, cand.ratings):
-                if not self.schema.scale_min <= r <= self.schema.scale_max:
-                    raise DomainError(
-                        f"candidate {cand.id}, attribute {name}: rating {r} out of range"
-                    )
-            if not self.schema.scale_min <= cand.constraints_rating <= self.schema.scale_max:
+                break
+            row_of[cand.id] = len(row_of)
+        checked = candidates[: len(row_of)]
+        ratings = np.array([c.ratings for c in checked], dtype=np.float64).reshape(len(checked), d)
+        constraints = np.array([c.constraints_rating for c in checked], dtype=np.float64)
+        lo, hi = schema.scale_min, schema.scale_max
+        bad_rating = ~((lo <= ratings) & (ratings <= hi))
+        bad_rows = np.flatnonzero(bad_rating.any(axis=1) | ~((lo <= constraints) & (constraints <= hi)))
+        if bad_rows.size:
+            cand = checked[bad_rows[0]]
+            columns = np.flatnonzero(bad_rating[bad_rows[0]])
+            if columns.size:
+                j = int(columns[0])
                 raise DomainError(
-                    f"candidate {cand.id}: constraints rating "
-                    f"{cand.constraints_rating} out of range"
+                    f"candidate {cand.id}, attribute {schema.names[j]}: "
+                    f"rating {cand.ratings[j]} out of range"
                 )
+            raise DomainError(
+                f"candidate {cand.id}: constraints rating "
+                f"{cand.constraints_rating} out of range"
+            )
+        if shape_error is not None:
+            raise DomainError(shape_error)
+        normalized = (ratings - lo) / (hi - lo)
+        for array in (ratings, normalized, constraints):
+            array.flags.writeable = False
+        object.__setattr__(self, "ratings", ratings)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "constraints_ratings", constraints)
+        object.__setattr__(self, "row_of", MappingProxyType(row_of))
+
+    def __reduce__(self):
+        # Pickle and copy rebuild the columnar form; a mapping proxy cannot
+        # be pickled.
+        return (CandidateDataset, (self.schema, self.candidates))
 
     def __len__(self) -> int:
         return len(self.candidates)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.candidates)
+        return tuple(self.row_of)
 
     def by_id(self, candidate_id: str) -> Candidate:
-        for cand in self.candidates:
-            if cand.id == candidate_id:
-                return cand
-        raise DomainError(f"unknown id {candidate_id}")
+        try:
+            return self.candidates[self.row_of[candidate_id]]
+        except KeyError:
+            raise DomainError(f"unknown id {candidate_id}") from None
 
 
 def _check_nonneg(value, label: str):
@@ -236,16 +288,9 @@ class ExistentialRule:
         if self.min_count < 0:
             raise DomainError(f"min_count must be nonnegative, got {self.min_count}")
 
-    def satisfied_by(self, value: float) -> bool:
-        if self.op == ">=":
-            return value >= self.threshold
-        if self.op == "<=":
-            return value <= self.threshold
-        if self.op == ">":
-            return value > self.threshold
-        if self.op == "<":
-            return value < self.threshold
-        return value == self.threshold
+    def satisfied_by(self, value):
+        """Whether ``value`` passes the comparison; elementwise on an array."""
+        return _COMPARE[self.op](value, self.threshold)
 
 
 def _normalize_pairs(pairs, label: str) -> tuple[tuple[str, str], ...]:

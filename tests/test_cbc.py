@@ -345,3 +345,24 @@ def test_pipeline_fuzz_constraint_satisfaction():
         exists, _, _ = brute_force_feasible_exists(spec, dataset, k)
         assert exists
     assert successes > 50
+
+
+def test_pipeline_builds_link_components_once(sample_dataset, monkeypatch):
+    # The deadlock check and every restart share one set of components.
+    from cbceval import cbc, constraints
+
+    calls = []
+    original = constraints.build_link_components
+
+    def counted(spec, dataset):
+        calls.append(1)
+        return original(spec, dataset)
+
+    monkeypatch.setattr(constraints, "build_link_components", counted)
+    monkeypatch.setattr(cbc, "build_link_components", counted)
+    spec = spec_at(must_link=[("T100", "T101")], cannot_link=[("T102", "T103")])
+    config = CBCConfig(kmeans=KMeansConfig(k=3, seed=5, restarts=4))
+    result = run_pipeline(sample_dataset, spec, config)
+    assert not result.aborted
+    assert len(calls) == 1
+    assert assignment_satisfies(result.clustering.assignment, spec, 3) == []

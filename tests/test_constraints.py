@@ -324,3 +324,40 @@ def test_deadlock_agrees_with_oracle_randomized():
                 assert witness[a] == witness[b]
             for a, b in spec.cannot_link:
                 assert witness[a] != witness[b]
+
+
+SIZE_WARNING = "size and link constraint interaction not exhaustively checked"
+
+
+def twenty_candidates():
+    rng = random.Random(20)
+    return random_dataset(rng, 20, 2)
+
+
+def test_size_only_spec_satisfiable_without_warning():
+    # All-singleton components and no cannot-link: k*min <= n <= k*max is exact.
+    report = detect_deadlock(
+        spec_at(1, min_cluster_size=5, max_cluster_size=5), twenty_candidates(), 4
+    )
+    assert not report.deadlocked
+    assert not any(w.startswith(SIZE_WARNING) for w in report.warnings)
+    report = detect_deadlock(spec_at(1, max_cluster_size=7), twenty_candidates(), 3)
+    assert not report.deadlocked and report.warnings == ()
+
+
+def test_size_only_spec_unsatisfiable_without_warning():
+    report = detect_deadlock(spec_at(1, min_cluster_size=6), twenty_candidates(), 4)
+    assert report.deadlocked
+    assert [c.kind for c in report.causes] == ["size-arithmetic"]
+    assert report.warnings == ()
+    report = detect_deadlock(spec_at(1, max_cluster_size=6), twenty_candidates(), 3)
+    assert [c.kind for c in report.causes] == ["size-arithmetic"]
+
+
+def test_size_spec_with_must_link_keeps_warning():
+    dataset = twenty_candidates()
+    ids = dataset.ids()
+    spec = spec_at(1, must_link=[(ids[0], ids[1])], min_cluster_size=5, max_cluster_size=5)
+    report = detect_deadlock(spec, dataset, 4)
+    assert not report.deadlocked
+    assert any(w.startswith(SIZE_WARNING) for w in report.warnings)

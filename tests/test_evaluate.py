@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cbceval.cbc import CBCConfig, run_pipeline
-from cbceval.evaluate import rank, report_json, report_to_dict, score_candidate
+from cbceval import evaluate
+from cbceval.evaluate import rank, report_json, report_to_dict, round_floats, score_candidate
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
@@ -176,3 +177,23 @@ def test_aborted_report_has_only_deadlock_section(sample_dataset):
     payload = json.loads(report_json(report))
     assert list(payload) == ["meta", "deadlock"]
     assert payload["deadlock"]["deadlocked"] is True
+
+
+def test_rounding_a_report_body_twice_changes_nothing(monkeypatch):
+    # report_to_dict hashes the body it has already rounded; that equals
+    # hashing a second rounding only because rounding is idempotent.
+    rng = random.Random(11)
+    dataset = random_dataset(rng, 300, 5)
+    weights = {name: rng.uniform(0.1, 3.0) for name in dataset.schema.names}
+    spec = ConstraintSpec(feasibility_threshold=4, distance_weights=weights)
+    report = rank(pipeline_result(dataset, spec, k=4, seed=9), dataset, weights)
+    monkeypatch.setattr(evaluate, "round_floats", lambda value: value)
+    body = report_to_dict(report, timestamp="1970-01-01T00:00:00Z")
+    monkeypatch.undo()
+    once = round_floats(body)
+    assert once != body
+    assert round_floats(once) == once
+    assert repr(round_floats(once)) == repr(once)
+    rounded = report_to_dict(report, timestamp="1970-01-01T00:00:00Z")
+    del once["meta"]["report_digest"], rounded["meta"]["report_digest"]
+    assert once == rounded

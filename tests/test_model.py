@@ -132,3 +132,16 @@ def test_deadlock_report_consistency():
         DeadlockReport(deadlocked=True, causes=())
     with pytest.raises(DomainError):
         DeadlockReport(deadlocked=False, causes=(cause,))
+
+
+def test_dataset_pickles_and_copies_with_its_columnar_form():
+    import copy
+    import pickle
+
+    schema = AttributeSchema(("a", "b"))
+    dataset = CandidateDataset(schema, (Candidate("x", (1, 4), 2), Candidate("y", (10, 5.5), 9)))
+    for clone in (pickle.loads(pickle.dumps(dataset)), copy.deepcopy(dataset), copy.copy(dataset)):
+        assert clone == dataset
+        assert clone.normalized.tolist() == dataset.normalized.tolist()
+        assert not clone.normalized.flags.writeable
+        assert clone.by_id("y") == dataset.by_id("y")
