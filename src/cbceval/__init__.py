@@ -53,7 +53,6 @@ from .model import (
     MicroClustering,
     UserConstraintSpec,
     Violation,
-    denormalize,
     normalize,
 )
 from .oracle import brute_force_feasible_exists, brute_force_min_sse
@@ -90,7 +89,6 @@ __all__ = [
     "build_link_components",
     "choose_k",
     "constrained_assign",
-    "denormalize",
     "detect_deadlock",
     "feasibility_partition",
     "kmeans_pp_init",

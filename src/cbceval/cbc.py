@@ -9,7 +9,7 @@ against the feasible population only, annotating (never aborting) the result.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class CBCResult:
     micro: MicroClustering | None
     deadlock: DeadlockReport
     stage_log: tuple[StageRecord, ...]
-    spec: ConstraintSpec = field(default_factory=ConstraintSpec)
-    config: CBCConfig | None = None
+    spec: ConstraintSpec
+    config: CBCConfig
 
     @property
     def aborted(self) -> bool:
@@ -97,7 +97,7 @@ def constrained_assign(
     )
 
     if spec.min_cluster_size:
-        member_counts = np.bincount(list(clustering.assignment.values()), minlength=clustering.k)
+        member_counts = np.bincount(clustering.labels, minlength=clustering.k)
         if np.any(member_counts < spec.min_cluster_size):
             small = int(np.flatnonzero(member_counts < spec.min_cluster_size)[0])
             raise AssignmentDeadlockError(
@@ -118,7 +118,7 @@ def refine_micro_clusters(
     ids = dataset.ids()
     infeasible_rows = np.ones(len(ids), dtype=np.int64)
     infeasible_rows[[dataset.row_of[cid] for cid in feasible_ids]] = 0
-    labels = np.array([clustering.assignment[cid] for cid in ids], dtype=np.int64)
+    labels = clustering.label_array(dataset)
     # Sorting by (parent, side) with a stable sort groups each side's members
     # in dataset order, feasible side first.
     groups = 2 * labels + infeasible_rows

@@ -47,14 +47,21 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 ({exc.reason} at byte offset {exc.start})"
+        ) from exc
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CBCError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _load_weights(path: str | None) -> dict | None:
@@ -83,27 +90,24 @@ def _bound_inputs(args) -> tuple:
     return dataset, spec
 
 
-def _resolve_k(args, dataset, spec) -> int:
-    if args.k is not None:
-        if spec.k is not None and spec.k != args.k:
-            raise ParseError(
-                f"--k {args.k} conflicts with k={spec.k} in the constraint spec"
-            )
-        return args.k
-    if spec.k is not None:
+def _fixed_k(args, dataset, spec) -> int | None:
+    """The cluster count set by --k or the spec; the two must agree, and
+    --k must lie in [1, n]."""
+    if args.k is None:
         return spec.k
-    n = len(dataset)
-    if n < 3:
-        return 1
-    return choose_k(dataset, (2, min(8, n - 1)), args.seed)
+    if spec.k is not None and spec.k != args.k:
+        raise ParseError(f"--k {args.k} conflicts with k={spec.k} in the constraint spec")
+    if args.k < 1:
+        raise ParseError(f"k must be at least 1, got {args.k}")
+    if args.k > len(dataset):
+        raise ParseError("k exceeds candidate count")
+    return args.k
 
 
 def _cmd_cluster(args) -> int:
-    dataset = parse_dataset(_read(args.data))
+    dataset, spec = _bound_inputs(args)
     weights = _load_weights(args.weights)
-    if args.k > len(dataset):
-        return _fail("k exceeds candidate count")
-    config = KMeansConfig(k=args.k, seed=args.seed, restarts=args.restarts)
+    config = KMeansConfig(k=_fixed_k(args, dataset, spec), seed=args.seed, restarts=args.restarts)
     clustering = run_kmeans(dataset, config, weights)
     payload = round_floats(
         {
@@ -112,7 +116,7 @@ def _cmd_cluster(args) -> int:
             "iterations": clustering.iterations,
             "sse": clustering.sse,
             "attributes": list(dataset.schema.names),
-            "assignment": dict(clustering.assignment),
+            "assignment": clustering.assignment,
             "centroids": [list(c) for c in clustering.centroids],
         }
     )
@@ -123,13 +127,11 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset, spec = _bound_inputs(args)
     weights = _load_weights(args.weights)
-    k = _resolve_k(args, dataset, spec)
-    config = CBCConfig(kmeans=KMeansConfig(k=k, seed=args.seed))
-    try:
-        result = run_pipeline(dataset, spec, config)
-    except AssignmentDeadlockError as exc:
-        print(f"{_style('assignment deadlock', '33')}: {exc}", file=sys.stderr)
-        return EXIT_ASSIGNMENT
+    k = _fixed_k(args, dataset, spec)
+    if k is None:
+        n = len(dataset)
+        k = 1 if n < 3 else choose_k(dataset, (2, min(8, n - 1)), args.seed)
+    result = run_pipeline(dataset, spec, CBCConfig(kmeans=KMeansConfig(k=k, seed=args.seed)))
     report = rank(result, dataset, weights)
     _emit(report_json(report), args.out)
     if result.aborted:
@@ -140,23 +142,17 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_check(args) -> int:
     dataset, spec = _bound_inputs(args)
-    k = args.k if args.k is not None else spec.k
-    report = detect_deadlock(spec, dataset, k)
+    report = detect_deadlock(spec, dataset, _fixed_k(args, dataset, spec))
     payload = round_floats(deadlock_to_dict(report))
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_DEADLOCK if report.deadlocked else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    dataset = parse_dataset(_read(args.data))
-    spec = (
-        parse_constraint_spec(_read(args.constraints)) if args.constraints else None
-    )
-    if spec is not None:
-        report = bind_and_validate(dataset, spec)
-        if not report.ok:
-            raise ParseError(report.summary())
-    n, k = len(dataset), args.k
+    dataset, spec = _bound_inputs(args)
+    n, k = len(dataset), _fixed_k(args, dataset, spec)
+    if not args.constraints:
+        spec = None
     if n > MAX_CANDIDATES or k > MAX_CLUSTERS:
         print(
             f"capacity exceeded: verify handles n <= {MAX_CANDIDATES}, "
@@ -168,31 +164,20 @@ def _cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
     weights = spec.distance_weights if spec is not None else None
 
-    engine_sse = None
+    config = KMeansConfig(k=k, seed=args.seed, restarts=args.restarts)
     engine_status = "ok"
     if spec is not None and spec.has_assignment_constraints:
-        config = CBCConfig(
-            kmeans=KMeansConfig(k=k, seed=args.seed, restarts=args.restarts)
-        )
         try:
-            result = run_pipeline(dataset, spec, config)
+            clustering = run_pipeline(dataset, spec, CBCConfig(kmeans=config)).clustering
         except AssignmentDeadlockError:
-            result = None
+            clustering = None
             engine_status = "assignment-deadlock"
-        if result is not None and result.aborted:
+        if engine_status == "ok" and clustering is None:
             engine_status = "bind-deadlock"
-        elif result is not None:
-            engine_sse = result.clustering.sse
-            checks.append(
-                (
-                    "sse-recompute",
-                    abs(sse(dataset, result.clustering, weights) - engine_sse) <= 1e-9,
-                    f"stored {engine_sse:.12g}",
-                )
-            )
     else:
-        config = KMeansConfig(k=k, seed=args.seed, restarts=args.restarts)
         clustering = run_kmeans(dataset, config, weights)
+    engine_sse = None
+    if clustering is not None:
         engine_sse = clustering.sse
         checks.append(
             (
@@ -329,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except AssignmentDeadlockError as exc:
-        print(f"assignment deadlock: {exc}", file=sys.stderr)
+        print(f"{_style('assignment deadlock', '33')}: {exc}", file=sys.stderr)
         return EXIT_ASSIGNMENT
     except CBCError as exc:
         return _fail(str(exc))

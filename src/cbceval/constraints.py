@@ -190,26 +190,29 @@ def _failed_checks(
     return checks
 
 
-def _row_violations(checks, row: int, candidate: Candidate, tau: float) -> tuple[Violation, ...]:
+def _row_violations(
+    checks, row: int, ratings: np.ndarray, constraints: np.ndarray, tau: float
+) -> tuple[Violation, ...]:
     """Violation records of one row of ``checks``, observed values taken
-    from ``candidate``."""
+    from the same row of the columns ``checks`` were computed on."""
     violations = []
     for rule, column, failed in checks:
         if not failed[row]:
             continue
         if rule is None:
+            observed = float(constraints[row])
             violations.append(
                 Violation(
                     rule="feasibility_threshold",
                     attribute="constraints",
                     op=">=",
                     required=tau,
-                    observed=candidate.constraints_rating,
-                    message=f"constraints_rating {candidate.constraints_rating:g} < {tau:g}",
+                    observed=observed,
+                    message=f"constraints_rating {observed:g} < {tau:g}",
                 )
             )
             continue
-        value = candidate.ratings[column]
+        value = float(ratings[row, column])
         violations.append(
             Violation(
                 rule=rule.origin or "existential",
@@ -230,13 +233,10 @@ def object_feasible(
     threshold and every per-candidate rule passes. Violations are collected
     exhaustively, never short-circuited. The single-row case of
     :func:`feasibility_partition`."""
-    checks = _failed_checks(
-        spec,
-        schema,
-        np.array([candidate.ratings], dtype=np.float64),
-        np.array([candidate.constraints_rating], dtype=np.float64),
-    )
-    violations = _row_violations(checks, 0, candidate, spec.feasibility_threshold)
+    ratings = np.array([candidate.ratings], dtype=np.float64)
+    constraints = np.array([candidate.constraints_rating], dtype=np.float64)
+    checks = _failed_checks(spec, schema, ratings, constraints)
+    violations = _row_violations(checks, 0, ratings, constraints, spec.feasibility_threshold)
     return (not violations, violations)
 
 
@@ -249,14 +249,15 @@ def feasibility_partition(
 ) -> tuple[list[str], list[tuple[str, tuple[Violation, ...]]]]:
     """Split candidates into feasible ids and (id, violations) pairs, both in
     dataset order. Violation records are built for infeasible rows only."""
-    checks = _failed_checks(spec, dataset.schema, dataset.ratings, dataset.constraints_ratings)
+    ratings, constraints = dataset.ratings, dataset.constraints_ratings
+    checks = _failed_checks(spec, dataset.schema, ratings, constraints)
     infeasible = _infeasible_mask(checks)
     ids = dataset.ids()
     tau = spec.feasibility_threshold
     return (
         [ids[i] for i in np.flatnonzero(~infeasible).tolist()],
         [
-            (ids[i], _row_violations(checks, i, dataset.candidates[i], tau))
+            (ids[i], _row_violations(checks, i, ratings, constraints, tau))
             for i in np.flatnonzero(infeasible).tolist()
         ],
     )

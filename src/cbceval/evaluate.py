@@ -14,9 +14,8 @@ from typing import Mapping
 import numpy as np
 
 from .cbc import CBCResult
-from .errors import DomainError
 from .ingest import constraint_spec_to_dict, serialize_dataset
-from .kmeans import weight_vector
+from .kmeans import CONVERGENCE_TOL, MAX_ITERATIONS, weight_vector
 from .model import (
     AttributeSchema,
     Candidate,
@@ -24,7 +23,6 @@ from .model import (
     EvaluationReport,
     FEASIBLE,
     RankedCandidate,
-    Violation,
     normalize,
 )
 
@@ -36,13 +34,10 @@ def _weighted_means(
     left to right, one rounding per term, so a row's score does not depend
     on the other rows (``X @ w`` and row sums may add in another order)."""
     w = weight_vector(schema, weights)
-    total = float(w.sum())
-    if total <= 0:
-        raise DomainError("weights need at least one positive entry")
     s = np.zeros(len(X))
     for j in range(X.shape[1]):
         s = s + w[j] * X[:, j]
-    return s / total
+    return s / float(w.sum())
 
 
 def score_candidate(
@@ -77,25 +72,13 @@ def _digest(rounded) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _violation_dict(v: Violation) -> dict:
-    return {
-        "rule": v.rule,
-        "attribute": v.attribute,
-        "op": v.op,
-        "required": v.required,
-        "observed": v.observed,
-        "message": v.message,
-    }
-
-
+# ``vars`` of a dataclass record is its fields in declaration order, the
+# JSON key order; ``round_floats`` copies it before anything is changed.
 def deadlock_to_dict(report) -> dict:
     return {
         "deadlocked": report.deadlocked,
         "stage": report.stage,
-        "causes": [
-            {"kind": c.kind, "detail": c.detail, "witness": c.witness}
-            for c in report.causes
-        ],
+        "causes": [vars(c) for c in report.causes],
         "warnings": list(report.warnings),
     }
 
@@ -112,28 +95,25 @@ def rank(
     with their violations. A bind-aborted result yields a report carrying
     only metadata and the deadlock section.
     """
-    config = result.config
-    seed = config.kmeans.seed if config is not None else 0
-    k = result.spec.k if result.spec.k is not None else (
-        config.kmeans.k if config is not None else None
-    )
+    kmeans = result.config.kmeans
     config_payload = {
         "spec": constraint_spec_to_dict(result.spec),
+        # The iteration cap and tolerance are fixed, and links and refinement
+        # always apply; the keys stay so config_digest is stable.
         "kmeans": {
-            "k": config.kmeans.k if config else None,
-            "seed": seed,
-            "max_iterations": config.kmeans.max_iterations if config else None,
-            "convergence_tol": config.kmeans.convergence_tol if config else None,
-            "restarts": config.kmeans.restarts if config else None,
+            "k": kmeans.k,
+            "seed": kmeans.seed,
+            "max_iterations": MAX_ITERATIONS,
+            "convergence_tol": CONVERGENCE_TOL,
+            "restarts": kmeans.restarts,
         },
-        # Links and refinement always apply; the keys stay so config_digest is stable.
-        "enforce_links": True if config else None,
-        "refine": True if config else None,
+        "enforce_links": True,
+        "refine": True,
         "weights": dict(sorted(weights.items())) if weights else None,
     }
     meta: dict[str, object] = {
-        "seed": seed,
-        "k": k,
+        "seed": kmeans.seed,
+        "k": result.spec.k if result.spec.k is not None else kmeans.k,
         "config_digest": _digest(round_floats(config_payload)),
         "dataset_digest": hashlib.sha256(
             serialize_dataset(dataset).encode("utf-8")
@@ -204,7 +184,7 @@ def report_to_dict(report: EvaluationReport, *, timestamp: str | None = None) ->
             for r in report.ranking
         ]
         body["excluded"] = [
-            {"id": cid, "violations": [_violation_dict(v) for v in violations]}
+            {"id": cid, "violations": [vars(v) for v in violations]}
             for cid, violations in report.excluded
         ]
     body = round_floats(body)

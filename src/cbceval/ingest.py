@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .errors import DomainError, ParseError
 from .model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     COMPARATORS,
     ConstraintSpec,
@@ -128,7 +127,7 @@ def parse_dataset(
     except DomainError as exc:
         raise ParseError(str(exc), locator="header") from exc
 
-    candidates = []
+    ids, ratings, constraints = [], [], []
     seen_ids = set()
     for line_no, row in enumerate(rows[1:], start=2):
         cells = [cell.strip() for cell in row]
@@ -159,11 +158,11 @@ def parse_dataset(
                 )
             return value
 
-        ratings = tuple(_cell(i, header[i]) for i in attr_cols)
-        constraints_rating = _cell(constraints_col, header[constraints_col])
-        candidates.append(Candidate(cid, ratings, constraints_rating))
+        ids.append(cid)
+        ratings.append([_cell(i, header[i]) for i in attr_cols])
+        constraints.append(_cell(constraints_col, header[constraints_col]))
 
-    return CandidateDataset(schema, tuple(candidates))
+    return CandidateDataset.from_columns(schema, ids, ratings, constraints)
 
 
 def _format_number(value: float) -> str:
@@ -173,11 +172,10 @@ def _format_number(value: float) -> str:
 def serialize_dataset(dataset: CandidateDataset) -> str:
     """Canonical CSV for a dataset; ``parse_dataset`` round-trips it exactly."""
     lines = [",".join(["id", *dataset.schema.names, "constraints"])]
-    for cand in dataset.candidates:
-        cells = [cand.id]
-        cells += [_format_number(r) for r in cand.ratings]
-        cells.append(_format_number(cand.constraints_rating))
-        lines.append(",".join(cells))
+    for cid, ratings, constraints_rating in zip(
+        dataset.ids(), dataset.ratings.tolist(), dataset.constraints_ratings.tolist()
+    ):
+        lines.append(",".join([cid, *map(_format_number, [*ratings, constraints_rating])]))
     return "\n".join(lines) + "\n"
 
 

@@ -18,31 +18,25 @@ from .model import AttributeSchema, CandidateDataset, Clustering
 from .rng import SplitMix64, child_seed
 
 
+#: A Lloyd run stops after this many iterations, or once no centroid moves
+#: farther than ``CONVERGENCE_TOL``.
+MAX_ITERATIONS = 100
+CONVERGENCE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
     seed: int
-    max_iterations: int = 100
-    convergence_tol: float = 1e-9
     restarts: int = 1
 
     def __post_init__(self):
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
         if self.restarts < 1:
             raise DomainError("restarts must be at least 1")
-        if self.convergence_tol < 0:
-            raise DomainError("convergence_tol must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be an unsigned 64-bit integer")
-
-
-def normalized_matrix(dataset: CandidateDataset) -> np.ndarray:
-    """n x d float64 matrix of normalized candidate ratings (the dataset's
-    read-only cached copy)."""
-    return dataset.normalized
 
 
 def weight_vector(
@@ -93,7 +87,7 @@ def kmeans_pp_init(
         raise DomainError("dataset is empty")
     if config.k > n:
         raise DomainError("k exceeds candidate count")
-    X = normalized_matrix(dataset)
+    X = dataset.normalized
     w = weight_vector(dataset.schema, weights)
     rng = SplitMix64(config.seed)
 
@@ -144,15 +138,14 @@ def component_lloyd(
         raise DomainError(f"init has {k} centroids but config.k is {config.k}")
     if k > len(ids):
         raise DomainError("k exceeds candidate count")
-    X = normalized_matrix(dataset)
+    X = dataset.normalized
     w = weight_vector(dataset.schema, weights)
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
     if components is None or len(components) == len(ids):
         # Single candidates in dataset order: a one-row mean is the row itself.
         M, sizes, row_comp = X, [1] * len(X), None
     else:
-        index = {cid: i for i, cid in enumerate(ids)}
-        rows = [[index[cid] for cid in comp] for comp in components]
+        rows = [[dataset.row_of[cid] for cid in comp] for comp in components]
         M = X[[r[0] for r in rows]]
         for ci, r in enumerate(rows):
             if len(r) > 1:
@@ -169,7 +162,7 @@ def component_lloyd(
 
     iterations = 0
     prev_sse = np.inf
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         D = distance_matrix(M, C, w)
         if not greedy:
             comp_labels = D.argmin(axis=1)
@@ -230,12 +223,13 @@ def component_lloyd(
                 f"{iterations}; inputs must be finite"
             )
         prev_sse = current
-        if movement <= config.convergence_tol:
+        if movement <= CONVERGENCE_TOL:
             break
 
     return Clustering(
         k=k,
-        assignment=dict(zip(ids, labels.tolist())),
+        ids=ids,
+        labels=tuple(labels.tolist()),
         centroids=tuple(tuple(float(v) for v in row) for row in C),
         sse=prev_sse,
         iterations=iterations,
@@ -300,13 +294,9 @@ def sse(
     weights: Mapping[str, float] | None = None,
 ) -> float:
     """Recompute the sum of squared weighted distances to assigned centroids."""
-    X = normalized_matrix(dataset)
     w = weight_vector(dataset.schema, weights)
     C = np.array(clustering.centroids, dtype=np.float64)
-    labels = np.array(
-        [clustering.assignment[c.id] for c in dataset.candidates], dtype=np.int64
-    )
-    return float(((X - C[labels]) ** 2 * w).sum())
+    return float(((dataset.normalized - C[clustering.label_array(dataset)]) ** 2 * w).sum())
 
 
 SILHOUETTE_BLOCK = 256
@@ -324,10 +314,8 @@ def silhouette(dataset: CandidateDataset, clustering: Clustering) -> float:
     k = clustering.k
     if k < 2:
         raise DomainError("silhouette needs at least 2 clusters")
-    X = normalized_matrix(dataset)
-    labels = np.array(
-        [clustering.assignment[c.id] for c in dataset.candidates], dtype=np.int64
-    )
+    X = dataset.normalized
+    labels = clustering.label_array(dataset)
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise DomainError("silhouette needs every cluster non-empty")
@@ -385,8 +373,8 @@ def partition_signature(assignment: Mapping[str, int], dataset: CandidateDataset
     """
     relabel: dict[int, int] = {}
     signature = []
-    for cand in dataset.candidates:
-        label = assignment[cand.id]
+    for cid in dataset.ids():
+        label = assignment[cid]
         if label not in relabel:
             relabel[label] = len(relabel)
         signature.append(relabel[label])

@@ -96,21 +96,6 @@ def normalize(ratings, schema: AttributeSchema) -> tuple[float, ...]:
     return tuple(out)
 
 
-def denormalize(values, schema: AttributeSchema) -> tuple[float, ...]:
-    """Inverse of :func:`normalize` for values in [0, 1]."""
-    if len(values) != len(schema.names):
-        raise DomainError(
-            f"expected {len(schema.names)} values, got {len(values)}"
-        )
-    span = schema.scale_max - schema.scale_min
-    out = []
-    for name, v in zip(schema.names, values):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"normalized value {v} for attribute {name} outside [0, 1]")
-        out.append(schema.scale_min + v * span)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One SaaS candidate: a rating vector plus its aggregate constraints rating."""
@@ -126,87 +111,132 @@ class Candidate:
         object.__setattr__(self, "constraints_rating", float(self.constraints_rating))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CandidateDataset:
     """Ordered candidates over a shared schema. Order is the determinism anchor.
 
-    The columnar form is built once, here, and is read-only: ``ratings``
+    The dataset is its id tuple plus read-only columns, built once: ``ratings``
     (n x d raw ratings), ``normalized`` (the same matrix mapped onto [0, 1]
     exactly as :func:`normalize` maps one row), ``constraints_ratings``
     (length n) and ``row_of`` (id -> row index, in dataset order).
+    :class:`Candidate` records are built on demand by ``candidates`` and
+    ``by_id``. ``CandidateDataset(schema, candidates)`` and
+    :meth:`from_columns` validate alike.
     """
 
     schema: AttributeSchema
-    candidates: tuple[Candidate, ...]
-    ratings: np.ndarray = field(init=False, repr=False, compare=False)
-    normalized: np.ndarray = field(init=False, repr=False, compare=False)
-    constraints_ratings: np.ndarray = field(init=False, repr=False, compare=False)
-    row_of: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _ids: tuple[str, ...] = field(repr=False)
+    ratings: np.ndarray = field(repr=False)
+    normalized: np.ndarray = field(repr=False)
+    constraints_ratings: np.ndarray = field(repr=False)
+    row_of: Mapping[str, int] = field(repr=False)
 
-    def __post_init__(self):
-        candidates = tuple(self.candidates)
-        object.__setattr__(self, "candidates", candidates)
-        schema = self.schema
+    def __init__(self, schema: AttributeSchema, candidates):
+        candidates = tuple(candidates)
+        self._set_columns(
+            schema,
+            [c.id for c in candidates],
+            [c.ratings for c in candidates],
+            [c.constraints_rating for c in candidates],
+        )
+
+    @classmethod
+    def from_columns(cls, schema: AttributeSchema, ids, ratings, constraints_ratings):
+        """A dataset from parallel ids, rating rows and constraints ratings."""
+        ids, ratings, constraints_ratings = list(ids), list(ratings), list(constraints_ratings)
+        if not len(ids) == len(ratings) == len(constraints_ratings):
+            raise DomainError("ids, ratings and constraints ratings differ in length")
+        dataset = cls.__new__(cls)
+        dataset._set_columns(schema, ids, ratings, constraints_ratings)
+        return dataset
+
+    def _set_columns(self, schema, ids: list, rows: list, constraints: list):
         d = len(schema.names)
-        # Rows before the first duplicate id or wrong-length row are range
-        # checked first, so the error raised is the one for the earliest row.
+        # Rows before the first bad id or wrong-length row are range checked
+        # first, so the error raised is the one for the earliest row.
         row_of: dict[str, int] = {}
         shape_error = None
-        for cand in candidates:
-            if cand.id in row_of:
-                shape_error = f"duplicate candidate id {cand.id}"
+        for cid, row in zip(ids, rows):
+            if not isinstance(cid, str) or not cid.strip():
+                shape_error = "candidate id must be a non-empty string"
+            elif cid in row_of:
+                shape_error = f"duplicate candidate id {cid}"
+            elif len(row) != d:
+                shape_error = f"candidate {cid}: expected {d} ratings, got {len(row)}"
+            if shape_error is not None:
                 break
-            if len(cand.ratings) != d:
-                shape_error = (
-                    f"candidate {cand.id}: expected {d} ratings, got {len(cand.ratings)}"
-                )
-                break
-            row_of[cand.id] = len(row_of)
-        checked = candidates[: len(row_of)]
-        ratings = np.array([c.ratings for c in checked], dtype=np.float64).reshape(len(checked), d)
-        constraints = np.array([c.constraints_rating for c in checked], dtype=np.float64)
+            row_of[cid] = len(row_of)
+        m = len(row_of)
+        ratings = np.array(rows[:m], dtype=np.float64).reshape(m, d)
+        constraints = np.array(constraints[:m], dtype=np.float64)
         lo, hi = schema.scale_min, schema.scale_max
         bad_rating = ~((lo <= ratings) & (ratings <= hi))
         bad_rows = np.flatnonzero(bad_rating.any(axis=1) | ~((lo <= constraints) & (constraints <= hi)))
         if bad_rows.size:
-            cand = checked[bad_rows[0]]
-            columns = np.flatnonzero(bad_rating[bad_rows[0]])
+            row = int(bad_rows[0])
+            columns = np.flatnonzero(bad_rating[row])
             if columns.size:
                 j = int(columns[0])
                 raise DomainError(
-                    f"candidate {cand.id}, attribute {schema.names[j]}: "
-                    f"rating {cand.ratings[j]} out of range"
+                    f"candidate {ids[row]}, attribute {schema.names[j]}: "
+                    f"rating {float(ratings[row, j])} out of range"
                 )
             raise DomainError(
-                f"candidate {cand.id}: constraints rating "
-                f"{cand.constraints_rating} out of range"
+                f"candidate {ids[row]}: constraints rating "
+                f"{float(constraints[row])} out of range"
             )
         if shape_error is not None:
             raise DomainError(shape_error)
         normalized = (ratings - lo) / (hi - lo)
         for array in (ratings, normalized, constraints):
             array.flags.writeable = False
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "_ids", tuple(row_of))
         object.__setattr__(self, "ratings", ratings)
         object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "constraints_ratings", constraints)
         object.__setattr__(self, "row_of", MappingProxyType(row_of))
 
     def __reduce__(self):
-        # Pickle and copy rebuild the columnar form; a mapping proxy cannot
-        # be pickled.
-        return (CandidateDataset, (self.schema, self.candidates))
+        # A mapping proxy cannot be pickled; pickle and copy rebuild the columns.
+        return (
+            CandidateDataset.from_columns,
+            (self.schema, self._ids, self.ratings.tolist(), self.constraints_ratings.tolist()),
+        )
+
+    def __eq__(self, other):
+        # Equal when they pickle alike: the same schema, ids and columns.
+        if not isinstance(other, CandidateDataset):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash((self.schema, self._ids))
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self._ids)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self.row_of)
+        return self._ids
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        """Every row as a :class:`Candidate`, in dataset order, built on demand."""
+        return tuple(
+            Candidate(cid, ratings, constraints_rating)
+            for cid, ratings, constraints_rating in zip(
+                self._ids, self.ratings.tolist(), self.constraints_ratings.tolist()
+            )
+        )
 
     def by_id(self, candidate_id: str) -> Candidate:
         try:
-            return self.candidates[self.row_of[candidate_id]]
+            row = self.row_of[candidate_id]
         except KeyError:
             raise DomainError(f"unknown id {candidate_id}") from None
+        return Candidate(
+            candidate_id, self.ratings[row].tolist(), float(self.constraints_ratings[row])
+        )
 
 
 def _check_nonneg(value, label: str):
@@ -366,25 +396,42 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class Clustering:
-    """An assignment of candidates to ``k`` clusters with its centroids."""
+    """Cluster labels of candidates ``ids`` (dataset order) with the ``k``
+    centroids."""
 
     k: int
-    assignment: dict[str, int]
+    ids: tuple[str, ...]
+    labels: tuple[int, ...]
     centroids: tuple[tuple[float, ...], ...]
     sse: float
     iterations: int
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
         if len(self.centroids) != self.k:
             raise DomainError(
                 f"expected {self.k} centroids, got {len(self.centroids)}"
             )
-        for cid, label in self.assignment.items():
+        if len(self.labels) != len(self.ids):
+            raise DomainError(f"expected {len(self.ids)} labels, got {len(self.labels)}")
+        for cid, label in zip(self.ids, self.labels):
             if not 0 <= label < self.k:
                 raise DomainError(f"candidate {cid} assigned to invalid cluster {label}")
+
+    @property
+    def assignment(self) -> dict[str, int]:
+        """Candidate id -> cluster label, in dataset order."""
+        return dict(zip(self.ids, self.labels))
+
+    def label_array(self, dataset: CandidateDataset) -> np.ndarray:
+        """The labels as an int64 array over ``dataset``'s rows."""
+        if self.ids != dataset.ids():
+            raise DomainError("clustering does not cover the dataset's candidates in order")
+        return np.array(self.labels, dtype=np.int64)
 
 
 FEASIBLE = "feasible"
@@ -437,18 +484,18 @@ class MicroClustering:
                     raise DomainError(f"feasible member {cid} carries violations")
                 if mc.label == INFEASIBLE and not has_violations:
                     raise DomainError(f"infeasible member {cid} lacks violations")
-        if seen != set(self.parent.assignment):
+        if seen != set(self.parent.ids):
             raise DomainError("micro-clusters do not partition the candidate set")
 
     def feasible_ids(self) -> tuple[str, ...]:
-        """Feasible members in parent-assignment (dataset) order."""
+        """Feasible members in the parent's (dataset) order."""
         feasible = {
             cid
             for mc in self.micro_clusters
             if mc.label == FEASIBLE
             for cid in mc.members
         }
-        return tuple(cid for cid in self.parent.assignment if cid in feasible)
+        return tuple(cid for cid in self.parent.ids if cid in feasible)
 
 
 DEADLOCK_CAUSE_KINDS = (

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .constraints import USER_CAPACITY_FIELDS, USER_COST_FIELDS
-from .kmeans import normalized_matrix, weight_vector
+from .kmeans import weight_vector
 from .model import CandidateDataset, Clustering, ConstraintSpec
 
 MAX_CANDIDATES = 12
@@ -141,7 +141,7 @@ def brute_force_min_sse(
     _guard(n, k)
     if n == 0:
         raise DomainError("dataset is empty")
-    X = normalized_matrix(dataset)
+    X = dataset.normalized
     w = weight_vector(
         dataset.schema, spec.distance_weights if spec is not None else None
     )
@@ -184,11 +184,11 @@ def brute_force_min_sse(
             centroids.append(tuple(float(v) for v in X[members].mean(axis=0)))
         else:
             centroids.append(tuple(0.0 for _ in range(X.shape[1])))
-    assignment = {cid: point_labels[i] for i, cid in enumerate(dataset.ids())}
     best_sse = max(best_sse, 0.0)
     clustering = Clustering(
         k=k,
-        assignment=assignment,
+        ids=dataset.ids(),
+        labels=point_labels,
         centroids=tuple(centroids),
         sse=best_sse,
         iterations=0,

@@ -1,12 +1,14 @@
 import json
+import random
 import re
 
 import pytest
 
 from cbceval.cli import main
-from cbceval.model import DeadlockCause, DeadlockReport
+from cbceval.ingest import serialize_dataset
+from cbceval.model import Candidate, DeadlockCause, DeadlockReport
 
-from helpers import FEASIBLE_AT_6
+from helpers import FEASIBLE_AT_6, random_dataset
 
 
 def run_cli(*argv):
@@ -146,6 +148,27 @@ def test_evaluate_assignment_deadlock_exit(sample_paths, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "deadlock" in err
+
+
+@pytest.mark.parametrize(
+    "spec, k, message",
+    [
+        ({"max_cluster_size": 4}, "-2", "k must be at least 1, got -2"),
+        ({"max_cluster_size": 4}, "50", "k exceeds candidate count"),
+        ({"k": 2}, "3", "--k 3 conflicts with k=2 in the constraint spec"),
+    ],
+    ids=["negative", "above-n", "spec-conflict"],
+)
+def test_check_and_verify_validate_k_like_evaluate(sample_paths, tmp_path, capsys, spec, k, message):
+    data, _ = sample_paths
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"feasibility_threshold": 6, **spec}), encoding="utf-8")
+    for command in ("check", "verify", "evaluate"):
+        code = run_cli(command, "--data", str(data), "--constraints", str(path), "--k", k)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
 
 def test_check_sample(sample_paths, capsys):
@@ -329,6 +352,60 @@ def test_weights_file_rejects_non_finite_numbers(sample_paths, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1
     assert f"{weights}:reusability: expected a finite number" in err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--constraints", "--weights"])
+def test_non_utf8_input_is_input_error(sample_paths, tmp_path, capsys, flag):
+    data, constraints = sample_paths
+    paths = {"--data": data, "--constraints": constraints, "--weights": tmp_path / "weights.json"}
+    paths["--weights"].write_text("{}", encoding="utf-8")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b'{"reusability": 1, "caf\xe9": 2}')
+    paths[flag] = bad
+    argv = [part for name, path in paths.items() for part in (name, str(path))]
+    code = run_cli("evaluate", *argv, "--k", "3")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: cannot read {bad}: not UTF-8 (invalid continuation byte at byte offset 23)" in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["cluster", "evaluate"])
+def test_unwritable_out_is_input_error(sample_paths, tmp_path, capsys, command, target):
+    data, constraints = sample_paths
+    out = tmp_path / "no-such-dir" / "out.json" if target == "missing-dir" else tmp_path
+    argv = ["--data", str(data), "--k", "3", "--seed", "1", "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--constraints", str(constraints)]
+    code = run_cli(command, *argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    assert f"error: cannot write {out}: {reason}" in captured.err
+
+
+def test_evaluate_builds_no_candidate_records(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    data.write_text(serialize_dataset(random_dataset(random.Random(6), 2000)), encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "feasibility_threshold": 4,
+                "existential": [{"attribute": "f0", "op": ">=", "threshold": 9, "min_count": 1}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    built = []
+    original = Candidate.__post_init__
+    monkeypatch.setattr(Candidate, "__post_init__", lambda self: built.append(original(self)))
+    out = tmp_path / "report.json"
+    code = run_cli("evaluate", "--data", str(data), "--constraints", str(spec), "--k", "4", "--out", str(out))
+    assert code == 0
+    assert len(json.loads(out.read_text())["excluded"]) > 0
+    assert built == []
 
 
 def test_no_color_env(sample_paths, capsys, monkeypatch):

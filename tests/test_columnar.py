@@ -9,7 +9,7 @@ exact (floats compared by bit pattern).
 
 import pytest
 
-from cbceval.cbc import CBCResult, refine_micro_clusters
+from cbceval.cbc import CBCConfig, CBCResult, refine_micro_clusters
 from cbceval.constraints import (
     detect_deadlock,
     effective_rules,
@@ -18,7 +18,7 @@ from cbceval.constraints import (
 )
 from cbceval.errors import DomainError
 from cbceval.evaluate import rank, round_floats, score_candidate
-from cbceval.kmeans import normalized_matrix, weight_vector
+from cbceval.kmeans import KMeansConfig, weight_vector
 from cbceval.model import (
     COMPARATORS,
     AttributeSchema,
@@ -204,7 +204,7 @@ def cases(draw, min_size=0):
 @given(cases())
 def test_columnar_form_matches_rows_and_is_read_only(case):
     dataset, _, _ = case
-    X = normalized_matrix(dataset)
+    X = dataset.normalized
     assert X.shape == (len(dataset), len(dataset.schema.names))
     for row, cand in zip(X.tolist(), dataset.candidates):
         assert list(map(bits, row)) == list(map(bits, normalize(cand.ratings, dataset.schema)))
@@ -231,15 +231,22 @@ def test_columnar_form_matches_rows_and_is_read_only(case):
     )
 )
 def test_dataset_validation_matches_row_by_row(rows):
+    # Both constructors share one validation routine; each must raise the
+    # reference message or build the same dataset.
     schema = AttributeSchema(("u", "v"))
     candidates = tuple(Candidate(cid, ratings, c) for cid, ratings, c in rows)
     expected = reference_dataset_error(schema, candidates)
-    if expected is None:
-        CandidateDataset(schema, candidates)
-    else:
-        with pytest.raises(DomainError) as info:
-            CandidateDataset(schema, candidates)
-        assert str(info.value) == expected
+    ids, ratings, constraints = ([row[i] for row in rows] for i in range(3))
+    for build in (
+        lambda: CandidateDataset(schema, candidates),
+        lambda: CandidateDataset.from_columns(schema, ids, ratings, constraints),
+    ):
+        if expected is None:
+            assert build() == CandidateDataset(schema, candidates)
+        else:
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == expected
 
 
 @PROPERTY
@@ -266,7 +273,8 @@ def test_refine_and_recheck_match_reference(case, data):
     labels = [data.draw(st.integers(0, k - 1)) for _ in dataset.candidates]
     clustering = Clustering(
         k=k,
-        assignment=dict(zip(dataset.ids(), labels)),
+        ids=dataset.ids(),
+        labels=labels,
         centroids=tuple((0.0,) * len(dataset.schema.names) for _ in range(k)),
         sse=0.0,
         iterations=0,
@@ -309,14 +317,17 @@ def test_scores_match_per_candidate_reference(case):
     dataset, spec, weights = case
     clustering = Clustering(
         k=1,
-        assignment={cid: 0 for cid in dataset.ids()},
+        ids=dataset.ids(),
+        labels=[0] * len(dataset),
         centroids=((0.0,) * len(dataset.schema.names),),
         sse=0.0,
         iterations=0,
         seed=0,
     )
     micro = refine_micro_clusters(clustering, dataset, spec)
-    result = CBCResult(clustering, micro, DeadlockReport(deadlocked=False), (), spec)
+    result = CBCResult(
+        clustering, micro, DeadlockReport(deadlocked=False), (), spec, CBCConfig(KMeansConfig(k=1, seed=0))
+    )
     report = rank(result, dataset, weights)
     expected = {c.id: reference_score(c, dataset.schema, weights) for c in dataset.candidates}
     for cand in dataset.candidates:

@@ -1,15 +1,20 @@
-"""Golden report bytes: sha256 of ``report_json`` at a fixed timestamp.
+"""Golden output bytes: sha256 of ``report_json`` at a fixed timestamp, and
+of the ``cluster`` and ``check`` commands' JSON.
 
-The digests were recorded from the per-candidate implementation, so any
-change to scoring, feasibility, refinement, clustering or serialization that
-moves a single byte of a report fails here.
+The report digests were recorded from the per-candidate implementation and
+the command digests from the dict-based clustering record, so any change to
+scoring, feasibility, refinement, clustering or serialization that moves a
+single byte of output fails here.
 """
 
 import hashlib
+import json
 import random
 
 from cbceval.cbc import CBCConfig, run_pipeline
+from cbceval.cli import main
 from cbceval.evaluate import rank, report_json
+from cbceval.ingest import serialize_dataset
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
@@ -19,6 +24,8 @@ from cbceval.model import (
     ExistentialRule,
     UserConstraintSpec,
 )
+
+from helpers import random_dataset
 
 TIMESTAMP = "2000-01-01T00:00:00Z"
 
@@ -109,3 +116,44 @@ def test_golden_linked_report():
     assert report_sha256(dataset, spec, k=4, seed=3) == (
         "b402833bd4ec13f78bedf465655d3804016a69c4334bd96fe8cbe0ad6979550f"
     )
+
+
+def command_sha256(capsys, *argv) -> tuple[int, str]:
+    """Exit code and sha256 of a command's stdout."""
+    code = main(list(argv))
+    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_golden_cluster_sample(sample_paths, capsys):
+    data, _ = sample_paths
+    assert command_sha256(
+        capsys, "cluster", "--data", str(data), "--k", "3", "--seed", "42", "--restarts", "3"
+    ) == (0, "4312cf9f546280ffd8dd0a18feffba3e20bc031ce3fd454aa72368267b243ccf")
+
+
+def test_golden_cluster_random_dataset(tmp_path, capsys):
+    data = tmp_path / "random.csv"
+    data.write_text(serialize_dataset(random_dataset(random.Random(2000), 2000, d=4)), encoding="utf-8")
+    assert command_sha256(
+        capsys, "cluster", "--data", str(data), "--k", "5", "--seed", "11", "--restarts", "2"
+    ) == (0, "ed5934839f9498585c96c73317c6e3489db19b14b7dc744a98e4e05d75e482be")
+
+
+def test_golden_check_deadlock_witness(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "must_link": [["T100", "T101"], ["T101", "T105"]],
+                "cannot_link": [["T100", "T105"], ["T102", "T103"]],
+                "max_cluster_size": 4,
+                "existential": [{"attribute": "scalability", "op": ">=", "threshold": 6, "min_count": 1}],
+                "feasibility_threshold": 6,
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert command_sha256(
+        capsys, "check", "--data", str(data), "--constraints", str(spec), "--k", "2"
+    ) == (2, "91e6719fad648d4c4fe3f0301fa1290b3251f681aee3f8d06112b0adff07008d")

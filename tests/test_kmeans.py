@@ -11,7 +11,6 @@ from cbceval.kmeans import (
     distance_matrix,
     kmeans_pp_init,
     lloyd,
-    normalized_matrix,
     partition_signature,
     run_kmeans,
     silhouette,
@@ -57,7 +56,7 @@ def test_seeding_first_two_draws_traced_by_hand(sample_dataset):
     first = x % n
     assert first == GOLDEN_INIT_INDICES[0]
 
-    X = normalized_matrix(sample_dataset)
+    X = sample_dataset.normalized
     d2 = ((X - X[first]) ** 2).sum(axis=1)
     u = gen.next_float() * float(d2.sum())
     acc = 0.0
@@ -319,12 +318,12 @@ def test_silhouette_duplicated_tight_clusters():
 
 def test_silhouette_all_identical_points_is_zero():
     dataset = tiny_dataset([(5, 5)] * 4)
-    assignment = {f"P{i}": i % 2 for i in range(4)}
     from cbceval.model import Clustering
 
     clustering = Clustering(
         k=2,
-        assignment=assignment,
+        ids=dataset.ids(),
+        labels=[i % 2 for i in range(4)],
         centroids=((0.444, 0.444), (0.444, 0.444)),
         sse=0.0,
         iterations=1,
@@ -345,13 +344,19 @@ def test_silhouette_matches_independent_formula(sample_dataset):
     from cbceval.model import Clustering
 
     labels = dict(zip(sample_dataset.ids(), OPTIMAL_K2_SIGNATURE))
-    X = normalized_matrix(sample_dataset)
+    X = sample_dataset.normalized
     centroids = tuple(
         tuple(X[[i for i, cid in enumerate(sample_dataset.ids()) if labels[cid] == j]].mean(axis=0))
         for j in (0, 1)
     )
     clustering = Clustering(
-        k=2, assignment=labels, centroids=centroids, sse=0.0, iterations=0, seed=0
+        k=2,
+        ids=sample_dataset.ids(),
+        labels=OPTIMAL_K2_SIGNATURE,
+        centroids=centroids,
+        sse=0.0,
+        iterations=0,
+        seed=0,
     )
 
     ids = sample_dataset.ids()

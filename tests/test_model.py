@@ -7,13 +7,13 @@ from cbceval.model import (
     AttributeSchema,
     Candidate,
     CandidateDataset,
+    Clustering,
     ConstraintSpec,
     DeadlockCause,
     DeadlockReport,
     ExistentialRule,
     KEY_FEATURES,
     UserConstraintSpec,
-    denormalize,
     normalize,
 )
 
@@ -46,15 +46,6 @@ def test_normalize_names_offending_attribute():
         normalize((5, 11), schema)
 
 
-def test_round_trip_on_integer_grid():
-    schema = AttributeSchema(("a", "b"), scale_min=1, scale_max=10)
-    for x in range(1, 11):
-        for y in range(1, 11):
-            back = denormalize(normalize((x, y), schema), schema)
-            assert back[0] == pytest.approx(x, abs=1e-12)
-            assert back[1] == pytest.approx(y, abs=1e-12)
-
-
 def test_normalize_monotone_per_attribute():
     schema = AttributeSchema(("a",), scale_min=2, scale_max=8)
     rng = random.Random(0)
@@ -72,6 +63,33 @@ def test_dataset_rejects_duplicate_ids_and_bad_ratings():
         CandidateDataset(schema, (Candidate("x", (11,), 5),))
     with pytest.raises(DomainError, match="constraints"):
         CandidateDataset(schema, (Candidate("x", (5,), 0),))
+
+
+def test_from_columns_rejects_ragged_columns_and_blank_ids():
+    schema = AttributeSchema(("a",))
+    with pytest.raises(DomainError, match="differ in length"):
+        CandidateDataset.from_columns(schema, ["x", "y"], [[5]], [5, 5])
+    with pytest.raises(DomainError, match="non-empty string"):
+        CandidateDataset.from_columns(schema, ["x", " "], [[5], [6]], [5, 5])
+
+
+def test_clustering_labels_follow_ids():
+    schema = AttributeSchema(("a",))
+    dataset = CandidateDataset(schema, (Candidate("x", (1,), 5), Candidate("y", (10,), 5)))
+    fields = dict(k=2, centroids=((0.0,), (1.0,)), sse=0.0, iterations=1, seed=0)
+    clustering = Clustering(ids=dataset.ids(), labels=[1, 0], **fields)
+    assert clustering.labels == (1, 0)
+    assert clustering.assignment == {"x": 1, "y": 0}
+    assert clustering == Clustering(ids=("x", "y"), labels=(1, 0), **fields)
+    assert hash(clustering) == hash(Clustering(ids=("x", "y"), labels=(1, 0), **fields))
+    assert clustering.label_array(dataset).tolist() == [1, 0]
+    reordered = CandidateDataset(schema, reversed(dataset.candidates))
+    with pytest.raises(DomainError, match="does not cover"):
+        clustering.label_array(reordered)
+    with pytest.raises(DomainError, match="expected 2 labels, got 1"):
+        Clustering(ids=dataset.ids(), labels=[0], **fields)
+    with pytest.raises(DomainError, match="candidate y assigned to invalid cluster 2"):
+        Clustering(ids=dataset.ids(), labels=[0, 2], **fields)
 
 
 def test_user_spec_invariants():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cbceval.errors import CapacityError
-from cbceval.kmeans import normalized_matrix, partition_signature
+from cbceval.kmeans import partition_signature
 from cbceval.model import AttributeSchema, Candidate, CandidateDataset, ConstraintSpec
 from cbceval.oracle import (
     brute_force_feasible_exists,
@@ -85,7 +85,7 @@ def test_sample_k2_optimum_pinned_and_recomputed(sample_dataset):
     assert partition_signature(clustering.assignment, sample_dataset) == OPTIMAL_K2_SIGNATURE
 
     # independent recomputation of the returned partition's SSE
-    X = normalized_matrix(sample_dataset)
+    X = sample_dataset.normalized
     ids = sample_dataset.ids()
     total = 0.0
     for label in (0, 1):
@@ -105,7 +105,7 @@ def test_optimum_beats_every_explicit_partition():
     rng = random.Random(6)
     dataset = random_dataset(rng, 7, 2)
     _, optimum = brute_force_min_sse(dataset, 3)
-    X = normalized_matrix(dataset)
+    X = dataset.normalized
     for labels in itertools.product(range(3), repeat=7):
         total = 0.0
         for j in range(3):
@@ -161,7 +161,7 @@ def test_self_consistency_randomized():
         dataset = random_dataset(rng, rng.randint(2, 9), rng.randint(1, 3))
         k = rng.randint(1, min(4, len(dataset)))
         clustering, optimum = brute_force_min_sse(dataset, k)
-        X = normalized_matrix(dataset)
+        X = dataset.normalized
         ids = dataset.ids()
         total = 0.0
         for j in range(k):
