@@ -11,7 +11,6 @@ from .constraints import (
     build_link_components,
     detect_deadlock,
     feasibility_partition,
-    object_feasible,
 )
 from .errors import (
     AssignmentDeadlockError,
@@ -20,13 +19,12 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .evaluate import rank, report_json, report_to_dict, score_candidate
+from .evaluate import rank, report_json, report_to_dict
 from .ingest import (
     ValidationReport,
     bind_and_validate,
     parse_constraint_spec,
     parse_dataset,
-    serialize_constraint_spec,
     serialize_dataset,
 )
 from .kmeans import (
@@ -53,7 +51,6 @@ from .model import (
     MicroClustering,
     UserConstraintSpec,
     Violation,
-    normalize,
 )
 from .oracle import brute_force_feasible_exists, brute_force_min_sse
 
@@ -93,8 +90,6 @@ __all__ = [
     "feasibility_partition",
     "kmeans_pp_init",
     "lloyd",
-    "normalize",
-    "object_feasible",
     "parse_constraint_spec",
     "parse_dataset",
     "partition_signature",
@@ -104,8 +99,6 @@ __all__ = [
     "report_to_dict",
     "run_kmeans",
     "run_pipeline",
-    "score_candidate",
-    "serialize_constraint_spec",
     "serialize_dataset",
     "silhouette",
     "sse",

@@ -87,6 +87,8 @@ def _bound_inputs(args) -> tuple:
     report = bind_and_validate(dataset, spec)
     if not report.ok:
         raise ParseError(report.summary())
+    for locator, message in report.warnings:
+        print(f"{_style('warning', '33')}: {locator}: {message}", file=sys.stderr)
     return dataset, spec
 
 

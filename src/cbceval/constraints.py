@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     ConstraintSpec,
     DeadlockCause,
@@ -226,20 +225,6 @@ def _row_violations(
     return tuple(violations)
 
 
-def object_feasible(
-    candidate: Candidate, schema: AttributeSchema, spec: ConstraintSpec
-) -> tuple[bool, tuple[Violation, ...]]:
-    """A candidate is feasible iff its constraints rating reaches the
-    threshold and every per-candidate rule passes. Violations are collected
-    exhaustively, never short-circuited. The single-row case of
-    :func:`feasibility_partition`."""
-    ratings = np.array([candidate.ratings], dtype=np.float64)
-    constraints = np.array([candidate.constraints_rating], dtype=np.float64)
-    checks = _failed_checks(spec, schema, ratings, constraints)
-    violations = _row_violations(checks, 0, ratings, constraints, spec.feasibility_threshold)
-    return (not violations, violations)
-
-
 def _infeasible_mask(checks) -> np.ndarray:
     return np.logical_or.reduce([failed for _, _, failed in checks])
 
@@ -248,7 +233,9 @@ def feasibility_partition(
     dataset: CandidateDataset, spec: ConstraintSpec
 ) -> tuple[list[str], list[tuple[str, tuple[Violation, ...]]]]:
     """Split candidates into feasible ids and (id, violations) pairs, both in
-    dataset order. Violation records are built for infeasible rows only."""
+    dataset order. A candidate is feasible iff its constraints rating reaches
+    the threshold and every per-candidate rule passes; an infeasible row gets
+    a record for every check it fails."""
     ratings, constraints = dataset.ratings, dataset.constraints_ratings
     checks = _failed_checks(spec, dataset.schema, ratings, constraints)
     infeasible = _infeasible_mask(checks)

@@ -18,12 +18,10 @@ from .ingest import constraint_spec_to_dict, serialize_dataset
 from .kmeans import CONVERGENCE_TOL, MAX_ITERATIONS, weight_vector
 from .model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     EvaluationReport,
     FEASIBLE,
     RankedCandidate,
-    normalize,
 )
 
 
@@ -38,20 +36,6 @@ def _weighted_means(
     for j in range(X.shape[1]):
         s = s + w[j] * X[:, j]
     return s / float(w.sum())
-
-
-def score_candidate(
-    candidate: Candidate,
-    schema: AttributeSchema,
-    weights: Mapping[str, float] | None = None,
-) -> float:
-    """Weighted normalized mean of the candidate's ratings, in [0, 1].
-
-    Weights are normalized to sum 1 at use time; the default weighs every
-    attribute equally.
-    """
-    X = np.array([normalize(candidate.ratings, schema)], dtype=np.float64)
-    return float(_weighted_means(X, schema, weights)[0])
 
 
 def round_floats(value):

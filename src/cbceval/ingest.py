@@ -10,51 +10,26 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import DomainError, ParseError
+from .kmeans import weight_vector
 from .model import (
     AttributeSchema,
     CandidateDataset,
     COMPARATORS,
     ConstraintSpec,
-    DEFAULT_SCALE_MAX,
-    DEFAULT_SCALE_MIN,
     ExistentialRule,
     UserConstraintSpec,
 )
 
-_SPEC_KEYS = (
-    "must_link",
-    "cannot_link",
-    "distance_weights",
-    "k",
-    "min_cluster_size",
-    "max_cluster_size",
-    "existential",
-    "feasibility_threshold",
-    "user_spec",
-)
+# The spec format is declared by the dataclasses: their fields, in order.
+_SPEC_KEYS = tuple(f.name for f in fields(ConstraintSpec))
+_USER_FIELDS = fields(UserConstraintSpec)
+_USER_KEYS = tuple(f.name for f in _USER_FIELDS)
+_USER_REQUIRED = tuple(f.name for f in _USER_FIELDS if f.default is MISSING)
 
 _RULE_KEYS = ("attribute", "op", "threshold", "min_count")
-
-_USER_REQUIRED = (
-    "parallel_instances",
-    "max_instances",
-    "total_work",
-    "min_workload_per_instance",
-    "budget_per_instance",
-    "deadline",
-    "budget_class",
-)
-
-_USER_OPTIONAL = (
-    "task_length",
-    "budget_confidence",
-    "deadline_confidence",
-    "spot_bid",
-    "trial_period",
-)
 
 
 @dataclass
@@ -80,16 +55,12 @@ class ValidationReport:
         return "\n".join(lines) if lines else "ok"
 
 
-def parse_dataset(
-    csv_text: str,
-    *,
-    scale_min: float = DEFAULT_SCALE_MIN,
-    scale_max: float = DEFAULT_SCALE_MAX,
-) -> CandidateDataset:
+def parse_dataset(csv_text: str) -> CandidateDataset:
     """Parse dataset CSV text into a validated :class:`CandidateDataset`.
 
     Accepts LF or CRLF line endings. Column order defines attribute order,
-    so centroid vectors are reproducible from the file alone.
+    so centroid vectors are reproducible from the file alone. Ratings lie on
+    the default scale of :class:`AttributeSchema`.
     """
     text = csv_text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
     try:
@@ -123,9 +94,10 @@ def parse_dataset(
         names.append(name)
 
     try:
-        schema = AttributeSchema(tuple(names), scale_min=scale_min, scale_max=scale_max)
+        schema = AttributeSchema(tuple(names))
     except DomainError as exc:
         raise ParseError(str(exc), locator="header") from exc
+    scale_min, scale_max = schema.scale_min, schema.scale_max
 
     ids, ratings, constraints = [], [], []
     seen_ids = set()
@@ -165,18 +137,17 @@ def parse_dataset(
     return CandidateDataset.from_columns(schema, ids, ratings, constraints)
 
 
-def _format_number(value: float) -> str:
-    return format(value, ".12g")
-
-
 def serialize_dataset(dataset: CandidateDataset) -> str:
-    """Canonical CSV for a dataset; ``parse_dataset`` round-trips it exactly."""
-    lines = [",".join(["id", *dataset.schema.names, "constraints"])]
+    """Canonical CSV for a dataset; ``parse_dataset`` round-trips it exactly.
+    Ids and names holding a comma, quote or line break are quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", *dataset.schema.names, "constraints"])
     for cid, ratings, constraints_rating in zip(
         dataset.ids(), dataset.ratings.tolist(), dataset.constraints_ratings.tolist()
     ):
-        lines.append(",".join([cid, *map(_format_number, [*ratings, constraints_rating])]))
-    return "\n".join(lines) + "\n"
+        writer.writerow([cid, *(format(v, ".12g") for v in [*ratings, constraints_rating])])
+    return out.getvalue()
 
 
 def _reject_bool(value, locator: str):
@@ -206,6 +177,15 @@ def _as_number(value, locator: str) -> float:
     return number
 
 
+def _check_keys(raw: dict, known, required, locator: str | None = None):
+    for key in raw:
+        if key not in known:
+            raise ParseError(f"unknown field {key!r}", locator=locator)
+    for key in required:
+        if key not in raw:
+            raise ParseError(f"required field {key!r} missing", locator=locator)
+
+
 def _parse_pairs(raw, locator: str) -> list[tuple[str, str]]:
     if not isinstance(raw, list):
         raise ParseError("expected an array of id pairs", locator=locator)
@@ -231,12 +211,7 @@ def _parse_rules(raw, locator: str) -> list[ExistentialRule]:
         loc = f"{locator}[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("expected a rule object", locator=loc)
-        for key in entry:
-            if key not in _RULE_KEYS:
-                raise ParseError(f"unknown field {key!r}", locator=loc)
-        for key in _RULE_KEYS:
-            if key not in entry:
-                raise ParseError(f"required field {key!r} missing", locator=loc)
+        _check_keys(entry, _RULE_KEYS, _RULE_KEYS, loc)
         attribute = entry["attribute"]
         if not isinstance(attribute, str) or not attribute:
             raise ParseError("attribute must be a non-empty string", locator=loc)
@@ -256,32 +231,19 @@ def _parse_rules(raw, locator: str) -> list[ExistentialRule]:
 def _parse_user_spec(raw, locator: str) -> UserConstraintSpec:
     if not isinstance(raw, dict):
         raise ParseError("expected an object", locator=locator)
-    known = set(_USER_REQUIRED) | set(_USER_OPTIONAL)
-    for key in raw:
-        if key not in known:
-            raise ParseError(f"unknown field {key!r}", locator=locator)
-    for key in _USER_REQUIRED:
-        if key not in raw:
-            raise ParseError(f"required field {key!r} missing", locator=locator)
-    budget_class = raw["budget_class"]
-    if not isinstance(budget_class, str):
-        raise ParseError("budget_class must be a string", locator=f"{locator}.budget_class")
-    kwargs = {
-        "parallel_instances": _as_int(raw["parallel_instances"], f"{locator}.parallel_instances"),
-        "max_instances": _as_int(raw["max_instances"], f"{locator}.max_instances"),
-        "total_work": _as_number(raw["total_work"], f"{locator}.total_work"),
-        "min_workload_per_instance": _as_number(
-            raw["min_workload_per_instance"], f"{locator}.min_workload_per_instance"
-        ),
-        "budget_per_instance": _as_number(
-            raw["budget_per_instance"], f"{locator}.budget_per_instance"
-        ),
-        "deadline": _as_number(raw["deadline"], f"{locator}.deadline"),
-        "budget_class": budget_class,
-    }
-    for key in _USER_OPTIONAL:
-        if key in raw:
-            kwargs[key] = _as_number(raw[key], f"{locator}.{key}")
+    _check_keys(raw, _USER_KEYS, _USER_REQUIRED, locator)
+    kwargs = {}
+    # String fields are checked first, then numbers in declaration order.
+    for f in sorted(_USER_FIELDS, key=lambda f: f.type is not str):
+        if f.name not in raw:
+            continue
+        value, loc = raw[f.name], f"{locator}.{f.name}"
+        if f.type is str:
+            if not isinstance(value, str):
+                raise ParseError(f"{f.name} must be a string", locator=loc)
+            kwargs[f.name] = value
+        else:
+            kwargs[f.name] = (_as_int if f.type is int else _as_number)(value, loc)
     try:
         return UserConstraintSpec(**kwargs)
     except DomainError as exc:
@@ -300,9 +262,7 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
-    for key in data:
-        if key not in _SPEC_KEYS:
-            raise ParseError(f"unknown field {key!r}")
+    _check_keys(data, _SPEC_KEYS, ())
 
     kwargs: dict = {}
     if "must_link" in data:
@@ -352,27 +312,16 @@ def constraint_spec_to_dict(spec: ConstraintSpec) -> dict:
             out[key] = value
     if spec.existential:
         out["existential"] = [
-            {
-                "attribute": r.attribute,
-                "op": r.op,
-                "threshold": r.threshold,
-                "min_count": r.min_count,
-            }
-            for r in spec.existential
+            {key: getattr(r, key) for key in _RULE_KEYS} for r in spec.existential
         ]
     out["feasibility_threshold"] = spec.feasibility_threshold
     if spec.user_spec is not None:
-        user: dict = {}
-        for key in (*_USER_REQUIRED, *_USER_OPTIONAL):
-            value = getattr(spec.user_spec, key)
-            if value is not None:
-                user[key] = value
-        out["user_spec"] = user
+        out["user_spec"] = {
+            key: value
+            for key in _USER_KEYS
+            if (value := getattr(spec.user_spec, key)) is not None
+        }
     return out
-
-
-def serialize_constraint_spec(spec: ConstraintSpec) -> str:
-    return json.dumps(constraint_spec_to_dict(spec), indent=2) + "\n"
 
 
 def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> ValidationReport:
@@ -391,9 +340,15 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
                     report.error(f"{label}[{i}]", f"unknown id {cid}")
 
     if spec.distance_weights is not None:
-        for name in spec.distance_weights:
-            if name not in names:
-                report.error("distance_weights", f"unknown attribute {name!r}")
+        unknown = [name for name in spec.distance_weights if name not in names]
+        for name in unknown:
+            report.error("distance_weights", f"unknown attribute {name!r}")
+        if not unknown:
+            # Unlisted attributes weigh 1, so only the full vector can be all zero.
+            try:
+                weight_vector(dataset.schema, spec.distance_weights)
+            except DomainError as exc:
+                report.error("distance_weights", str(exc))
 
     for i, rule in enumerate(spec.existential):
         if rule.attribute not in names:

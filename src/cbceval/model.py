@@ -7,7 +7,7 @@ beyond rating normalization.
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping
 
@@ -74,28 +74,6 @@ class AttributeSchema:
             raise DomainError(f"unknown attribute {name!r}") from None
 
 
-def normalize(ratings, schema: AttributeSchema) -> tuple[float, ...]:
-    """Map ratings onto [0, 1] per attribute via the declared scale bounds.
-
-    Uses the schema's fixed bounds rather than data-dependent min/max so
-    distances stay comparable across datasets and runs.
-    """
-    if len(ratings) != len(schema.names):
-        raise DomainError(
-            f"expected {len(schema.names)} ratings, got {len(ratings)}"
-        )
-    span = schema.scale_max - schema.scale_min
-    out = []
-    for name, r in zip(schema.names, ratings):
-        if not schema.scale_min <= r <= schema.scale_max:
-            raise DomainError(
-                f"rating {r} for attribute {name} outside "
-                f"[{schema.scale_min}, {schema.scale_max}]"
-            )
-        out.append((r - schema.scale_min) / span)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One SaaS candidate: a rating vector plus its aggregate constraints rating."""
@@ -117,8 +95,9 @@ class CandidateDataset:
 
     The dataset is its id tuple plus read-only columns, built once: ``ratings``
     (n x d raw ratings), ``normalized`` (the same matrix mapped onto [0, 1]
-    exactly as :func:`normalize` maps one row), ``constraints_ratings``
-    (length n) and ``row_of`` (id -> row index, in dataset order).
+    through the schema's fixed scale bounds, so distances stay comparable
+    across datasets), ``constraints_ratings`` (length n) and ``row_of``
+    (id -> row index, in dataset order).
     :class:`Candidate` records are built on demand by ``candidates`` and
     ``by_id``. ``CandidateDataset(schema, candidates)`` and
     :meth:`from_columns` validate alike.
@@ -249,13 +228,20 @@ def _check_fraction(value, label: str):
         raise DomainError(f"{label} must lie in [0, 1], got {value}")
 
 
+#: UserConstraintSpec fields that are confidences in [0, 1]; every other
+#: numeric field is a nonnegative amount.
+_USER_FRACTIONS = ("budget_confidence", "deadline_confidence")
+
+
 @dataclass(frozen=True)
 class UserConstraintSpec:
     """User-side workload and budget constraints attached to an evaluation run.
 
     The numeric fields do not gate clustering directly; they feed feasibility
     only where a dataset column of the same name exists (see the constraints
-    module) and are otherwise echoed into report metadata.
+    module) and are otherwise echoed into report metadata. The fields, in
+    order, are the keys of a spec's ``user_spec`` object; those without a
+    default are required there.
     """
 
     parallel_instances: int
@@ -277,20 +263,11 @@ class UserConstraintSpec:
                 f"parallel_instances {self.parallel_instances} exceeds "
                 f"max_instances {self.max_instances}"
             )
-        for label in (
-            "parallel_instances",
-            "max_instances",
-            "total_work",
-            "min_workload_per_instance",
-            "budget_per_instance",
-            "deadline",
-            "task_length",
-            "spot_bid",
-            "trial_period",
-        ):
-            _check_nonneg(getattr(self, label), label)
-        _check_fraction(self.budget_confidence, "budget_confidence")
-        _check_fraction(self.deadline_confidence, "deadline_confidence")
+        for f in fields(self):
+            if f.type is not str and f.name not in _USER_FRACTIONS:
+                _check_nonneg(getattr(self, f.name), f.name)
+        for name in _USER_FRACTIONS:
+            _check_fraction(getattr(self, name), name)
         if self.budget_class not in BUDGET_CLASSES:
             raise DomainError(
                 f"budget_class must be one of {BUDGET_CLASSES}, got {self.budget_class!r}"
@@ -337,7 +314,8 @@ def _normalize_pairs(pairs, label: str) -> tuple[tuple[str, str], ...]:
 class ConstraintSpec:
     """The compiled constraint model binding a run: link pairs, parameter
     bounds, existential rules, the feasibility threshold, and the optional
-    user constraint record."""
+    user constraint record. The fields, in order, are the keys a constraint
+    spec's JSON object may hold."""
 
     must_link: tuple[tuple[str, str], ...] = ()
     cannot_link: tuple[tuple[str, str], ...] = ()
@@ -378,8 +356,6 @@ class ConstraintSpec:
             for name, w in weights.items():
                 if w < 0:
                     raise DomainError(f"distance weight for {name} is negative")
-            if weights and not any(w > 0 for w in weights.values()):
-                raise DomainError("distance_weights need at least one positive weight")
             object.__setattr__(self, "distance_weights", weights)
         object.__setattr__(self, "existential", tuple(self.existential))
 

@@ -216,6 +216,39 @@ def test_check_unknown_id(sample_paths, tmp_path, capsys):
     assert "unknown id T999" in err
 
 
+def test_check_rejects_all_zero_spec_weights(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    names = ("reusability", "customizability", "scalability", "availability",
+             "data_management", "pay_per_use")
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps({"distance_weights": {n: 0 for n in names}}), encoding="utf-8")
+    code = run_cli("check", "--data", str(data), "--constraints", str(spec))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: distance_weights: weights need at least one positive entry\n"
+
+
+def test_check_accepts_partial_zero_spec_weights(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    spec = tmp_path / "partial.json"
+    spec.write_text(json.dumps({"distance_weights": {"reusability": 0}}), encoding="utf-8")
+    assert run_cli("check", "--data", str(data), "--constraints", str(spec)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "evaluate"])
+def test_bind_warnings_reach_stderr(sample_paths, tmp_path, capsys, command):
+    data, _ = sample_paths
+    spec = tmp_path / "vacuous.json"
+    rule = {"attribute": "scalability", "op": ">=", "threshold": 9, "min_count": 0}
+    spec.write_text(json.dumps({"existential": [rule]}), encoding="utf-8")
+    extra = ("--k", "2") if command == "evaluate" else ()
+    assert run_cli(command, "--data", str(data), "--constraints", str(spec), *extra) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: existential[0]: min_count 0 makes the rule vacuous\n"
+    assert "vacuous" not in captured.out
+
+
 def test_verify_sample_within_gap(sample_paths, capsys):
     data, _ = sample_paths
     code = run_cli("verify", "--data", str(data), "--k", "2", "--seed", "0")

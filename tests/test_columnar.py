@@ -14,10 +14,9 @@ from cbceval.constraints import (
     detect_deadlock,
     effective_rules,
     feasibility_partition,
-    object_feasible,
 )
 from cbceval.errors import DomainError
-from cbceval.evaluate import rank, round_floats, score_candidate
+from cbceval.evaluate import rank, round_floats
 from cbceval.kmeans import KMeansConfig, weight_vector
 from cbceval.model import (
     COMPARATORS,
@@ -33,7 +32,6 @@ from cbceval.model import (
     MicroCluster,
     UserConstraintSpec,
     Violation,
-    normalize,
 )
 
 pytest.importorskip("hypothesis")
@@ -109,9 +107,14 @@ def reference_violations(candidate, schema, spec):
     return tuple(violations)
 
 
+def reference_normalized(candidate, schema):
+    lo, hi = schema.scale_min, schema.scale_max
+    return [(r - lo) / (hi - lo) for r in candidate.ratings]
+
+
 def reference_score(candidate, schema, weights):
     w = weight_vector(schema, weights)
-    values = normalize(candidate.ratings, schema)
+    values = reference_normalized(candidate, schema)
     return float(sum(wi * v for wi, v in zip(w, values)) / float(w.sum()))
 
 
@@ -207,7 +210,7 @@ def test_columnar_form_matches_rows_and_is_read_only(case):
     X = dataset.normalized
     assert X.shape == (len(dataset), len(dataset.schema.names))
     for row, cand in zip(X.tolist(), dataset.candidates):
-        assert list(map(bits, row)) == list(map(bits, normalize(cand.ratings, dataset.schema)))
+        assert list(map(bits, row)) == list(map(bits, reference_normalized(cand, dataset.schema)))
     assert dataset.ratings.tolist() == [list(c.ratings) for c in dataset.candidates]
     assert dataset.constraints_ratings.tolist() == [c.constraints_rating for c in dataset.candidates]
     assert dataset.ids() == tuple(c.id for c in dataset.candidates)
@@ -257,7 +260,6 @@ def test_feasibility_matches_per_candidate_reference(case):
     expected_infeasible = []
     for cand in dataset.candidates:
         violations = reference_violations(cand, dataset.schema, spec)
-        assert object_feasible(cand, dataset.schema, spec) == (not violations, violations)
         if violations:
             expected_infeasible.append((cand.id, violations))
         else:
@@ -311,10 +313,7 @@ def test_refine_and_recheck_match_reference(case, data):
     assert any(c.kind == "empty-feasible-set" for c in report.causes) == empty
 
 
-@PROPERTY
-@given(cases(min_size=1))
-def test_scores_match_per_candidate_reference(case):
-    dataset, spec, weights = case
+def rank_one_cluster(dataset, spec, weights):
     clustering = Clustering(
         k=1,
         ids=dataset.ids(),
@@ -328,17 +327,30 @@ def test_scores_match_per_candidate_reference(case):
     result = CBCResult(
         clustering, micro, DeadlockReport(deadlocked=False), (), spec, CBCConfig(KMeansConfig(k=1, seed=0))
     )
-    report = rank(result, dataset, weights)
+    return micro, rank(result, dataset, weights)
+
+
+@PROPERTY
+@given(cases(min_size=1))
+def test_scores_match_per_candidate_reference(case):
+    dataset, spec, weights = case
     expected = {c.id: reference_score(c, dataset.schema, weights) for c in dataset.candidates}
-    for cand in dataset.candidates:
-        assert bits(score_candidate(cand, dataset.schema, weights)) == bits(expected[cand.id])
+    # With the threshold at the bottom of the scale and no rules, every
+    # candidate is feasible, so every row's score is checked.
+    _, everyone = rank_one_cluster(
+        dataset, ConstraintSpec(feasibility_threshold=dataset.schema.scale_min), weights
+    )
+    assert {r.id: bits(r.score) for r in everyone.ranking} == {
+        cid: bits(score) for cid, score in expected.items()
+    }
+    micro, report = rank_one_cluster(dataset, spec, weights)
     feasible = set(micro.feasible_ids())
     assert [r.id for r in report.ranking] == sorted(feasible, key=lambda cid: (-expected[cid], cid))
     for entry in report.ranking:
         assert bits(entry.score) == bits(expected[entry.id])
         cand = dataset.by_id(entry.id)
         assert entry.per_attribute == dict(
-            zip(dataset.schema.names, normalize(cand.ratings, dataset.schema))
+            zip(dataset.schema.names, reference_normalized(cand, dataset.schema))
         )
     assert [cid for cid, _ in report.excluded] == [
         cid for cid in dataset.ids() if cid not in feasible

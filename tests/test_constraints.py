@@ -7,7 +7,6 @@ from cbceval.constraints import (
     detect_deadlock,
     feasibility_partition,
     must_link_path,
-    object_feasible,
     user_spec_rules,
 )
 from cbceval.errors import DomainError
@@ -67,22 +66,18 @@ def test_must_link_path_witness():
     assert must_link_path(spec, "a", "d") == ["a", "b", "c", "d"]
 
 
-def test_object_feasible_threshold(sample_dataset):
-    t103 = sample_dataset.by_id("T103")
-    ok, violations = object_feasible(t103, sample_dataset.schema, spec_at(6))
-    assert ok and violations == ()
-
-    t102 = sample_dataset.by_id("T102")
-    ok, violations = object_feasible(t102, sample_dataset.schema, spec_at(6))
-    assert not ok
+def test_feasibility_threshold_violation_record(sample_dataset):
+    feasible, infeasible = feasibility_partition(sample_dataset, spec_at(6))
+    assert "T103" in feasible
+    violations = dict(infeasible)["T102"]
+    assert len(violations) == 1
     assert violations[0].message == "constraints_rating 3 < 6"
     assert violations[0].observed == 3 and violations[0].required == 6
 
 
 def test_vacuous_threshold_accepts_everyone(sample_dataset):
-    for cand in sample_dataset.candidates:
-        ok, _ = object_feasible(cand, sample_dataset.schema, spec_at(1))
-        assert ok
+    feasible, infeasible = feasibility_partition(sample_dataset, spec_at(1))
+    assert feasible == list(sample_dataset.ids()) and infeasible == []
 
 
 def test_feasibility_partition_fixture(sample_dataset):
@@ -151,10 +146,9 @@ def test_user_spec_rules_gate_candidates():
     pricey = Candidate("pricey", (7000, 9), 9000)
     dataset = CandidateDataset(schema, (cheap, pricey))
     spec = ConstraintSpec(user_spec=user_spec_fixture(), feasibility_threshold=5)
-    ok_cheap, _ = object_feasible(cheap, schema, spec)
-    ok_pricey, violations = object_feasible(pricey, schema, spec)
-    assert ok_cheap
-    assert not ok_pricey
+    feasible, [(cid, violations)] = feasibility_partition(dataset, spec)
+    assert feasible == ["cheap"]
+    assert cid == "pricey"
     assert violations[0].rule == "user_spec.budget_per_instance"
 
 
@@ -304,10 +298,7 @@ def test_deadlock_witnesses_revalidate(sample_dataset):
                 )
                 assert count == w["satisfying"] < w["min_count"]
             if cause.kind == "empty-feasible-set":
-                assert all(
-                    not object_feasible(c, dataset.schema, spec)[0]
-                    for c in dataset.candidates
-                )
+                assert feasibility_partition(dataset, spec)[0] == []
 
 
 def test_deadlock_agrees_with_oracle_randomized():

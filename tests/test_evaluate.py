@@ -5,7 +5,7 @@ import pytest
 
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval import evaluate
-from cbceval.evaluate import rank, report_json, report_to_dict, round_floats, score_candidate
+from cbceval.evaluate import rank, report_json, report_to_dict, round_floats
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
@@ -21,26 +21,27 @@ def pipeline_result(dataset, spec, k=3, seed=42):
     return run_pipeline(dataset, spec, CBCConfig(kmeans=KMeansConfig(k=k, seed=seed)))
 
 
+def all_scores(dataset, weights=None):
+    """Rank scores with every candidate feasible (threshold at the scale floor)."""
+    spec = ConstraintSpec(feasibility_threshold=dataset.schema.scale_min)
+    report = rank(pipeline_result(dataset, spec, k=1), dataset, weights)
+    return report_scores(report)
+
+
 def test_score_all_max_is_one():
     schema = AttributeSchema(("a", "b", "c"))
-    cand = Candidate("x", (10, 10, 10), 10)
-    assert score_candidate(cand, schema) == pytest.approx(1.0)
+    dataset = CandidateDataset(schema, (Candidate("x", (10, 10, 10), 10),))
+    assert all_scores(dataset)["x"] == pytest.approx(1.0)
 
 
 def test_score_sample_row_equal_weights(sample_dataset):
-    t103 = sample_dataset.by_id("T103")
-    assert score_candidate(t103, sample_dataset.schema) == pytest.approx(
-        20 / 54, abs=1e-12
-    )
+    assert all_scores(sample_dataset)["T103"] == pytest.approx(20 / 54, abs=1e-12)
 
 
 def test_score_single_attribute_weight(sample_dataset):
-    t104 = sample_dataset.by_id("T104")
     weights = {name: 0.0 for name in sample_dataset.schema.names}
     weights["availability"] = 1.0
-    assert score_candidate(t104, sample_dataset.schema, weights) == pytest.approx(
-        4 / 9, abs=1e-12
-    )
+    assert all_scores(sample_dataset, weights)["T104"] == pytest.approx(4 / 9, abs=1e-12)
 
 
 def test_rank_fixture_top_candidate(sample_dataset, sample_spec):

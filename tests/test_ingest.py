@@ -4,15 +4,17 @@ import string
 
 import pytest
 
+from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.errors import ParseError
 from cbceval.ingest import (
     bind_and_validate,
+    constraint_spec_to_dict,
     parse_constraint_spec,
     parse_dataset,
-    serialize_constraint_spec,
     serialize_dataset,
 )
-from cbceval.model import ConstraintSpec
+from cbceval.kmeans import KMeansConfig
+from cbceval.model import AttributeSchema, Candidate, CandidateDataset, ConstraintSpec
 
 from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, random_dataset
 
@@ -78,6 +80,21 @@ def test_serialize_round_trip_random():
     for _ in range(25):
         dataset = random_dataset(rng, rng.randint(0, 12), rng.randint(1, 5))
         assert parse_dataset(serialize_dataset(dataset)) == dataset
+
+
+def test_serialize_round_trip_quotes_ids_and_names():
+    schema = AttributeSchema(("plain", "a,b", 'say "hi"', "two\nlines"))
+    candidates = (
+        Candidate("x,1", (1, 2, 3, 4), 5),
+        Candidate('q"uote', (10, 9, 8, 7), 6),
+        Candidate("line\nbreak", (1.5, 2.25, 3.125, 9.75), 1),
+        Candidate("T1", (1, 1, 1, 1), 1),
+    )
+    dataset = CandidateDataset(schema, candidates)
+    text = serialize_dataset(dataset)
+    assert text.splitlines()[0] == 'id,plain,"a,b","say ""hi""","two'
+    assert text.endswith("\nT1,1,1,1,1,1\n")
+    assert parse_dataset(text) == dataset
 
 
 def test_parsing_is_total_on_fuzzed_text():
@@ -149,9 +166,120 @@ def test_malformed_values_rejected():
         parse_constraint_spec('{"user_spec": {"parallel_instances": 1}}')
 
 
+USER = {
+    "parallel_instances": 1,
+    "max_instances": 2,
+    "total_work": 10,
+    "min_workload_per_instance": 1,
+    "budget_per_instance": 5,
+    "deadline": 3,
+    "budget_class": "low",
+}
+RULE = {"attribute": "a", "op": ">=", "threshold": 1, "min_count": 1}
+
+
+def with_user(**fields):
+    return {"user_spec": {**USER, **fields}}
+
+
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+MALFORMED_SPECS = [
+    # an unknown key at each level
+    ({"surprise": 1}, "unknown field 'surprise'"),
+    (with_user(nonsense=1), "user_spec: unknown field 'nonsense'"),
+    ({"user_spec": {"nonsense": 1}}, "user_spec: unknown field 'nonsense'"),
+    ({"existential": [{**RULE, "extra": 2}]}, "existential[0]: unknown field 'extra'"),
+    # every required user_spec field, missing
+    *[
+        ({"user_spec": without(USER, key)}, f"user_spec: required field {key!r} missing")
+        for key in USER
+    ],
+    # the budget_class type check runs before the numeric fields
+    (
+        with_user(budget_class=3, total_work="x"),
+        "user_spec.budget_class: budget_class must be a string",
+    ),
+    (
+        with_user(budget_class=None, parallel_instances=True),
+        "user_spec.budget_class: budget_class must be a string",
+    ),
+    # numeric fields are checked in declaration order
+    (with_user(total_work="x", deadline="y"), "user_spec.total_work: expected a number, got 'x'"),
+    (with_user(deadline="soon"), "user_spec.deadline: expected a number, got 'soon'"),
+    # a bool, a float and a negative value where an int is expected
+    ({"k": True}, "k: expected a number, got a boolean"),
+    ({"k": 2.5}, "k: expected an integer, got 2.5"),
+    ({"k": -1}, "k: must be nonnegative"),
+    ({"k": 0}, "k must be at least 1, got 0"),
+    ({"max_cluster_size": -2}, "max_cluster_size: must be nonnegative"),
+    (
+        with_user(parallel_instances=True),
+        "user_spec.parallel_instances: expected a number, got a boolean",
+    ),
+    (with_user(max_instances=2.5), "user_spec.max_instances: expected an integer, got 2.5"),
+    (with_user(parallel_instances=-1), "user_spec: parallel_instances must be nonnegative, got -1"),
+    (
+        {"existential": [{**RULE, "min_count": True}]},
+        "existential[0].min_count: expected a number, got a boolean",
+    ),
+    (
+        {"existential": [{**RULE, "min_count": 1.5}]},
+        "existential[0].min_count: expected an integer, got 1.5",
+    ),
+    (
+        {"existential": [{**RULE, "min_count": -1}]},
+        "existential[0].min_count: min_count must be nonnegative",
+    ),
+    # non-finite numbers and out-of-domain values in user_spec
+    (with_user(total_work=float("nan")), "user_spec.total_work: expected a finite number, got nan"),
+    (with_user(spot_bid=float("inf")), "user_spec.spot_bid: expected a finite number, got inf"),
+    (with_user(task_length=-1), "user_spec: task_length must be nonnegative, got -1.0"),
+    (with_user(budget_confidence=1.5), "user_spec: budget_confidence must lie in [0, 1], got 1.5"),
+    (
+        with_user(budget_class="huge"),
+        "user_spec: budget_class must be one of ('low', 'medium', 'high'), got 'huge'",
+    ),
+    # rules
+    (
+        {"existential": [{**RULE, "op": "=>"}]},
+        "existential[0]: op must be one of ['>=', '<=', '>', '<', '=='], got '=>'",
+    ),
+    (
+        {"existential": [without(RULE, "min_count")]},
+        "existential[0]: required field 'min_count' missing",
+    ),
+    (
+        {"existential": [{**RULE, "threshold": float("nan")}]},
+        "existential[0].threshold: expected a finite number, got nan",
+    ),
+    # pairs and weights
+    ({"must_link": [["a"]]}, "must_link[0]: each pair must be a 2-element array of ids"),
+    (
+        {"cannot_link": [["a", "b"], ["c", 1]]},
+        "cannot_link[1]: each pair must be a 2-element array of ids",
+    ),
+    ({"must_link": "ab"}, "must_link: expected an array of id pairs"),
+    ({"distance_weights": [1]}, "distance_weights: expected an object"),
+    ({"distance_weights": {"a": -1}}, "distance weight for a is negative"),
+]
+
+
+@pytest.mark.parametrize(("spec", "message"), MALFORMED_SPECS)
+def test_malformed_spec_error_text(spec, message):
+    with pytest.raises(ParseError) as info:
+        parse_constraint_spec(json.dumps(spec))
+    assert str(info.value) == message
+
+
+def spec_round_trip(spec):
+    return parse_constraint_spec(json.dumps(constraint_spec_to_dict(spec)))
+
+
 def test_spec_serialization_round_trip(sample_spec):
-    text = serialize_constraint_spec(sample_spec)
-    assert parse_constraint_spec(text) == sample_spec
+    assert spec_round_trip(sample_spec) == sample_spec
     rich = ConstraintSpec(
         must_link=[("a", "b")],
         cannot_link=[("a", "c")],
@@ -161,7 +289,7 @@ def test_spec_serialization_round_trip(sample_spec):
         max_cluster_size=5,
         feasibility_threshold=4,
     )
-    assert parse_constraint_spec(serialize_constraint_spec(rich)) == rich
+    assert spec_round_trip(rich) == rich
 
 
 def test_bind_sample_inputs_clean(sample_dataset, sample_spec):
@@ -193,6 +321,31 @@ def test_bind_collects_all_failures(sample_dataset):
     )
     report = bind_and_validate(sample_dataset, spec)
     assert len(report.errors) >= 4
+
+
+def two_attribute_dataset():
+    # Unweighted, a's spread (1 vs 10) outweighs b's (1 vs 2).
+    points = {"P0": (1, 1), "P1": (1, 2), "P2": (10, 1), "P3": (10, 2)}
+    schema = AttributeSchema(("a", "b"))
+    return CandidateDataset(schema, (Candidate(cid, p, 10) for cid, p in points.items()))
+
+
+def test_bind_rejects_all_zero_effective_weights():
+    dataset = two_attribute_dataset()
+    spec = parse_constraint_spec('{"distance_weights": {"a": 0, "b": 0}}')
+    report = bind_and_validate(dataset, spec)
+    assert report.errors == [("distance_weights", "weights need at least one positive entry")]
+
+
+def test_partial_zero_weights_bind_and_cluster_on_the_rest():
+    # Unlisted attributes weigh 1, so {"a": 0} clusters on b alone.
+    dataset = two_attribute_dataset()
+    spec = parse_constraint_spec('{"distance_weights": {"a": 0}, "feasibility_threshold": 1}')
+    report = bind_and_validate(dataset, spec)
+    assert report.ok and report.warnings == []
+    result = run_pipeline(dataset, spec, CBCConfig(KMeansConfig(k=2, seed=3)))
+    labels = result.clustering.assignment
+    assert labels["P0"] == labels["P2"] != labels["P1"] == labels["P3"]
 
 
 def test_bind_threshold_outside_scale(sample_dataset):

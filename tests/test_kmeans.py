@@ -17,7 +17,7 @@ from cbceval.kmeans import (
     sse,
     weight_vector,
 )
-from cbceval.model import AttributeSchema, Candidate, CandidateDataset, normalize
+from cbceval.model import AttributeSchema, Candidate, CandidateDataset
 from cbceval.oracle import brute_force_min_sse
 from cbceval.rng import SplitMix64
 
@@ -70,8 +70,7 @@ def test_seeding_first_two_draws_traced_by_hand(sample_dataset):
 
     centroids = kmeans_pp_init(sample_dataset, KMeansConfig(k=3, seed=42))
     expected = tuple(
-        normalize(sample_dataset.candidates[i].ratings, sample_dataset.schema)
-        for i in GOLDEN_INIT_INDICES
+        tuple(sample_dataset.normalized[i].tolist()) for i in GOLDEN_INIT_INDICES
     )
     assert centroids == expected
 
@@ -80,7 +79,7 @@ def test_seeding_with_k_equal_n_takes_every_point():
     points = [(1, 1), (10, 1), (1, 10), (10, 10), (5, 5)]
     dataset = tiny_dataset(points)
     centroids = kmeans_pp_init(dataset, KMeansConfig(k=5, seed=3))
-    expected = {normalize(c.ratings, dataset.schema) for c in dataset.candidates}
+    expected = {tuple(row) for row in dataset.normalized.tolist()}
     assert set(centroids) == expected
 
 
