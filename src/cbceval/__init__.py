@@ -39,7 +39,6 @@ from .kmeans import (
 )
 from .model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     Clustering,
     ConstraintSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "CBCConfig",
     "CBCError",
     "CBCResult",
-    "Candidate",
     "CandidateDataset",
     "CapacityError",
     "Clustering",

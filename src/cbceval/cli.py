@@ -261,8 +261,16 @@ def _seed_type(value: str) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, an input error: argparse's own 2 means deadlock here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cbceval",
         description="Constraint-based clustering and evaluation of SaaS candidates.",
     )

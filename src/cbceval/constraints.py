@@ -65,7 +65,6 @@ class LinkComponents:
     """Must-link components with the cannot-link relation lifted onto them."""
 
     components: tuple[tuple[str, ...], ...]
-    component_of: dict[str, int]
     lifted_cannot_link: tuple[tuple[int, int], ...]
     conflicts: tuple[tuple[str, str], ...]
 
@@ -89,16 +88,11 @@ def build_link_components(spec: ConstraintSpec, dataset: CandidateDataset) -> Li
     for a, b in spec.must_link:
         uf.union(a, b)
 
-    roots: dict[str, int] = {}
-    members: list[list[str]] = []
-    component_of: dict[str, int] = {}
+    groups: dict[str, list[str]] = {}
     for cid in known:
-        root = uf.find(cid) if cid in uf.parent else cid
-        if root not in roots:
-            roots[root] = len(members)
-            members.append([])
-        component_of[cid] = roots[root]
-        members[roots[root]].append(cid)
+        groups.setdefault(uf.find(cid) if cid in uf.parent else cid, []).append(cid)
+    members = list(groups.values())
+    component_of = {cid: c for c, group in enumerate(members) for cid in group}
 
     lifted = set()
     conflicts = []
@@ -111,7 +105,6 @@ def build_link_components(spec: ConstraintSpec, dataset: CandidateDataset) -> Li
 
     return LinkComponents(
         components=tuple(tuple(m) for m in members),
-        component_of=component_of,
         lifted_cannot_link=tuple(sorted(lifted)),
         conflicts=tuple(conflicts),
     )

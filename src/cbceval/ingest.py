@@ -134,7 +134,7 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
         ratings.append([_cell(i, header[i]) for i in attr_cols])
         constraints.append(_cell(constraints_col, header[constraints_col]))
 
-    return CandidateDataset.from_columns(schema, ids, ratings, constraints)
+    return CandidateDataset(schema, ids, ratings, constraints)
 
 
 def serialize_dataset(dataset: CandidateDataset) -> str:

@@ -366,16 +366,11 @@ def choose_k(
     return best_k
 
 
-def partition_signature(assignment: Mapping[str, int], dataset: CandidateDataset) -> tuple[int, ...]:
-    """Canonical label sequence in dataset order, relabeled by first occurrence.
+def partition_signature(labels: Sequence[int]) -> tuple[int, ...]:
+    """A label sequence relabeled by first occurrence.
 
-    Two clusterings are the same partition iff their signatures are equal.
+    Two clusterings of the same rows are the same partition iff their
+    signatures are equal.
     """
     relabel: dict[int, int] = {}
-    signature = []
-    for cid in dataset.ids():
-        label = assignment[cid]
-        if label not in relabel:
-            relabel[label] = len(relabel)
-        signature.append(relabel[label])
-    return tuple(signature)
+    return tuple(relabel.setdefault(label, len(relabel)) for label in labels)

@@ -1,7 +1,7 @@
 """Core domain types for constraint-based SaaS candidate evaluation.
 
 Immutable value types shared by every other module: the attribute schema,
-candidate rating vectors, the compiled constraint model, and the result
+the candidate dataset, the compiled constraint model, and the result
 records produced by the clustering pipeline. No I/O, and no algorithms
 beyond rating normalization.
 """
@@ -44,6 +44,15 @@ COMPARATORS = tuple(_COMPARE)
 BUDGET_CLASSES = ("low", "medium", "high")
 
 
+#: ``parse_dataset`` strips every cell and reads a carriage return as a line
+#: break, so an id or attribute name holding either would not round-trip.
+_NOT_CSV_TEXT = "must not start or end with whitespace or hold a carriage return"
+
+
+def _survives_csv(text: str) -> bool:
+    return text == text.strip() and "\r" not in text
+
+
 @dataclass(frozen=True)
 class AttributeSchema:
     """Ordered rating attributes plus the shared rating scale."""
@@ -60,6 +69,8 @@ class AttributeSchema:
         for name in names:
             if not isinstance(name, str) or not name.strip():
                 raise DomainError("attribute names must be non-empty strings")
+            if not _survives_csv(name):
+                raise DomainError(f"attribute name {name!r} {_NOT_CSV_TEXT}")
         if len(set(names)) != len(names):
             raise DomainError("attribute names must be unique")
         if not self.scale_min < self.scale_max:
@@ -74,33 +85,16 @@ class AttributeSchema:
             raise DomainError(f"unknown attribute {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One SaaS candidate: a rating vector plus its aggregate constraints rating."""
-
-    id: str
-    ratings: tuple[float, ...]
-    constraints_rating: float
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id.strip():
-            raise DomainError("candidate id must be a non-empty string")
-        object.__setattr__(self, "ratings", tuple(float(r) for r in self.ratings))
-        object.__setattr__(self, "constraints_rating", float(self.constraints_rating))
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class CandidateDataset:
     """Ordered candidates over a shared schema. Order is the determinism anchor.
 
-    The dataset is its id tuple plus read-only columns, built once: ``ratings``
-    (n x d raw ratings), ``normalized`` (the same matrix mapped onto [0, 1]
-    through the schema's fixed scale bounds, so distances stay comparable
-    across datasets), ``constraints_ratings`` (length n) and ``row_of``
-    (id -> row index, in dataset order).
-    :class:`Candidate` records are built on demand by ``candidates`` and
-    ``by_id``. ``CandidateDataset(schema, candidates)`` and
-    :meth:`from_columns` validate alike.
+    The dataset is its id tuple plus read-only columns, built once from
+    parallel ids, rating rows and constraints ratings: ``ratings`` (n x d raw
+    ratings), ``normalized`` (the same matrix mapped onto [0, 1] through the
+    schema's fixed scale bounds, so distances stay comparable across
+    datasets), ``constraints_ratings`` (length n) and ``row_of`` (id -> row
+    index, in dataset order).
     """
 
     schema: AttributeSchema
@@ -110,26 +104,10 @@ class CandidateDataset:
     constraints_ratings: np.ndarray = field(repr=False)
     row_of: Mapping[str, int] = field(repr=False)
 
-    def __init__(self, schema: AttributeSchema, candidates):
-        candidates = tuple(candidates)
-        self._set_columns(
-            schema,
-            [c.id for c in candidates],
-            [c.ratings for c in candidates],
-            [c.constraints_rating for c in candidates],
-        )
-
-    @classmethod
-    def from_columns(cls, schema: AttributeSchema, ids, ratings, constraints_ratings):
-        """A dataset from parallel ids, rating rows and constraints ratings."""
-        ids, ratings, constraints_ratings = list(ids), list(ratings), list(constraints_ratings)
-        if not len(ids) == len(ratings) == len(constraints_ratings):
+    def __init__(self, schema: AttributeSchema, ids, ratings, constraints_ratings):
+        ids, rows, constraints = list(ids), list(ratings), list(constraints_ratings)
+        if not len(ids) == len(rows) == len(constraints):
             raise DomainError("ids, ratings and constraints ratings differ in length")
-        dataset = cls.__new__(cls)
-        dataset._set_columns(schema, ids, ratings, constraints_ratings)
-        return dataset
-
-    def _set_columns(self, schema, ids: list, rows: list, constraints: list):
         d = len(schema.names)
         # Rows before the first bad id or wrong-length row are range checked
         # first, so the error raised is the one for the earliest row.
@@ -138,6 +116,8 @@ class CandidateDataset:
         for cid, row in zip(ids, rows):
             if not isinstance(cid, str) or not cid.strip():
                 shape_error = "candidate id must be a non-empty string"
+            elif not _survives_csv(cid):
+                shape_error = f"candidate id {cid!r} {_NOT_CSV_TEXT}"
             elif cid in row_of:
                 shape_error = f"duplicate candidate id {cid}"
             elif len(row) != d:
@@ -179,7 +159,7 @@ class CandidateDataset:
     def __reduce__(self):
         # A mapping proxy cannot be pickled; pickle and copy rebuild the columns.
         return (
-            CandidateDataset.from_columns,
+            CandidateDataset,
             (self.schema, self._ids, self.ratings.tolist(), self.constraints_ratings.tolist()),
         )
 
@@ -197,25 +177,6 @@ class CandidateDataset:
 
     def ids(self) -> tuple[str, ...]:
         return self._ids
-
-    @property
-    def candidates(self) -> tuple[Candidate, ...]:
-        """Every row as a :class:`Candidate`, in dataset order, built on demand."""
-        return tuple(
-            Candidate(cid, ratings, constraints_rating)
-            for cid, ratings, constraints_rating in zip(
-                self._ids, self.ratings.tolist(), self.constraints_ratings.tolist()
-            )
-        )
-
-    def by_id(self, candidate_id: str) -> Candidate:
-        try:
-            row = self.row_of[candidate_id]
-        except KeyError:
-            raise DomainError(f"unknown id {candidate_id}") from None
-        return Candidate(
-            candidate_id, self.ratings[row].tolist(), float(self.constraints_ratings[row])
-        )
 
 
 def _check_nonneg(value, label: str):

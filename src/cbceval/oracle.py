@@ -59,7 +59,7 @@ def _components_for(spec: ConstraintSpec | None, dataset: CandidateDataset) -> l
 
     Independent of the constraints module: a direct merge pass over pairs.
     """
-    index = {cid: i for i, cid in enumerate(dataset.ids())}
+    index = dataset.row_of
     groups = {i: {i} for i in range(len(dataset))}
     owner = {i: i for i in range(len(dataset))}
     if spec is not None:
@@ -79,13 +79,13 @@ def _components_for(spec: ConstraintSpec | None, dataset: CandidateDataset) -> l
     return [sorted(groups[root]) for root in sorted(groups)]
 
 
-def _lifted_pairs(spec: ConstraintSpec | None, dataset, comp_of: dict[int, int]) -> set[tuple[int, int]]:
+def _lifted_pairs(spec: ConstraintSpec | None, dataset, components: list[list[int]]) -> set[tuple[int, int]]:
     pairs = set()
     if spec is None:
         return pairs
-    index = {cid: i for i, cid in enumerate(dataset.ids())}
+    comp_of = {i: c for c, comp in enumerate(components) for i in comp}
     for a, b in spec.cannot_link:
-        ca, cb = comp_of[index[a]], comp_of[index[b]]
+        ca, cb = comp_of[dataset.row_of[a]], comp_of[dataset.row_of[b]]
         pairs.add((min(ca, cb), max(ca, cb)))
     return pairs
 
@@ -146,8 +146,7 @@ def brute_force_min_sse(
         dataset.schema, spec.distance_weights if spec is not None else None
     )
     components = _components_for(spec, dataset)
-    comp_of = {i: c for c, comp in enumerate(components) for i in comp}
-    cl_pairs = _lifted_pairs(spec, dataset, comp_of)
+    cl_pairs = _lifted_pairs(spec, dataset, components)
     comp_sizes = [len(c) for c in components]
     comp_sums = [X[comp].sum(axis=0) for comp in components]
     total_sq = float((X**2 * w).sum())
@@ -197,9 +196,11 @@ def brute_force_min_sse(
     return clustering, best_sse
 
 
-def _independent_feasible(candidate, dataset: CandidateDataset, spec: ConstraintSpec) -> bool:
+def _independent_feasible(
+    ratings: list[float], constraints_rating: float, dataset: CandidateDataset, spec: ConstraintSpec
+) -> bool:
     """Threshold plus user-bridged per-candidate rules, restated from scratch."""
-    if candidate.constraints_rating < spec.feasibility_threshold:
+    if constraints_rating < spec.feasibility_threshold:
         return False
     if spec.user_spec is None:
         return True
@@ -207,12 +208,12 @@ def _independent_feasible(candidate, dataset: CandidateDataset, spec: Constraint
     for field in USER_COST_FIELDS:
         value = getattr(spec.user_spec, field)
         if value is not None and field in lowered:
-            if candidate.ratings[lowered[field]] > value:
+            if ratings[lowered[field]] > value:
                 return False
     for field in USER_CAPACITY_FIELDS:
         value = getattr(spec.user_spec, field)
         if value is not None and field in lowered:
-            if candidate.ratings[lowered[field]] < value:
+            if ratings[lowered[field]] < value:
                 return False
     return True
 
@@ -238,14 +239,11 @@ def brute_force_feasible_exists(
     n = len(dataset)
     _guard(n, k)
 
+    rows = dataset.ratings.tolist()
     lowered = {name.lower(): i for i, name in enumerate(dataset.schema.names)}
     for rule in spec.existential:
         idx = dataset.schema.index_of(rule.attribute)
-        satisfying = sum(
-            1
-            for c in dataset.candidates
-            if _rule_satisfied(c.ratings[idx], rule.op, rule.threshold)
-        )
+        satisfying = sum(1 for row in rows if _rule_satisfied(row[idx], rule.op, rule.threshold))
         if satisfying < rule.min_count:
             return (
                 False,
@@ -262,9 +260,7 @@ def brute_force_feasible_exists(
             if value is None or field not in lowered:
                 continue
             satisfying = sum(
-                1
-                for c in dataset.candidates
-                if _rule_satisfied(c.ratings[lowered[field]], op, float(value))
+                1 for row in rows if _rule_satisfied(row[lowered[field]], op, float(value))
             )
             if satisfying < 1:
                 return (
@@ -273,7 +269,10 @@ def brute_force_feasible_exists(
                     f"no candidate satisfies user_spec.{field} {op} {value}",
                 )
 
-    if not any(_independent_feasible(c, dataset, spec) for c in dataset.candidates):
+    if not any(
+        _independent_feasible(row, c, dataset, spec)
+        for row, c in zip(rows, dataset.constraints_ratings.tolist())
+    ):
         return (
             False,
             None,
@@ -282,8 +281,7 @@ def brute_force_feasible_exists(
         )
 
     components = _components_for(spec, dataset)
-    comp_of = {i: c for c, comp in enumerate(components) for i in comp}
-    cl_pairs = _lifted_pairs(spec, dataset, comp_of)
+    cl_pairs = _lifted_pairs(spec, dataset, components)
     comp_sizes = [len(c) for c in components]
 
     checked = 0

@@ -6,7 +6,6 @@ import random
 from cbceval.kmeans import partition_signature
 from cbceval.model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     ConstraintSpec,
     ExistentialRule,
@@ -29,17 +28,43 @@ FEASIBLE_AT_6 = ["T100", "T101", "T103", "T105", "T106", "T107"]
 INFEASIBLE_AT_6 = ["T102", "T104", "T108", "T109"]
 
 
+def dataset_from_rows(schema: AttributeSchema, rows) -> CandidateDataset:
+    """A dataset from ``(id, ratings, constraints rating)`` rows."""
+    rows = list(rows)
+    return CandidateDataset(
+        schema, [row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows]
+    )
+
+
+def take_rows(dataset: CandidateDataset, rows) -> CandidateDataset:
+    """The dataset of ``dataset``'s rows at the indices ``rows``, in that order."""
+    rows = list(rows)
+    return CandidateDataset(
+        dataset.schema,
+        [dataset.ids()[i] for i in rows],
+        dataset.ratings[rows].tolist(),
+        dataset.constraints_ratings[rows].tolist(),
+    )
+
+
+def component_index(components) -> dict[str, int]:
+    """Candidate id -> index of its must-link component."""
+    return {cid: c for c, members in enumerate(components.components) for cid in members}
+
+
 def random_dataset(rng: random.Random, n: int, d: int = 3) -> CandidateDataset:
     schema = AttributeSchema(tuple(f"f{i}" for i in range(d)))
-    candidates = tuple(
-        Candidate(
-            f"C{i:03d}",
-            tuple(float(rng.randint(1, 10)) for _ in range(d)),
-            float(rng.randint(1, 10)),
-        )
-        for i in range(n)
+    return dataset_from_rows(
+        schema,
+        (
+            (
+                f"C{i:03d}",
+                tuple(float(rng.randint(1, 10)) for _ in range(d)),
+                float(rng.randint(1, 10)),
+            )
+            for i in range(n)
+        ),
     )
-    return CandidateDataset(schema, candidates)
 
 
 def random_pairs(rng: random.Random, ids, count: int):
@@ -113,9 +138,11 @@ def _digest(value) -> str:
 
 def pinned_values(clustering, dataset: CandidateDataset) -> tuple:
     """(partition signature digest, centroid tuple digest, repr(sse),
-    iterations): the bit-level fingerprint that pinned-result tests compare."""
+    iterations): the bit-level fingerprint that pinned-result tests compare.
+    The signature follows ``dataset``'s row order."""
+    assert clustering.ids == dataset.ids()
     return (
-        _digest(partition_signature(clustering.assignment, dataset)),
+        _digest(partition_signature(clustering.labels)),
         _digest(clustering.centroids),
         repr(clustering.sse),
         clustering.iterations,

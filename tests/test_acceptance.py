@@ -15,7 +15,7 @@ from cbceval.errors import AssignmentDeadlockError
 from cbceval.evaluate import rank
 from cbceval.ingest import parse_dataset
 from cbceval.kmeans import KMeansConfig, partition_signature, run_kmeans
-from cbceval.model import ConstraintSpec
+from cbceval.model import CandidateDataset, ConstraintSpec
 from cbceval.constraints import detect_deadlock
 from cbceval.oracle import brute_force_feasible_exists, brute_force_min_sse
 from cbceval import fixtures
@@ -43,10 +43,12 @@ def test_criterion_1_sample_dataset_fidelity():
     started = time.perf_counter()
     dataset = parse_dataset(fixtures.sample_dataset_text())
     cells_ok = len(dataset) == 10
-    for cand in dataset.candidates:
-        ratings, constraints_rating = SAMPLE_ROWS[cand.id]
-        cells_ok = cells_ok and cand.ratings == tuple(float(r) for r in ratings)
-        cells_ok = cells_ok and cand.constraints_rating == float(constraints_rating)
+    for cid, row, row_constraints in zip(
+        dataset.ids(), dataset.ratings.tolist(), dataset.constraints_ratings.tolist()
+    ):
+        ratings, constraints_rating = SAMPLE_ROWS[cid]
+        cells_ok = cells_ok and tuple(row) == tuple(float(r) for r in ratings)
+        cells_ok = cells_ok and row_constraints == float(constraints_rating)
     elapsed = time.perf_counter() - started
     _report(
         1,
@@ -147,9 +149,7 @@ def test_criterion_6_baseline_reduction():
         config = CBCConfig(kmeans=KMeansConfig(k=3, seed=seed))
         piped = run_pipeline(dataset, empty, config)
         plain = run_kmeans(dataset, config.kmeans)
-        if partition_signature(piped.clustering.assignment, dataset) != partition_signature(
-            plain.assignment, dataset
-        ):
+        if partition_signature(piped.clustering.labels) != partition_signature(plain.labels):
             mismatches += 1
     _report(6, "baseline-reduction", mismatches == 0, f"100 seeds, {mismatches} mismatches")
 
@@ -212,24 +212,14 @@ def test_criterion_8_ranking_properties():
         report = rank(res, d)
         order = [r.id for r in report.ranking]
         target = rng.choice(order)
-        cand = d.by_id(target)
+        row = d.row_of[target]
         attr = rng.randrange(len(d.schema.names))
-        if cand.ratings[attr] >= 10:
+        ratings = d.ratings.tolist()
+        if ratings[row][attr] >= 10:
             continue
         trials += 1
-        bumped = list(cand.ratings)
-        bumped[attr] = min(10.0, bumped[attr] + rng.uniform(0.5, 4.0))
-        from cbceval.model import Candidate, CandidateDataset
-
-        new_dataset = CandidateDataset(
-            d.schema,
-            tuple(
-                Candidate(c.id, tuple(bumped), c.constraints_rating)
-                if c.id == target
-                else c
-                for c in d.candidates
-            ),
-        )
+        ratings[row][attr] = min(10.0, ratings[row][attr] + rng.uniform(0.5, 4.0))
+        new_dataset = CandidateDataset(d.schema, d.ids(), ratings, d.constraints_ratings)
         new_order = [r.id for r in rank(res, new_dataset).ranking]
         if new_order.index(target) > order.index(target):
             monotonicity_failures += 1

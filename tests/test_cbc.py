@@ -17,6 +17,7 @@ from cbceval.oracle import brute_force_feasible_exists, brute_force_min_sse
 from helpers import (
     FEASIBLE_AT_6,
     assignment_satisfies,
+    component_index,
     pinned_values,
     random_constraint_spec,
     random_dataset,
@@ -39,9 +40,9 @@ def pinned_instance(seed, n, d, k, must, cannot, max_size, far=False):
     dataset = random_dataset(rng, n, d)
     ids = list(dataset.ids())
     must_link = [tuple(rng.sample(ids, 2)) for _ in range(must)]
-    component_of = build_link_components(
-        ConstraintSpec(must_link=must_link), dataset
-    ).component_of
+    component_of = component_index(
+        build_link_components(ConstraintSpec(must_link=must_link), dataset)
+    )
     cannot_link = []
     while len(cannot_link) < cannot:
         a, b = rng.sample(ids, 2)
@@ -238,10 +239,7 @@ def test_pipeline_golden_fixture(sample_dataset, sample_spec):
     result = run_pipeline(sample_dataset, sample_spec, config)
     assert not result.aborted
     assert result.micro.feasible_ids() == tuple(FEASIBLE_AT_6)
-    assert (
-        partition_signature(result.clustering.assignment, sample_dataset)
-        == GOLDEN_PIPELINE_SIGNATURE
-    )
+    assert partition_signature(result.clustering.labels) == GOLDEN_PIPELINE_SIGNATURE
     assert [s.name for s in result.stage_log] == [
         "bind",
         "deadlock",
@@ -268,9 +266,7 @@ def test_pipeline_baseline_reduction(sample_dataset):
         config = CBCConfig(kmeans=KMeansConfig(k=3, seed=seed))
         result = run_pipeline(sample_dataset, ConstraintSpec(), config)
         plain = run_kmeans(sample_dataset, config.kmeans)
-        assert partition_signature(
-            result.clustering.assignment, sample_dataset
-        ) == partition_signature(plain.assignment, sample_dataset)
+        assert partition_signature(result.clustering.labels) == partition_signature(plain.labels)
 
 
 def test_pipeline_post_refinement_annotation(sample_dataset):

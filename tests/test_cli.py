@@ -1,14 +1,12 @@
 import json
-import random
 import re
 
 import pytest
 
 from cbceval.cli import main
-from cbceval.ingest import serialize_dataset
-from cbceval.model import Candidate, DeadlockCause, DeadlockReport
+from cbceval.model import DeadlockCause, DeadlockReport
 
-from helpers import FEASIBLE_AT_6, random_dataset
+from helpers import FEASIBLE_AT_6
 
 
 def run_cli(*argv):
@@ -418,29 +416,6 @@ def test_unwritable_out_is_input_error(sample_paths, tmp_path, capsys, command, 
     assert f"error: cannot write {out}: {reason}" in captured.err
 
 
-def test_evaluate_builds_no_candidate_records(tmp_path, monkeypatch):
-    data = tmp_path / "data.csv"
-    data.write_text(serialize_dataset(random_dataset(random.Random(6), 2000)), encoding="utf-8")
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "feasibility_threshold": 4,
-                "existential": [{"attribute": "f0", "op": ">=", "threshold": 9, "min_count": 1}],
-            }
-        ),
-        encoding="utf-8",
-    )
-    built = []
-    original = Candidate.__post_init__
-    monkeypatch.setattr(Candidate, "__post_init__", lambda self: built.append(original(self)))
-    out = tmp_path / "report.json"
-    code = run_cli("evaluate", "--data", str(data), "--constraints", str(spec), "--k", "4", "--out", str(out))
-    assert code == 0
-    assert len(json.loads(out.read_text())["excluded"]) > 0
-    assert built == []
-
-
 def test_no_color_env(sample_paths, capsys, monkeypatch):
     monkeypatch.setenv("CBC_NO_COLOR", "1")
     data, _ = sample_paths
@@ -456,3 +431,22 @@ def test_help_per_command(capsys):
             run_cli(command, "--help")
         assert exc.value.code == 0
         assert command in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", "--data", "DATA"),
+        ("cluster", "--data", "DATA", "--k", "x", "--seed", "1"),
+        ("cluster", "--data", "DATA", "--k", "3", "--seed", "abc"),
+        ("frobnicate",),
+        (),
+    ],
+    ids=["missing-flag", "bad-k", "bad-seed", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_input_not_deadlock(sample_paths, capsys, argv):
+    data, _ = sample_paths
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(str(data) if arg == "DATA" else arg for arg in argv))
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: cbceval")

@@ -21,7 +21,6 @@ from cbceval.kmeans import KMeansConfig, weight_vector
 from cbceval.model import (
     COMPARATORS,
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     Clustering,
     ConstraintSpec,
@@ -33,6 +32,8 @@ from cbceval.model import (
     UserConstraintSpec,
     Violation,
 )
+
+from helpers import dataset_from_rows
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -52,47 +53,54 @@ NAME_POOL = ("a", "b", "c", "budget_per_instance", "trial_period", "deadline", "
 # --- per-candidate references -------------------------------------------------
 
 
-def reference_dataset_error(schema, candidates):
+def table_rows(dataset):
+    """Every row as a plain ``(id, ratings, constraints rating)`` tuple."""
+    return list(
+        zip(dataset.ids(), map(tuple, dataset.ratings.tolist()), dataset.constraints_ratings.tolist())
+    )
+
+
+def reference_dataset_error(schema, rows):
     """The message the row-by-row validation raises first, or None."""
     seen = set()
-    for cand in candidates:
-        if cand.id in seen:
-            return f"duplicate candidate id {cand.id}"
-        seen.add(cand.id)
-        if len(cand.ratings) != len(schema.names):
+    for cid, ratings, constraints_rating in rows:
+        if cid in seen:
+            return f"duplicate candidate id {cid}"
+        seen.add(cid)
+        if len(ratings) != len(schema.names):
             return (
-                f"candidate {cand.id}: expected {len(schema.names)} ratings, "
-                f"got {len(cand.ratings)}"
+                f"candidate {cid}: expected {len(schema.names)} ratings, "
+                f"got {len(ratings)}"
             )
-        for name, r in zip(schema.names, cand.ratings):
+        for name, r in zip(schema.names, ratings):
             if not schema.scale_min <= r <= schema.scale_max:
-                return f"candidate {cand.id}, attribute {name}: rating {r} out of range"
-        if not schema.scale_min <= cand.constraints_rating <= schema.scale_max:
+                return f"candidate {cid}, attribute {name}: rating {r} out of range"
+        if not schema.scale_min <= constraints_rating <= schema.scale_max:
             return (
-                f"candidate {cand.id}: constraints rating "
-                f"{cand.constraints_rating} out of range"
+                f"candidate {cid}: constraints rating "
+                f"{constraints_rating} out of range"
             )
     return None
 
 
-def reference_violations(candidate, schema, spec):
+def reference_violations(ratings, constraints_rating, schema, spec):
     violations = []
     tau = spec.feasibility_threshold
-    if candidate.constraints_rating < tau:
+    if constraints_rating < tau:
         violations.append(
             Violation(
                 rule="feasibility_threshold",
                 attribute="constraints",
                 op=">=",
                 required=tau,
-                observed=candidate.constraints_rating,
-                message=f"constraints_rating {candidate.constraints_rating:g} < {tau:g}",
+                observed=constraints_rating,
+                message=f"constraints_rating {constraints_rating:g} < {tau:g}",
             )
         )
     for rule in effective_rules(spec, schema):
         if not rule.per_candidate:
             continue
-        value = candidate.ratings[schema.index_of(rule.attribute)]
+        value = ratings[schema.index_of(rule.attribute)]
         if not rule.satisfied_by(value):
             violations.append(
                 Violation(
@@ -107,14 +115,14 @@ def reference_violations(candidate, schema, spec):
     return tuple(violations)
 
 
-def reference_normalized(candidate, schema):
+def reference_normalized(ratings, schema):
     lo, hi = schema.scale_min, schema.scale_max
-    return [(r - lo) / (hi - lo) for r in candidate.ratings]
+    return [(r - lo) / (hi - lo) for r in ratings]
 
 
-def reference_score(candidate, schema, weights):
+def reference_score(ratings, schema, weights):
     w = weight_vector(schema, weights)
-    values = reference_normalized(candidate, schema)
+    values = reference_normalized(ratings, schema)
     return float(sum(wi * v for wi, v in zip(w, values)) / float(w.sum()))
 
 
@@ -122,8 +130,8 @@ def reference_satisfying(rule, dataset, population):
     idx = dataset.schema.index_of(rule.attribute)
     return sum(
         1
-        for c in dataset.candidates
-        if c.id in population and rule.satisfied_by(c.ratings[idx])
+        for cid, ratings, _ in table_rows(dataset)
+        if cid in population and rule.satisfied_by(ratings[idx])
     )
 
 
@@ -144,11 +152,8 @@ def datasets(draw, min_size=0):
         st.sampled_from((lo, hi, (lo + hi) / 2)),
     )
     n = draw(st.integers(min_size, 25))
-    candidates = tuple(
-        Candidate(f"X{i:02d}", tuple(draw(value) for _ in names), draw(value))
-        for i in range(n)
-    )
-    return CandidateDataset(AttributeSchema(names, scale_min=lo, scale_max=hi), candidates)
+    rows = [(f"X{i:02d}", tuple(draw(value) for _ in names), draw(value)) for i in range(n)]
+    return dataset_from_rows(AttributeSchema(names, scale_min=lo, scale_max=hi), rows)
 
 
 @st.composite
@@ -209,11 +214,12 @@ def test_columnar_form_matches_rows_and_is_read_only(case):
     dataset, _, _ = case
     X = dataset.normalized
     assert X.shape == (len(dataset), len(dataset.schema.names))
-    for row, cand in zip(X.tolist(), dataset.candidates):
-        assert list(map(bits, row)) == list(map(bits, reference_normalized(cand, dataset.schema)))
-    assert dataset.ratings.tolist() == [list(c.ratings) for c in dataset.candidates]
-    assert dataset.constraints_ratings.tolist() == [c.constraints_rating for c in dataset.candidates]
-    assert dataset.ids() == tuple(c.id for c in dataset.candidates)
+    rows = table_rows(dataset)
+    for row, (_, ratings, _) in zip(X.tolist(), rows):
+        assert list(map(bits, row)) == list(map(bits, reference_normalized(ratings, dataset.schema)))
+    assert dataset.ratings.tolist() == [list(ratings) for _, ratings, _ in rows]
+    assert dataset.constraints_ratings.tolist() == [c for _, _, c in rows]
+    assert dataset.ids() == tuple(cid for cid, _, _ in rows)
     for array in (dataset.ratings, dataset.normalized, dataset.constraints_ratings):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -234,22 +240,17 @@ def test_columnar_form_matches_rows_and_is_read_only(case):
     )
 )
 def test_dataset_validation_matches_row_by_row(rows):
-    # Both constructors share one validation routine; each must raise the
-    # reference message or build the same dataset.
+    # The constructor must raise the reference message or hold the rows as given.
     schema = AttributeSchema(("u", "v"))
-    candidates = tuple(Candidate(cid, ratings, c) for cid, ratings, c in rows)
-    expected = reference_dataset_error(schema, candidates)
+    expected = reference_dataset_error(schema, rows)
     ids, ratings, constraints = ([row[i] for row in rows] for i in range(3))
-    for build in (
-        lambda: CandidateDataset(schema, candidates),
-        lambda: CandidateDataset.from_columns(schema, ids, ratings, constraints),
-    ):
-        if expected is None:
-            assert build() == CandidateDataset(schema, candidates)
-        else:
-            with pytest.raises(DomainError) as info:
-                build()
-            assert str(info.value) == expected
+    if expected is None:
+        dataset = CandidateDataset(schema, ids, ratings, constraints)
+        assert table_rows(dataset) == [(cid, tuple(r), c) for cid, r, c in rows]
+    else:
+        with pytest.raises(DomainError) as info:
+            CandidateDataset(schema, ids, ratings, constraints)
+        assert str(info.value) == expected
 
 
 @PROPERTY
@@ -258,12 +259,12 @@ def test_feasibility_matches_per_candidate_reference(case):
     dataset, spec, _ = case
     expected_feasible = []
     expected_infeasible = []
-    for cand in dataset.candidates:
-        violations = reference_violations(cand, dataset.schema, spec)
+    for cid, ratings, constraints_rating in table_rows(dataset):
+        violations = reference_violations(ratings, constraints_rating, dataset.schema, spec)
         if violations:
-            expected_infeasible.append((cand.id, violations))
+            expected_infeasible.append((cid, violations))
         else:
-            expected_feasible.append(cand.id)
+            expected_feasible.append(cid)
     assert feasibility_partition(dataset, spec) == (expected_feasible, expected_infeasible)
 
 
@@ -272,7 +273,7 @@ def test_feasibility_matches_per_candidate_reference(case):
 def test_refine_and_recheck_match_reference(case, data):
     dataset, spec, _ = case
     k = data.draw(st.integers(1, 4))
-    labels = [data.draw(st.integers(0, k - 1)) for _ in dataset.candidates]
+    labels = [data.draw(st.integers(0, k - 1)) for _ in range(len(dataset))]
     clustering = Clustering(
         k=k,
         ids=dataset.ids(),
@@ -283,7 +284,10 @@ def test_refine_and_recheck_match_reference(case, data):
         seed=0,
     )
     micro = refine_micro_clusters(clustering, dataset, spec)
-    ok = {c.id: not reference_violations(c, dataset.schema, spec) for c in dataset.candidates}
+    ok = {
+        cid: not reference_violations(ratings, c, dataset.schema, spec)
+        for cid, ratings, c in table_rows(dataset)
+    }
     expected = []
     for j in range(k):
         members = [cid for cid, label in zip(dataset.ids(), labels) if label == j]
@@ -334,7 +338,10 @@ def rank_one_cluster(dataset, spec, weights):
 @given(cases(min_size=1))
 def test_scores_match_per_candidate_reference(case):
     dataset, spec, weights = case
-    expected = {c.id: reference_score(c, dataset.schema, weights) for c in dataset.candidates}
+    expected = {
+        cid: reference_score(ratings, dataset.schema, weights)
+        for cid, ratings, _ in table_rows(dataset)
+    }
     # With the threshold at the bottom of the scale and no rules, every
     # candidate is feasible, so every row's score is checked.
     _, everyone = rank_one_cluster(
@@ -348,9 +355,9 @@ def test_scores_match_per_candidate_reference(case):
     assert [r.id for r in report.ranking] == sorted(feasible, key=lambda cid: (-expected[cid], cid))
     for entry in report.ranking:
         assert bits(entry.score) == bits(expected[entry.id])
-        cand = dataset.by_id(entry.id)
+        ratings = dataset.ratings[dataset.row_of[entry.id]].tolist()
         assert entry.per_attribute == dict(
-            zip(dataset.schema.names, reference_normalized(cand, dataset.schema))
+            zip(dataset.schema.names, reference_normalized(ratings, dataset.schema))
         )
     assert [cid for cid, _ in report.excluded] == [
         cid for cid in dataset.ids() if cid not in feasible

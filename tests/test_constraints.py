@@ -12,7 +12,6 @@ from cbceval.constraints import (
 from cbceval.errors import DomainError
 from cbceval.model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     ConstraintSpec,
     ExistentialRule,
@@ -23,8 +22,11 @@ from cbceval.oracle import brute_force_feasible_exists
 from helpers import (
     FEASIBLE_AT_6,
     INFEASIBLE_AT_6,
+    component_index,
+    dataset_from_rows,
     random_constraint_spec,
     random_dataset,
+    take_rows,
 )
 
 
@@ -35,7 +37,7 @@ def spec_at(tau=6, **kwargs):
 def test_components_transitive(sample_dataset):
     spec = spec_at(must_link=[("T100", "T101"), ("T101", "T102")])
     components = build_link_components(spec, sample_dataset)
-    idx = components.component_of
+    idx = component_index(components)
     assert idx["T100"] == idx["T101"] == idx["T102"]
     assert ("T100", "T101", "T102") in components.components
 
@@ -49,9 +51,10 @@ def test_components_empty_spec_all_singletons(sample_dataset):
 def test_components_lifted_cannot_link(sample_dataset):
     spec = spec_at(must_link=[("T103", "T107")], cannot_link=[("T103", "T108")])
     components = build_link_components(spec, sample_dataset)
-    merged = components.component_of["T103"]
-    assert components.component_of["T107"] == merged
-    other = components.component_of["T108"]
+    idx = component_index(components)
+    merged = idx["T103"]
+    assert idx["T107"] == merged
+    other = idx["T108"]
     assert components.lifted_cannot_link == ((min(merged, other), max(merged, other)),)
     assert components.conflicts == ()
 
@@ -94,7 +97,7 @@ def test_feasibility_partition_scale_max(sample_dataset):
 
 
 def test_feasibility_partition_empty_dataset():
-    dataset = CandidateDataset(AttributeSchema(("a",)), ())
+    dataset = CandidateDataset(AttributeSchema(("a",)), (), (), ())
     feasible, infeasible = feasibility_partition(dataset, spec_at(6))
     assert feasible == [] and infeasible == []
 
@@ -142,9 +145,7 @@ def test_user_spec_rules_gate_candidates():
     schema = AttributeSchema(
         ("budget_per_instance", "quality"), scale_min=0, scale_max=10000
     )
-    cheap = Candidate("cheap", (4000, 8), 9000)
-    pricey = Candidate("pricey", (7000, 9), 9000)
-    dataset = CandidateDataset(schema, (cheap, pricey))
+    dataset = dataset_from_rows(schema, [("cheap", (4000, 8), 9000), ("pricey", (7000, 9), 9000)])
     spec = ConstraintSpec(user_spec=user_spec_fixture(), feasibility_threshold=5)
     feasible, [(cid, violations)] = feasibility_partition(dataset, spec)
     assert feasible == ["cheap"]
@@ -215,7 +216,7 @@ def test_deadlock_size_link_interaction(sample_dataset):
         cannot_link=[("T102", "T103")],
         max_cluster_size=2,
     )
-    sub = CandidateDataset(sample_dataset.schema, sample_dataset.candidates[:4])
+    sub = take_rows(sample_dataset, range(4))
     report = detect_deadlock(spec, sub, 2)
     assert report.deadlocked
     exists, _, _ = brute_force_feasible_exists(spec, sub, 2)
@@ -294,7 +295,7 @@ def test_deadlock_witnesses_revalidate(sample_dataset):
                 idx = dataset.schema.index_of(w["attribute"])
                 rule = ExistentialRule(w["attribute"], w["op"], w["threshold"], w["min_count"])
                 count = sum(
-                    1 for c in dataset.candidates if rule.satisfied_by(c.ratings[idx])
+                    1 for row in dataset.ratings.tolist() if rule.satisfied_by(row[idx])
                 )
                 assert count == w["satisfying"] < w["min_count"]
             if cause.kind == "empty-feasible-set":

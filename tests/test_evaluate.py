@@ -9,7 +9,6 @@ from cbceval.evaluate import rank, report_json, report_to_dict, round_floats
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     ConstraintSpec,
 )
@@ -30,7 +29,7 @@ def all_scores(dataset, weights=None):
 
 def test_score_all_max_is_one():
     schema = AttributeSchema(("a", "b", "c"))
-    dataset = CandidateDataset(schema, (Candidate("x", (10, 10, 10), 10),))
+    dataset = CandidateDataset(schema, ["x"], [(10, 10, 10)], [10])
     assert all_scores(dataset)["x"] == pytest.approx(1.0)
 
 
@@ -80,12 +79,7 @@ def test_rank_empty_feasible_set(sample_dataset):
 
 def test_rank_identical_candidates_tie_by_id():
     schema = AttributeSchema(("a", "b"))
-    cands = (
-        Candidate("Z9", (5, 5), 8),
-        Candidate("A1", (5, 5), 8),
-        Candidate("M5", (2, 2), 8),
-    )
-    dataset = CandidateDataset(schema, cands)
+    dataset = CandidateDataset(schema, ["Z9", "A1", "M5"], [(5, 5), (5, 5), (2, 2)], [8, 8, 8])
     spec = ConstraintSpec(feasibility_threshold=5)
     report = rank(pipeline_result(dataset, spec, k=2, seed=1), dataset)
     assert [r.id for r in report.ranking] == ["A1", "Z9", "M5"]
@@ -113,19 +107,15 @@ def test_rank_monotone_in_ratings():
         report = rank(result, dataset)
         order = [r.id for r in report.ranking]
         target = rng.choice(order)
-        cand = dataset.by_id(target)
+        row = dataset.row_of[target]
         attr = rng.randrange(len(dataset.schema.names))
-        if cand.ratings[attr] >= 10:
+        ratings = dataset.ratings.tolist()
+        if ratings[row][attr] >= 10:
             continue
-        bumped = list(cand.ratings)
-        bumped[attr] = min(10.0, bumped[attr] + rng.uniform(0.5, 3.0))
-        new_cands = tuple(
-            Candidate(c.id, tuple(bumped), c.constraints_rating)
-            if c.id == target
-            else c
-            for c in dataset.candidates
+        ratings[row][attr] = min(10.0, ratings[row][attr] + rng.uniform(0.5, 3.0))
+        new_dataset = CandidateDataset(
+            dataset.schema, dataset.ids(), ratings, dataset.constraints_ratings
         )
-        new_dataset = CandidateDataset(dataset.schema, new_cands)
         new_report = rank(
             pipeline_result(new_dataset, spec, k=2, seed=1), new_dataset
         )

@@ -14,18 +14,17 @@ import random
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.cli import main
 from cbceval.evaluate import rank, report_json
-from cbceval.ingest import serialize_dataset
+from cbceval.ingest import parse_dataset, serialize_dataset
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     ConstraintSpec,
     ExistentialRule,
     UserConstraintSpec,
 )
 
-from helpers import random_dataset
+from helpers import dataset_from_rows, random_dataset
 
 TIMESTAMP = "2000-01-01T00:00:00Z"
 
@@ -54,14 +53,14 @@ def seeded_dataset(n: int, seed: int) -> CandidateDataset:
     so normalization and scoring see non-integer values."""
     rng = random.Random(seed)
     centres = [[rng.uniform(3.0, 8.0) for _ in ATTRIBUTES] for _ in range(3)]
-    candidates = []
+    rows = []
     for i in range(n):
         centre = centres[rng.randrange(3)]
         ratings = tuple(
             min(10.0, max(1.0, round(rng.gauss(m, 2.0), 1))) for m in centre
         )
-        candidates.append(Candidate(f"G{i:04d}", ratings, float(rng.randint(1, 10))))
-    return CandidateDataset(AttributeSchema(ATTRIBUTES), tuple(candidates))
+        rows.append((f"G{i:04d}", ratings, float(rng.randint(1, 10))))
+    return dataset_from_rows(AttributeSchema(ATTRIBUTES), rows)
 
 
 def screening_spec() -> ConstraintSpec:
@@ -115,6 +114,28 @@ def test_golden_linked_report():
     )
     assert report_sha256(dataset, spec, k=4, seed=3) == (
         "b402833bd4ec13f78bedf465655d3804016a69c4334bd96fe8cbe0ad6979550f"
+    )
+
+
+#: Ids holding a quote, a backslash, an internal tab, a non-ASCII letter and a
+#: non-BMP character, a non-ASCII attribute name, and two rows below the
+#: default threshold so ``excluded`` is written too.
+ESCAPED_CSV = (
+    "id,réusabilité,scalability,constraints\n"
+    '"say ""hi""",7,8,9\n'
+    "back\\slash,3,4,2\n"
+    "tab\tinside,6,5,7\n"
+    "Zoë,9,2,8\n"
+    "rocket\U0001F680,4,9,6\n"
+    "plain,5,5,5\n"
+)
+
+
+def test_golden_escaped_ids_and_names_report():
+    dataset = parse_dataset(ESCAPED_CSV)
+    assert dataset.ids() == ('say "hi"', "back\\slash", "tab\tinside", "Zoë", "rocket\U0001F680", "plain")
+    assert report_sha256(dataset, ConstraintSpec(), k=2, seed=5) == (
+        "1182d9734a4d946f193f839b69cc90c6d3bcfe17931ce8d8daaea87377bd30fc"
     )
 
 

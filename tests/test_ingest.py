@@ -5,7 +5,7 @@ import string
 import pytest
 
 from cbceval.cbc import CBCConfig, run_pipeline
-from cbceval.errors import ParseError
+from cbceval.errors import DomainError, ParseError
 from cbceval.ingest import (
     bind_and_validate,
     constraint_spec_to_dict,
@@ -14,9 +14,9 @@ from cbceval.ingest import (
     serialize_dataset,
 )
 from cbceval.kmeans import KMeansConfig
-from cbceval.model import AttributeSchema, Candidate, CandidateDataset, ConstraintSpec
+from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 
-from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, random_dataset
+from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, dataset_from_rows, random_dataset
 
 HEADER = "id,reusability,customizability,scalability,availability,data_management,pay_per_use,constraints"
 
@@ -24,9 +24,9 @@ HEADER = "id,reusability,customizability,scalability,availability,data_managemen
 def test_sample_dataset_parses_all_rows(sample_dataset):
     assert len(sample_dataset) == 10
     assert sample_dataset.ids() == tuple(SAMPLE_ROWS)
-    t103 = sample_dataset.by_id("T103")
-    assert t103.ratings == (5, 5, 5, 4, 5, 2)
-    assert t103.constraints_rating == 9
+    t103 = sample_dataset.row_of["T103"]
+    assert tuple(sample_dataset.ratings[t103].tolist()) == (5, 5, 5, 4, 5, 2)
+    assert sample_dataset.constraints_ratings[t103] == 9
 
 
 def test_header_only_file_is_valid():
@@ -38,7 +38,7 @@ def test_header_only_file_is_valid():
 def test_crlf_and_bom_accepted():
     text = "﻿" + HEADER + "\r\nT1,1,2,3,4,5,6,7\r\n"
     dataset = parse_dataset(text)
-    assert dataset.by_id("T1").constraints_rating == 7
+    assert dataset.constraints_ratings[dataset.row_of["T1"]] == 7
 
 
 def test_out_of_range_rating_locates_cell():
@@ -84,17 +84,33 @@ def test_serialize_round_trip_random():
 
 def test_serialize_round_trip_quotes_ids_and_names():
     schema = AttributeSchema(("plain", "a,b", 'say "hi"', "two\nlines"))
-    candidates = (
-        Candidate("x,1", (1, 2, 3, 4), 5),
-        Candidate('q"uote', (10, 9, 8, 7), 6),
-        Candidate("line\nbreak", (1.5, 2.25, 3.125, 9.75), 1),
-        Candidate("T1", (1, 1, 1, 1), 1),
+    dataset = dataset_from_rows(
+        schema,
+        [
+            ("x,1", (1, 2, 3, 4), 5),
+            ('q"uote', (10, 9, 8, 7), 6),
+            ("line\nbreak", (1.5, 2.25, 3.125, 9.75), 1),
+            ("T1", (1, 1, 1, 1), 1),
+        ],
     )
-    dataset = CandidateDataset(schema, candidates)
     text = serialize_dataset(dataset)
     assert text.splitlines()[0] == 'id,plain,"a,b","say ""hi""","two'
     assert text.endswith("\nT1,1,1,1,1,1\n")
     assert parse_dataset(text) == dataset
+
+
+@pytest.mark.parametrize("cid", [" x", "a\xa0", "x\ry", "x\r\ny"])
+def test_ids_that_would_not_round_trip_are_rejected(cid):
+    # parse_dataset strips every cell and reads a carriage return as a line
+    # break, so these ids would come back changed or not parse at all.
+    with pytest.raises(DomainError, match="must not start or end with whitespace"):
+        CandidateDataset(AttributeSchema(("a",)), [cid], [[5]], [5])
+
+
+@pytest.mark.parametrize("name", ["a\rb", " a", "a\n"])
+def test_names_that_would_not_round_trip_are_rejected(name):
+    with pytest.raises(DomainError, match="must not start or end with whitespace"):
+        AttributeSchema((name,))
 
 
 def test_parsing_is_total_on_fuzzed_text():
@@ -327,7 +343,7 @@ def two_attribute_dataset():
     # Unweighted, a's spread (1 vs 10) outweighs b's (1 vs 2).
     points = {"P0": (1, 1), "P1": (1, 2), "P2": (10, 1), "P3": (10, 2)}
     schema = AttributeSchema(("a", "b"))
-    return CandidateDataset(schema, (Candidate(cid, p, 10) for cid, p in points.items()))
+    return dataset_from_rows(schema, ((cid, p, 10) for cid, p in points.items()))
 
 
 def test_bind_rejects_all_zero_effective_weights():
@@ -356,8 +372,10 @@ def test_bind_threshold_outside_scale(sample_dataset):
 
 def test_feasible_scan_matches_fixture(sample_dataset, sample_spec):
     feasible = [
-        c.id
-        for c in sample_dataset.candidates
-        if c.constraints_rating >= sample_spec.feasibility_threshold
+        cid
+        for cid, constraints_rating in zip(
+            sample_dataset.ids(), sample_dataset.constraints_ratings.tolist()
+        )
+        if constraints_rating >= sample_spec.feasibility_threshold
     ]
     assert feasible == FEASIBLE_AT_6

@@ -17,11 +17,11 @@ from cbceval.kmeans import (
     sse,
     weight_vector,
 )
-from cbceval.model import AttributeSchema, Candidate, CandidateDataset
+from cbceval.model import AttributeSchema, CandidateDataset
 from cbceval.oracle import brute_force_min_sse
 from cbceval.rng import SplitMix64
 
-from helpers import pinned_values, random_dataset
+from helpers import pinned_values, random_dataset, take_rows
 
 # Golden fixture: seeded k-means++ on the bundled sample, k=3, seed=42,
 # picks candidates T103, T101, T102 (indices 3, 1, 2) in that order.
@@ -37,11 +37,9 @@ OPTIMAL_K2_SIGNATURE = (0, 0, 1, 0, 0, 0, 1, 1, 1, 0)
 
 def tiny_dataset(points, schema_names=("a", "b")):
     schema = AttributeSchema(tuple(schema_names))
-    cands = tuple(
-        Candidate(f"P{i}", tuple(float(v) for v in p), 5.0)
-        for i, p in enumerate(points)
+    return CandidateDataset(
+        schema, [f"P{i}" for i in range(len(points))], points, [5.0] * len(points)
     )
-    return CandidateDataset(schema, cands)
 
 
 def test_seeding_first_two_draws_traced_by_hand(sample_dataset):
@@ -185,7 +183,7 @@ def test_run_kmeans_calls_module_lloyd_per_restart(sample_dataset, monkeypatch):
 def test_golden_run_on_sample(sample_dataset):
     clustering = run_kmeans(sample_dataset, KMeansConfig(k=3, seed=42))
     assert clustering.sse == pytest.approx(GOLDEN_RUN_SSE, abs=1e-12)
-    assert partition_signature(clustering.assignment, sample_dataset) == GOLDEN_RUN_SIGNATURE
+    assert partition_signature(clustering.labels) == GOLDEN_RUN_SIGNATURE
     assert clustering.seed == 42
 
 
@@ -228,10 +226,7 @@ def test_permutation_equivariance_with_explicit_init(sample_dataset):
 
     order = list(range(len(sample_dataset)))
     random.Random(5).shuffle(order)
-    permuted = CandidateDataset(
-        sample_dataset.schema,
-        tuple(sample_dataset.candidates[i] for i in order),
-    )
+    permuted = take_rows(sample_dataset, order)
     shuffled = lloyd(permuted, init, config)
 
     def as_sets(clustering):

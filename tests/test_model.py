@@ -5,7 +5,6 @@ import pytest
 from cbceval.errors import DomainError
 from cbceval.model import (
     AttributeSchema,
-    Candidate,
     CandidateDataset,
     Clustering,
     ConstraintSpec,
@@ -27,8 +26,8 @@ def test_schema_rejects_duplicates_and_bad_scale():
 
 
 def normalized_rows(schema, *rows):
-    candidates = (Candidate(f"x{i}", row, schema.scale_max) for i, row in enumerate(rows))
-    return CandidateDataset(schema, candidates).normalized.tolist()
+    ids = [f"x{i}" for i in range(len(rows))]
+    return CandidateDataset(schema, ids, rows, [schema.scale_max] * len(rows)).normalized.tolist()
 
 
 def test_normalize_bounds():
@@ -60,24 +59,24 @@ def test_normalize_monotone_per_attribute():
 def test_dataset_rejects_duplicate_ids_and_bad_ratings():
     schema = AttributeSchema(("a",))
     with pytest.raises(DomainError, match="duplicate"):
-        CandidateDataset(schema, (Candidate("x", (5,), 5), Candidate("x", (6,), 5)))
+        CandidateDataset(schema, ["x", "x"], [(5,), (6,)], [5, 5])
     with pytest.raises(DomainError, match="out of range"):
-        CandidateDataset(schema, (Candidate("x", (11,), 5),))
+        CandidateDataset(schema, ["x"], [(11,)], [5])
     with pytest.raises(DomainError, match="constraints"):
-        CandidateDataset(schema, (Candidate("x", (5,), 0),))
+        CandidateDataset(schema, ["x"], [(5,)], [0])
 
 
-def test_from_columns_rejects_ragged_columns_and_blank_ids():
+def test_dataset_rejects_ragged_columns_and_blank_ids():
     schema = AttributeSchema(("a",))
     with pytest.raises(DomainError, match="differ in length"):
-        CandidateDataset.from_columns(schema, ["x", "y"], [[5]], [5, 5])
+        CandidateDataset(schema, ["x", "y"], [[5]], [5, 5])
     with pytest.raises(DomainError, match="non-empty string"):
-        CandidateDataset.from_columns(schema, ["x", " "], [[5], [6]], [5, 5])
+        CandidateDataset(schema, ["x", " "], [[5], [6]], [5, 5])
 
 
 def test_clustering_labels_follow_ids():
     schema = AttributeSchema(("a",))
-    dataset = CandidateDataset(schema, (Candidate("x", (1,), 5), Candidate("y", (10,), 5)))
+    dataset = CandidateDataset(schema, ["x", "y"], [(1,), (10,)], [5, 5])
     fields = dict(k=2, centroids=((0.0,), (1.0,)), sse=0.0, iterations=1, seed=0)
     clustering = Clustering(ids=dataset.ids(), labels=[1, 0], **fields)
     assert clustering.labels == (1, 0)
@@ -85,7 +84,7 @@ def test_clustering_labels_follow_ids():
     assert clustering == Clustering(ids=("x", "y"), labels=(1, 0), **fields)
     assert hash(clustering) == hash(Clustering(ids=("x", "y"), labels=(1, 0), **fields))
     assert clustering.label_array(dataset).tolist() == [1, 0]
-    reordered = CandidateDataset(schema, reversed(dataset.candidates))
+    reordered = CandidateDataset(schema, ["y", "x"], [(10,), (1,)], [5, 5])
     with pytest.raises(DomainError, match="does not cover"):
         clustering.label_array(reordered)
     with pytest.raises(DomainError, match="expected 2 labels, got 1"):
@@ -157,9 +156,11 @@ def test_dataset_pickles_and_copies_with_its_columnar_form():
     import pickle
 
     schema = AttributeSchema(("a", "b"))
-    dataset = CandidateDataset(schema, (Candidate("x", (1, 4), 2), Candidate("y", (10, 5.5), 9)))
+    dataset = CandidateDataset(schema, ["x", "y"], [(1, 4), (10, 5.5)], [2, 9])
     for clone in (pickle.loads(pickle.dumps(dataset)), copy.deepcopy(dataset), copy.copy(dataset)):
         assert clone == dataset
         assert clone.normalized.tolist() == dataset.normalized.tolist()
         assert not clone.normalized.flags.writeable
-        assert clone.by_id("y") == dataset.by_id("y")
+        assert clone.row_of == dataset.row_of
+        assert clone.ratings[clone.row_of["y"]].tolist() == [10.0, 5.5]
+        assert clone.constraints_ratings[clone.row_of["y"]] == 9.0

@@ -5,14 +5,14 @@ import pytest
 
 from cbceval.errors import CapacityError
 from cbceval.kmeans import partition_signature
-from cbceval.model import AttributeSchema, Candidate, CandidateDataset, ConstraintSpec
+from cbceval.model import AttributeSchema, ConstraintSpec
 from cbceval.oracle import (
     brute_force_feasible_exists,
     brute_force_min_sse,
     restricted_growth_strings,
 )
 
-from helpers import random_dataset
+from helpers import dataset_from_rows, random_dataset, take_rows
 
 # Pinned exhaustive optima for the bundled sample (recomputed below).
 OPTIMAL_K2_SSE = 0.7376543209876534
@@ -50,16 +50,14 @@ def test_rgs_yields_unique_canonical_partitions():
 
 def test_two_points_two_clusters():
     schema = AttributeSchema(("a",))
-    dataset = CandidateDataset(
-        schema, (Candidate("x", (1,), 5), Candidate("y", (10,), 5))
-    )
+    dataset = dataset_from_rows(schema, [("x", (1,), 5), ("y", (10,), 5)])
     clustering, optimum = brute_force_min_sse(dataset, 2)
     assert optimum == 0.0
     assert clustering.assignment["x"] != clustering.assignment["y"]
 
 
 def test_pigeonhole_infeasible(sample_dataset):
-    sub = CandidateDataset(sample_dataset.schema, sample_dataset.candidates[:4])
+    sub = take_rows(sample_dataset, range(4))
     ids = sub.ids()
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
     spec = ConstraintSpec(cannot_link=pairs, feasibility_threshold=6)
@@ -82,7 +80,7 @@ def test_capacity_guard(sample_dataset):
 def test_sample_k2_optimum_pinned_and_recomputed(sample_dataset):
     clustering, optimum = brute_force_min_sse(sample_dataset, 2)
     assert optimum == pytest.approx(OPTIMAL_K2_SSE, abs=1e-12)
-    assert partition_signature(clustering.assignment, sample_dataset) == OPTIMAL_K2_SIGNATURE
+    assert partition_signature(clustering.labels) == OPTIMAL_K2_SIGNATURE
 
     # independent recomputation of the returned partition's SSE
     X = sample_dataset.normalized
@@ -174,14 +172,9 @@ def test_self_consistency_randomized():
 
 def test_weighted_optimum_uses_spec_weights():
     schema = AttributeSchema(("a", "b"))
-    dataset = CandidateDataset(
+    dataset = dataset_from_rows(
         schema,
-        (
-            Candidate("p", (1, 1), 5),
-            Candidate("q", (1, 10), 5),
-            Candidate("r", (10, 1), 5),
-            Candidate("s", (10, 10), 5),
-        ),
+        [("p", (1, 1), 5), ("q", (1, 10), 5), ("r", (10, 1), 5), ("s", (10, 10), 5)],
     )
     spec = ConstraintSpec(distance_weights={"a": 1.0, "b": 0.0}, feasibility_threshold=5)
     clustering, optimum = brute_force_min_sse(dataset, 2, spec)
