@@ -27,9 +27,6 @@ from .model import (
     Clustering,
     ConstraintSpec,
     DeadlockReport,
-    FEASIBLE,
-    INFEASIBLE,
-    MicroCluster,
     MicroClustering,
 )
 
@@ -114,32 +111,8 @@ def refine_micro_clusters(
     """Split each parent cluster into its feasible and infeasible members
     (empty sides omitted), each in dataset order. Parent assignments are
     never touched."""
-    feasible_ids, infeasible = feasibility_partition(dataset, spec)
-    ids = dataset.ids()
-    infeasible_rows = np.ones(len(ids), dtype=np.int64)
-    infeasible_rows[[dataset.row_of[cid] for cid in feasible_ids]] = 0
-    labels = clustering.label_array(dataset)
-    # Sorting by (parent, side) with a stable sort groups each side's members
-    # in dataset order, feasible side first.
-    groups = 2 * labels + infeasible_rows
-    order = np.argsort(groups, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(groups, minlength=2 * clustering.k)).tolist()
-
-    micro = []
-    start = 0
-    for group, end in enumerate(ends):
-        if end > start:
-            micro.append(
-                MicroCluster(
-                    parent=group // 2,
-                    label=INFEASIBLE if group % 2 else FEASIBLE,
-                    members=tuple(ids[i] for i in order[start:end]),
-                )
-            )
-        start = end
-    return MicroClustering(
-        parent=clustering, micro_clusters=tuple(micro), violations=dict(infeasible)
-    )
+    clustering.label_array(dataset)  # rejects a clustering of other rows or order
+    return MicroClustering(clustering, feasibility_partition(dataset, spec))
 
 
 def run_pipeline(

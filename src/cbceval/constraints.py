@@ -224,23 +224,19 @@ def _infeasible_mask(checks) -> np.ndarray:
 
 def feasibility_partition(
     dataset: CandidateDataset, spec: ConstraintSpec
-) -> tuple[list[str], list[tuple[str, tuple[Violation, ...]]]]:
-    """Split candidates into feasible ids and (id, violations) pairs, both in
-    dataset order. A candidate is feasible iff its constraints rating reaches
-    the threshold and every per-candidate rule passes; an infeasible row gets
-    a record for every check it fails."""
+) -> dict[str, tuple[Violation, ...]]:
+    """Each infeasible candidate's id -> its violations, in dataset order. A
+    candidate is feasible, and absent, iff its constraints rating reaches the
+    threshold and every per-candidate rule passes; an infeasible row gets a
+    record for every check it fails."""
     ratings, constraints = dataset.ratings, dataset.constraints_ratings
     checks = _failed_checks(spec, dataset.schema, ratings, constraints)
-    infeasible = _infeasible_mask(checks)
     ids = dataset.ids()
     tau = spec.feasibility_threshold
-    return (
-        [ids[i] for i in np.flatnonzero(~infeasible).tolist()],
-        [
-            (ids[i], _row_violations(checks, i, ratings, constraints, tau))
-            for i in np.flatnonzero(infeasible).tolist()
-        ],
-    )
+    return {
+        ids[i]: _row_violations(checks, i, ratings, constraints, tau)
+        for i in np.flatnonzero(_infeasible_mask(checks)).tolist()
+    }
 
 
 def _pack_components(

@@ -117,22 +117,20 @@ def rank(
             excluded=(),
         )
 
+    result.clustering.label_array(dataset)  # rejects a result for other rows or order
     X = dataset.normalized
-    row_scores = _weighted_means(X, dataset.schema, weights).tolist()
-    feasible_ids = result.micro.feasible_ids()
-    scores = {cid: row_scores[dataset.row_of[cid]] for cid in feasible_ids}
+    scores = _weighted_means(X, dataset.schema, weights).tolist()
+    ids = dataset.ids()
+    violations = result.micro.violations
     names = dataset.schema.names
     ranking = tuple(
-        RankedCandidate(
-            id=cid,
-            score=scores[cid],
-            per_attribute=dict(zip(names, X[dataset.row_of[cid]].tolist())),
+        RankedCandidate(id=ids[i], score=scores[i], per_attribute=dict(zip(names, X[i].tolist())))
+        for i in sorted(
+            (i for i, cid in enumerate(ids) if cid not in violations),
+            key=lambda i: (-scores[i], ids[i]),
         )
-        for cid in sorted(feasible_ids, key=lambda cid: (-scores[cid], cid))
     )
-    excluded = tuple(
-        (cid, result.micro.violations[cid]) for cid in dataset.ids() if cid not in scores
-    )
+    excluded = tuple((cid, violations[cid]) for cid in ids if cid in violations)
     return EvaluationReport(
         meta=meta,
         deadlock=result.deadlock,

@@ -146,7 +146,10 @@ def serialize_dataset(dataset: CandidateDataset) -> str:
     for cid, ratings, constraints_rating in zip(
         dataset.ids(), dataset.ratings.tolist(), dataset.constraints_ratings.tolist()
     ):
-        writer.writerow([cid, *(format(v, ".12g") for v in [*ratings, constraints_rating])])
+        values = [*ratings, constraints_rating]
+        # 12 significant digits where they read back exactly; repr always does.
+        texts = [format(v, ".12g") for v in values]
+        writer.writerow([cid, *(t if float(t) == v else repr(v) for t, v in zip(texts, values))])
     return out.getvalue()
 
 

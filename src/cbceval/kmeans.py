@@ -339,16 +339,13 @@ def silhouette(dataset: CandidateDataset, clustering: Clustering) -> float:
     return float(np.mean(scores))
 
 
-def choose_k(
-    dataset: CandidateDataset,
-    k_range: tuple[int, int],
-    seed: int,
-    *,
-    restarts: int = 10,
-    weights: Mapping[str, float] | None = None,
-) -> int:
+#: Restarts of each unweighted k-means run ``choose_k`` scores.
+CHOOSE_K_RESTARTS = 10
+
+
+def choose_k(dataset: CandidateDataset, k_range: tuple[int, int], seed: int) -> int:
     """Pick the k in the inclusive range maximizing silhouette over seeded
-    best-of-restarts runs; ties go to the smallest k."""
+    best-of-``CHOOSE_K_RESTARTS`` unweighted runs; ties go to the smallest k."""
     lo, hi = k_range
     n = len(dataset)
     if lo > hi:
@@ -358,8 +355,8 @@ def choose_k(
     best_k = None
     best_score = -np.inf
     for k in range(lo, hi + 1):
-        config = KMeansConfig(k=k, seed=child_seed(seed, k), restarts=restarts)
-        clustering = run_kmeans(dataset, config, weights)
+        config = KMeansConfig(k=k, seed=child_seed(seed, k), restarts=CHOOSE_K_RESTARTS)
+        clustering = run_kmeans(dataset, config)
         score = silhouette(dataset, clustering)
         if score > best_score:
             best_k, best_score = k, score

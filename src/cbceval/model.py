@@ -3,11 +3,12 @@
 Immutable value types shared by every other module: the attribute schema,
 the candidate dataset, the compiled constraint model, and the result
 records produced by the clustering pipeline. No I/O, and no algorithms
-beyond rating normalization.
+beyond rating normalization and micro-cluster grouping.
 """
 
 import operator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -71,6 +72,8 @@ class AttributeSchema:
                 raise DomainError("attribute names must be non-empty strings")
             if not _survives_csv(name):
                 raise DomainError(f"attribute name {name!r} {_NOT_CSV_TEXT}")
+            if name.lower() == "constraints":
+                raise DomainError(f"attribute name {name!r} names the constraints column")
         if len(set(names)) != len(names):
             raise DomainError("attribute names must be unique")
         if not self.scale_min < self.scale_max:
@@ -401,38 +404,38 @@ class MicroCluster:
 
 @dataclass(frozen=True)
 class MicroClustering:
-    """Feasibility refinement of a clustering: each parent cluster split into
-    a feasible and an infeasible side (empty sides omitted)."""
+    """Feasibility refinement of a clustering: ``violations`` maps each
+    infeasible candidate of the parent to its failed checks; the rest are
+    feasible. Micro-clusters and feasible ids derive from it and the labels."""
 
     parent: Clustering
-    micro_clusters: tuple[MicroCluster, ...]
     violations: dict[str, tuple[Violation, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "micro_clusters", tuple(self.micro_clusters))
-        seen: set[str] = set()
-        for mc in self.micro_clusters:
-            for cid in mc.members:
-                if cid in seen:
-                    raise DomainError(f"candidate {cid} in two micro-clusters")
-                seen.add(cid)
-                has_violations = bool(self.violations.get(cid))
-                if mc.label == FEASIBLE and has_violations:
-                    raise DomainError(f"feasible member {cid} carries violations")
-                if mc.label == INFEASIBLE and not has_violations:
-                    raise DomainError(f"infeasible member {cid} lacks violations")
-        if seen != set(self.parent.ids):
-            raise DomainError("micro-clusters do not partition the candidate set")
+        ids = set(self.parent.ids)
+        for cid, violations in self.violations.items():
+            if cid not in ids:
+                raise DomainError(f"violations name {cid}, not a candidate of the parent")
+            if not violations:
+                raise DomainError(f"candidate {cid} has an empty violation record")
+
+    @cached_property
+    def micro_clusters(self) -> tuple[MicroCluster, ...]:
+        """Each parent cluster split into a feasible and an infeasible side
+        (empty sides omitted), members in dataset order; computed once."""
+        sides = [([], []) for _ in range(self.parent.k)]
+        for cid, label in zip(self.parent.ids, self.parent.labels):
+            sides[label][cid in self.violations].append(cid)
+        return tuple(
+            MicroCluster(parent=j, label=(FEASIBLE, INFEASIBLE)[side], members=tuple(members))
+            for j, pair in enumerate(sides)
+            for side, members in enumerate(pair)
+            if members
+        )
 
     def feasible_ids(self) -> tuple[str, ...]:
         """Feasible members in the parent's (dataset) order."""
-        feasible = {
-            cid
-            for mc in self.micro_clusters
-            if mc.label == FEASIBLE
-            for cid in mc.members
-        }
-        return tuple(cid for cid in self.parent.ids if cid in feasible)
+        return tuple(cid for cid in self.parent.ids if cid not in self.violations)
 
 
 DEADLOCK_CAUSE_KINDS = (

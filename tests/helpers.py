@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+from cbceval.constraints import feasibility_partition
 from cbceval.kmeans import partition_signature
 from cbceval.model import (
     AttributeSchema,
@@ -34,6 +35,14 @@ def dataset_from_rows(schema: AttributeSchema, rows) -> CandidateDataset:
     return CandidateDataset(
         schema, [row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows]
     )
+
+
+def feasible_and_infeasible(dataset: CandidateDataset, spec: ConstraintSpec):
+    """``feasibility_partition`` as two lists: the feasible ids (those absent
+    from the violations map) in dataset order, and the map's (id, violations)
+    items in its order."""
+    violations = feasibility_partition(dataset, spec)
+    return [cid for cid in dataset.ids() if cid not in violations], list(violations.items())
 
 
 def take_rows(dataset: CandidateDataset, rows) -> CandidateDataset:

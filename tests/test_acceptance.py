@@ -25,6 +25,7 @@ from helpers import (
     INFEASIBLE_AT_6,
     SAMPLE_ROWS,
     assignment_satisfies,
+    feasible_and_infeasible,
     random_constraint_spec,
     random_dataset,
 )
@@ -62,9 +63,7 @@ def test_criterion_2_feasibility_fixture():
     started = time.perf_counter()
     dataset = fixtures.load_sample_dataset()
     spec = fixtures.load_sample_constraint_spec()
-    from cbceval.constraints import feasibility_partition
-
-    feasible, infeasible = feasibility_partition(dataset, spec)
+    feasible, infeasible = feasible_and_infeasible(dataset, spec)
     ok = feasible == FEASIBLE_AT_6 and [cid for cid, _ in infeasible] == INFEASIBLE_AT_6
     elapsed = time.perf_counter() - started
     _report(2, "feasibility-fixture", ok and elapsed < 1.0, f"{elapsed:.3f}s")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -232,6 +233,13 @@ def test_refine_is_conservative(sample_dataset):
     for mc in micro.micro_clusters:
         for cid in mc.members:
             assert clustering.assignment[cid] == mc.parent
+
+
+def test_refine_rejects_clustering_in_another_order(sample_dataset):
+    clustering = run_kmeans(sample_dataset, KMeansConfig(k=3, seed=42))
+    reordered = replace(clustering, ids=clustering.ids[::-1], labels=clustering.labels[::-1])
+    with pytest.raises(DomainError, match="in order"):
+        refine_micro_clusters(reordered, sample_dataset, spec_at(6))
 
 
 def test_pipeline_golden_fixture(sample_dataset, sample_spec):

@@ -10,11 +10,7 @@ exact (floats compared by bit pattern).
 import pytest
 
 from cbceval.cbc import CBCConfig, CBCResult, refine_micro_clusters
-from cbceval.constraints import (
-    detect_deadlock,
-    effective_rules,
-    feasibility_partition,
-)
+from cbceval.constraints import detect_deadlock, effective_rules
 from cbceval.errors import DomainError
 from cbceval.evaluate import rank, round_floats
 from cbceval.kmeans import KMeansConfig, weight_vector
@@ -33,7 +29,7 @@ from cbceval.model import (
     Violation,
 )
 
-from helpers import dataset_from_rows
+from helpers import dataset_from_rows, feasible_and_infeasible
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -265,7 +261,7 @@ def test_feasibility_matches_per_candidate_reference(case):
             expected_infeasible.append((cid, violations))
         else:
             expected_feasible.append(cid)
-    assert feasibility_partition(dataset, spec) == (expected_feasible, expected_infeasible)
+    assert feasible_and_infeasible(dataset, spec) == (expected_feasible, expected_infeasible)
 
 
 @PROPERTY

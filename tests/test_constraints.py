@@ -24,6 +24,7 @@ from helpers import (
     INFEASIBLE_AT_6,
     component_index,
     dataset_from_rows,
+    feasible_and_infeasible,
     random_constraint_spec,
     random_dataset,
     take_rows,
@@ -70,7 +71,7 @@ def test_must_link_path_witness():
 
 
 def test_feasibility_threshold_violation_record(sample_dataset):
-    feasible, infeasible = feasibility_partition(sample_dataset, spec_at(6))
+    feasible, infeasible = feasible_and_infeasible(sample_dataset, spec_at(6))
     assert "T103" in feasible
     violations = dict(infeasible)["T102"]
     assert len(violations) == 1
@@ -79,26 +80,26 @@ def test_feasibility_threshold_violation_record(sample_dataset):
 
 
 def test_vacuous_threshold_accepts_everyone(sample_dataset):
-    feasible, infeasible = feasibility_partition(sample_dataset, spec_at(1))
+    feasible, infeasible = feasible_and_infeasible(sample_dataset, spec_at(1))
     assert feasible == list(sample_dataset.ids()) and infeasible == []
 
 
 def test_feasibility_partition_fixture(sample_dataset):
-    feasible, infeasible = feasibility_partition(sample_dataset, spec_at(6))
+    feasible, infeasible = feasible_and_infeasible(sample_dataset, spec_at(6))
     assert feasible == FEASIBLE_AT_6
     assert [cid for cid, _ in infeasible] == INFEASIBLE_AT_6
     assert all(violations for _, violations in infeasible)
 
 
 def test_feasibility_partition_scale_max(sample_dataset):
-    feasible, infeasible = feasibility_partition(sample_dataset, spec_at(10))
+    feasible, infeasible = feasible_and_infeasible(sample_dataset, spec_at(10))
     assert feasible == []
     assert len(infeasible) == 10
 
 
 def test_feasibility_partition_empty_dataset():
     dataset = CandidateDataset(AttributeSchema(("a",)), (), (), ())
-    feasible, infeasible = feasibility_partition(dataset, spec_at(6))
+    feasible, infeasible = feasible_and_infeasible(dataset, spec_at(6))
     assert feasible == [] and infeasible == []
 
 
@@ -106,7 +107,7 @@ def test_feasibility_partition_is_partition(sample_dataset):
     rng = random.Random(2)
     for _ in range(50):
         tau = rng.randint(1, 10)
-        feasible, infeasible = feasibility_partition(sample_dataset, spec_at(tau))
+        feasible, infeasible = feasible_and_infeasible(sample_dataset, spec_at(tau))
         names = feasible + [cid for cid, _ in infeasible]
         assert set(names) == set(sample_dataset.ids())
         assert len(names) == len(sample_dataset)
@@ -147,7 +148,7 @@ def test_user_spec_rules_gate_candidates():
     )
     dataset = dataset_from_rows(schema, [("cheap", (4000, 8), 9000), ("pricey", (7000, 9), 9000)])
     spec = ConstraintSpec(user_spec=user_spec_fixture(), feasibility_threshold=5)
-    feasible, [(cid, violations)] = feasibility_partition(dataset, spec)
+    feasible, [(cid, violations)] = feasible_and_infeasible(dataset, spec)
     assert feasible == ["cheap"]
     assert cid == "pricey"
     assert violations[0].rule == "user_spec.budget_per_instance"
@@ -299,7 +300,7 @@ def test_deadlock_witnesses_revalidate(sample_dataset):
                 )
                 assert count == w["satisfying"] < w["min_count"]
             if cause.kind == "empty-feasible-set":
-                assert feasibility_partition(dataset, spec)[0] == []
+                assert feasible_and_infeasible(dataset, spec)[0] == []
 
 
 def test_deadlock_agrees_with_oracle_randomized():

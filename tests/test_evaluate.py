@@ -1,19 +1,22 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval import evaluate
+from cbceval.errors import DomainError
 from cbceval.evaluate import rank, report_json, report_to_dict, round_floats
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
     ConstraintSpec,
+    MicroClustering,
 )
 
-from helpers import FEASIBLE_AT_6, INFEASIBLE_AT_6, random_dataset
+from helpers import FEASIBLE_AT_6, INFEASIBLE_AT_6, random_dataset, take_rows
 
 
 def pipeline_result(dataset, spec, k=3, seed=42):
@@ -53,6 +56,25 @@ def test_rank_fixture_top_candidate(sample_dataset, sample_spec):
     assert [cid for cid, _ in report.excluded] == INFEASIBLE_AT_6
     for _, violations in report.excluded:
         assert violations
+
+
+def test_rank_excludes_in_dataset_order_whatever_the_map_order(sample_dataset, sample_spec):
+    result = pipeline_result(sample_dataset, sample_spec)
+    reversed_map = dict(reversed(result.micro.violations.items()))
+    assert list(reversed_map) == INFEASIBLE_AT_6[::-1]
+    reversed_result = replace(result, micro=MicroClustering(result.clustering, reversed_map))
+    report = rank(reversed_result, sample_dataset)
+    assert [cid for cid, _ in report.excluded] == INFEASIBLE_AT_6
+    assert report_json(report, timestamp="t") == report_json(
+        rank(result, sample_dataset), timestamp="t"
+    )
+
+
+def test_rank_rejects_a_result_for_other_rows(sample_dataset, sample_spec):
+    # Without the last row, T109 (infeasible) would drop out of `excluded`.
+    result = pipeline_result(sample_dataset, sample_spec)
+    with pytest.raises(DomainError, match="in order"):
+        rank(result, take_rows(sample_dataset, range(len(sample_dataset) - 1)))
 
 
 def report_scores(report):

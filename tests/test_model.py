@@ -11,8 +11,13 @@ from cbceval.model import (
     DeadlockCause,
     DeadlockReport,
     ExistentialRule,
+    FEASIBLE,
+    INFEASIBLE,
     KEY_FEATURES,
+    MicroCluster,
+    MicroClustering,
     UserConstraintSpec,
+    Violation,
 )
 
 
@@ -91,6 +96,24 @@ def test_clustering_labels_follow_ids():
         Clustering(ids=dataset.ids(), labels=[0], **fields)
     with pytest.raises(DomainError, match="candidate y assigned to invalid cluster 2"):
         Clustering(ids=dataset.ids(), labels=[0, 2], **fields)
+
+
+def test_micro_clustering_is_its_violations_map():
+    parent = Clustering(
+        k=1, ids=("x", "y"), labels=(0, 0), centroids=((0.0,),), sse=0.0, iterations=0, seed=0
+    )
+    violation = Violation("feasibility_threshold", "constraints", ">=", 6.0, 3.0, "3 < 6")
+    micro = MicroClustering(parent, {"y": (violation,)})
+    assert micro.feasible_ids() == ("x",)
+    assert micro.micro_clusters == (
+        MicroCluster(parent=0, label=FEASIBLE, members=("x",)),
+        MicroCluster(parent=0, label=INFEASIBLE, members=("y",)),
+    )
+    assert micro.micro_clusters is micro.micro_clusters
+    with pytest.raises(DomainError, match="not a candidate of the parent"):
+        MicroClustering(parent, {"z": (violation,)})
+    with pytest.raises(DomainError, match="empty violation record"):
+        MicroClustering(parent, {"y": ()})
 
 
 def test_user_spec_invariants():
