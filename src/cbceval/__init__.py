@@ -32,7 +32,6 @@ from .kmeans import (
     choose_k,
     kmeans_pp_init,
     lloyd,
-    partition_signature,
     run_kmeans,
     silhouette,
     sse,
@@ -90,7 +89,6 @@ __all__ = [
     "lloyd",
     "parse_constraint_spec",
     "parse_dataset",
-    "partition_signature",
     "rank",
     "refine_micro_clusters",
     "report_json",

@@ -16,7 +16,7 @@ from .constraints import detect_deadlock
 from .errors import AssignmentDeadlockError, CapacityError, CBCError, ParseError
 from .evaluate import deadlock_to_dict, rank, report_json, round_floats
 from .ingest import _as_number, bind_and_validate, parse_constraint_spec, parse_dataset
-from .kmeans import KMeansConfig, choose_k, run_kmeans, sse
+from .kmeans import KMeansConfig, choose_k, run_kmeans, sse, weight_vector
 from .model import ConstraintSpec
 from .oracle import MAX_CANDIDATES, MAX_CLUSTERS, brute_force_feasible_exists, brute_force_min_sse
 
@@ -129,10 +129,10 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset, spec = _bound_inputs(args)
     weights = _load_weights(args.weights)
+    weight_vector(dataset.schema, weights)  # reject bad weights before the run
     k = _fixed_k(args, dataset, spec)
     if k is None:
-        n = len(dataset)
-        k = 1 if n < 3 else choose_k(dataset, (2, min(8, n - 1)), args.seed)
+        k = choose_k(dataset, args.seed)
     result = run_pipeline(dataset, spec, CBCConfig(kmeans=KMeansConfig(k=k, seed=args.seed)))
     report = rank(result, dataset, weights)
     _emit(report_json(report), args.out)

@@ -303,8 +303,9 @@ def detect_deadlock(
     """Report every discovered cause of unsatisfiability (or certify none).
 
     ``population`` restricts existential counting and the feasible-set check
-    to a subset of candidates (used for the post-refinement re-check, where
-    ``structural`` is off because link and size rules were already settled).
+    to some of the dataset's candidates (used for the post-refinement
+    re-check, where ``structural`` is off because link and size rules were
+    already settled); an id outside the dataset raises DomainError.
     ``components`` is the spec's ``build_link_components`` result when the
     caller already has it.
     """
@@ -471,10 +472,10 @@ def detect_deadlock(
 
     ratings, constraints = dataset.ratings, dataset.constraints_ratings
     if population is not None:
-        rows = np.fromiter(
-            {dataset.row_of[cid] for cid in population if cid in dataset.row_of},
-            dtype=np.intp,
-        )
+        try:
+            rows = np.fromiter({dataset.row_of[cid] for cid in population}, dtype=np.intp)
+        except KeyError as exc:
+            raise DomainError(f"population names {exc.args[0]}, not a candidate") from None
         ratings, constraints = ratings[rows], constraints[rows]
     population_size = len(constraints)
 

@@ -20,6 +20,8 @@ from .model import (
     COMPARATORS,
     ConstraintSpec,
     ExistentialRule,
+    SCALE_MAX,
+    SCALE_MIN,
     UserConstraintSpec,
 )
 
@@ -60,7 +62,7 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
 
     Accepts LF or CRLF line endings. Column order defines attribute order,
     so centroid vectors are reproducible from the file alone. Ratings lie on
-    the default scale of :class:`AttributeSchema`.
+    the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
     """
     text = csv_text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
     try:
@@ -97,7 +99,6 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
         schema = AttributeSchema(tuple(names))
     except DomainError as exc:
         raise ParseError(str(exc), locator="header") from exc
-    scale_min, scale_max = schema.scale_min, schema.scale_max
 
     ids, ratings, constraints = [], [], []
     seen_ids = set()
@@ -123,9 +124,9 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
                 raise ParseError(
                     f"not a number: {raw!r}", locator=f"row {cid}, column {name}"
                 ) from None
-            if not scale_min <= value <= scale_max:
+            if not SCALE_MIN <= value <= SCALE_MAX:
                 raise ParseError(
-                    f"rating {raw} out of range [{scale_min:g}, {scale_max:g}]",
+                    f"rating {raw} out of range [{SCALE_MIN:g}, {SCALE_MAX:g}]",
                     locator=f"row {cid}, column {name}",
                 )
             return value
@@ -257,7 +258,7 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
     """Parse constraint-spec JSON into a :class:`ConstraintSpec`.
 
     Unknown fields are rejected. Omitted optional fields stay absent; the
-    feasibility threshold alone defaults (to the default-scale midpoint 5.5).
+    feasibility threshold alone defaults (to the scale midpoint 5.5).
     """
     try:
         data = json.loads(json_text)
@@ -362,12 +363,11 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
     if spec.k is not None and spec.k > len(dataset):
         report.error("k", "k exceeds candidate count")
 
-    scale = (dataset.schema.scale_min, dataset.schema.scale_max)
-    if not scale[0] <= spec.feasibility_threshold <= scale[1]:
+    if not SCALE_MIN <= spec.feasibility_threshold <= SCALE_MAX:
         report.error(
             "feasibility_threshold",
             f"threshold {spec.feasibility_threshold:g} outside rating scale "
-            f"[{scale[0]:g}, {scale[1]:g}]",
+            f"[{SCALE_MIN:g}, {SCALE_MAX:g}]",
         )
 
     return report

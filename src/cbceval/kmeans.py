@@ -1,5 +1,7 @@
 """Seeded, deterministic k-means in normalized attribute space: one Lloyd
-loop over must-link components serves plain and constrained clustering.
+loop, ``lloyd``, serves plain clustering and, given must-link components,
+cannot-links or a maximum size, constrained clustering. ``choose_k`` picks
+the cluster count by silhouette when none is given.
 
 Distance is weighted squared Euclidean on min-max-normalized ratings.
 Tie-breaking is always by lowest index and all randomness comes from the
@@ -110,7 +112,7 @@ def kmeans_pp_init(
     return tuple(tuple(float(v) for v in X[i]) for i in chosen)
 
 
-def component_lloyd(
+def lloyd(
     dataset: CandidateDataset,
     init,
     config: KMeansConfig,
@@ -123,14 +125,14 @@ def component_lloyd(
     weighted distance of their means.
 
     ``components`` partitions the ids in order of first member, as
-    ``build_link_components`` lists them (None: every candidate alone), and
-    ``cannot_link`` pairs component indices. Without cannot-links and
-    ``max_size`` each component goes to its nearest centroid and SSE must
-    not rise. Otherwise a greedy pass (COP-KMeans) takes components in index
-    order to the nearest centroid that breaks no cannot-link with a placed
-    component and no max size; one with none raises AssignmentDeadlockError,
-    even where an exhaustive search may succeed. Equal distances go to the
-    lowest cluster index.
+    ``build_link_components`` lists them (None: every candidate alone, plain
+    k-means), and ``cannot_link`` pairs component indices. Without
+    cannot-links and ``max_size`` each component goes to its nearest
+    centroid and SSE must not rise. Otherwise a greedy pass (COP-KMeans)
+    takes components in index order to the nearest centroid that breaks no
+    cannot-link with a placed component and no max size; one with none
+    raises AssignmentDeadlockError, even where an exhaustive search may
+    succeed. Equal distances go to the lowest cluster index.
     """
     ids = dataset.ids()
     k = len(init)
@@ -237,17 +239,6 @@ def component_lloyd(
     )
 
 
-def lloyd(
-    dataset: CandidateDataset,
-    init,
-    config: KMeansConfig,
-    weights: Mapping[str, float] | None = None,
-) -> Clustering:
-    """Plain k-means: ``component_lloyd`` with every candidate its own
-    component, so SSE is non-increasing across iterations."""
-    return component_lloyd(dataset, init, config, weights)
-
-
 def best_of_restarts(
     config: KMeansConfig, attempt: Callable[[KMeansConfig], Clustering]
 ) -> Clustering:
@@ -339,35 +330,25 @@ def silhouette(dataset: CandidateDataset, clustering: Clustering) -> float:
     return float(np.mean(scores))
 
 
-#: Restarts of each unweighted k-means run ``choose_k`` scores.
+#: ``choose_k`` sweeps k = 2..min(CHOOSE_K_MAX, n - 1), scoring the best of
+#: ``CHOOSE_K_RESTARTS`` unweighted runs at each k.
+CHOOSE_K_MAX = 8
 CHOOSE_K_RESTARTS = 10
 
 
-def choose_k(dataset: CandidateDataset, k_range: tuple[int, int], seed: int) -> int:
-    """Pick the k in the inclusive range maximizing silhouette over seeded
-    best-of-``CHOOSE_K_RESTARTS`` unweighted runs; ties go to the smallest k."""
-    lo, hi = k_range
+def choose_k(dataset: CandidateDataset, seed: int) -> int:
+    """The cluster count for a run that gives none: 1 below three
+    candidates, else the swept k maximizing silhouette over seeded
+    best-of-restarts unweighted runs; ties go to the smallest k."""
     n = len(dataset)
-    if lo > hi:
-        raise DomainError(f"empty k range [{lo}, {hi}]")
-    if lo < 2 or hi > n - 1:
-        raise DomainError(f"k range [{lo}, {hi}] must lie within [2, {n - 1}]")
+    if n < 3:
+        return 1
     best_k = None
     best_score = -np.inf
-    for k in range(lo, hi + 1):
+    for k in range(2, min(CHOOSE_K_MAX, n - 1) + 1):
         config = KMeansConfig(k=k, seed=child_seed(seed, k), restarts=CHOOSE_K_RESTARTS)
         clustering = run_kmeans(dataset, config)
         score = silhouette(dataset, clustering)
         if score > best_score:
             best_k, best_score = k, score
     return best_k
-
-
-def partition_signature(labels: Sequence[int]) -> tuple[int, ...]:
-    """A label sequence relabeled by first occurrence.
-
-    Two clusterings of the same rows are the same partition iff their
-    signatures are equal.
-    """
-    relabel: dict[int, int] = {}
-    return tuple(relabel.setdefault(label, len(relabel)) for label in labels)

@@ -26,10 +26,11 @@ KEY_FEATURES = (
     "pay_per_use",
 )
 
-DEFAULT_SCALE_MIN = 1.0
-DEFAULT_SCALE_MAX = 10.0
+#: The rating scale every rating and constraints rating lies on.
+SCALE_MIN = 1.0
+SCALE_MAX = 10.0
 
-#: Default feasibility threshold: midpoint of the default 1..10 rating scale.
+#: Default feasibility threshold: midpoint of the 1..10 rating scale.
 #: Always overridable in the constraint spec.
 DEFAULT_FEASIBILITY_THRESHOLD = 5.5
 
@@ -56,11 +57,9 @@ def _survives_csv(text: str) -> bool:
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """Ordered rating attributes plus the shared rating scale."""
+    """Ordered rating attributes, each rated on the scale ``SCALE_MIN``..``SCALE_MAX``."""
 
     names: tuple[str, ...]
-    scale_min: float = DEFAULT_SCALE_MIN
-    scale_max: float = DEFAULT_SCALE_MAX
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -76,10 +75,6 @@ class AttributeSchema:
                 raise DomainError(f"attribute name {name!r} names the constraints column")
         if len(set(names)) != len(names):
             raise DomainError("attribute names must be unique")
-        if not self.scale_min < self.scale_max:
-            raise DomainError(
-                f"scale_min {self.scale_min} must be below scale_max {self.scale_max}"
-            )
 
     def index_of(self, name: str) -> int:
         try:
@@ -95,9 +90,9 @@ class CandidateDataset:
     The dataset is its id tuple plus read-only columns, built once from
     parallel ids, rating rows and constraints ratings: ``ratings`` (n x d raw
     ratings), ``normalized`` (the same matrix mapped onto [0, 1] through the
-    schema's fixed scale bounds, so distances stay comparable across
-    datasets), ``constraints_ratings`` (length n) and ``row_of`` (id -> row
-    index, in dataset order).
+    fixed scale bounds, so distances stay comparable across datasets),
+    ``constraints_ratings`` (length n) and ``row_of`` (id -> row index, in
+    dataset order).
     """
 
     schema: AttributeSchema
@@ -131,7 +126,7 @@ class CandidateDataset:
         m = len(row_of)
         ratings = np.array(rows[:m], dtype=np.float64).reshape(m, d)
         constraints = np.array(constraints[:m], dtype=np.float64)
-        lo, hi = schema.scale_min, schema.scale_max
+        lo, hi = SCALE_MIN, SCALE_MAX
         bad_rating = ~((lo <= ratings) & (ratings <= hi))
         bad_rows = np.flatnonzero(bad_rating.any(axis=1) | ~((lo <= constraints) & (constraints <= hi)))
         if bad_rows.size:

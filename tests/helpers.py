@@ -4,7 +4,6 @@ import hashlib
 import random
 
 from cbceval.constraints import feasibility_partition
-from cbceval.kmeans import partition_signature
 from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
@@ -139,6 +138,16 @@ def assignment_satisfies(assignment: dict, spec: ConstraintSpec, k: int) -> list
             if c > spec.max_cluster_size:
                 problems.append(f"cluster {j} above max size: {c}")
     return problems
+
+
+def partition_signature(labels) -> tuple[int, ...]:
+    """A label sequence relabeled by first occurrence.
+
+    Two clusterings of the same rows are the same partition iff their
+    signatures are equal.
+    """
+    relabel: dict[int, int] = {}
+    return tuple(relabel.setdefault(label, len(relabel)) for label in labels)
 
 
 def _digest(value) -> str:

@@ -14,7 +14,7 @@ from cbceval.cli import main as cli_main
 from cbceval.errors import AssignmentDeadlockError
 from cbceval.evaluate import rank
 from cbceval.ingest import parse_dataset
-from cbceval.kmeans import KMeansConfig, partition_signature, run_kmeans
+from cbceval.kmeans import KMeansConfig, run_kmeans
 from cbceval.model import CandidateDataset, ConstraintSpec
 from cbceval.constraints import detect_deadlock
 from cbceval.oracle import brute_force_feasible_exists, brute_force_min_sse
@@ -26,6 +26,7 @@ from helpers import (
     SAMPLE_ROWS,
     assignment_satisfies,
     feasible_and_infeasible,
+    partition_signature,
     random_constraint_spec,
     random_dataset,
 )

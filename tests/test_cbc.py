@@ -1,17 +1,19 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from cbceval.cbc import (
     CBCConfig,
+    CBCResult,
+    StageRecord,
     constrained_assign,
     refine_micro_clusters,
     run_pipeline,
 )
 from cbceval.constraints import build_link_components
 from cbceval.errors import AssignmentDeadlockError, DomainError
-from cbceval.kmeans import KMeansConfig, kmeans_pp_init, lloyd, partition_signature, run_kmeans
+from cbceval.kmeans import KMeansConfig, kmeans_pp_init, lloyd, run_kmeans
 from cbceval.model import ConstraintSpec, ExistentialRule, FEASIBLE, INFEASIBLE
 from cbceval.oracle import brute_force_feasible_exists, brute_force_min_sse
 
@@ -19,6 +21,7 @@ from helpers import (
     FEASIBLE_AT_6,
     assignment_satisfies,
     component_index,
+    partition_signature,
     pinned_values,
     random_constraint_spec,
     random_dataset,
@@ -256,6 +259,13 @@ def test_pipeline_golden_fixture(sample_dataset, sample_spec):
         "recheck",
     ]
     assert not result.deadlock.deadlocked
+
+
+def test_pipeline_clustering_is_the_refinement_parent(sample_dataset, sample_spec):
+    result = run_pipeline(sample_dataset, sample_spec, CBCConfig(kmeans=KMeansConfig(k=3, seed=42)))
+    assert result.clustering is result.micro.parent
+    assert "clustering" not in {f.name for f in fields(CBCResult)}
+    assert [f.name for f in fields(StageRecord)] == ["name", "summary"]
 
 
 def test_pipeline_stage0_abort(sample_dataset):

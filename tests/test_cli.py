@@ -316,6 +316,25 @@ def test_cluster_with_weights_file(sample_paths, tmp_path, capsys):
     assert code == 1
 
 
+def test_evaluate_rejects_weights_before_clustering(sample_paths, tmp_path, capsys, monkeypatch):
+    from cbceval import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the weights were checked")
+
+    monkeypatch.setattr(cli, "choose_k", never)
+    monkeypatch.setattr(cli, "run_pipeline", never)
+    data, constraints = sample_paths
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"nosuch": 1}), encoding="utf-8")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(constraints),
+        "--weights", str(weights),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown attribute 'nosuch' in weights\n"
+
+
 # JSON literals Python's json accepts that are not finite floats.
 NON_FINITE = pytest.mark.parametrize(
     "literal",

@@ -25,6 +25,8 @@ from cbceval.model import (
     FEASIBLE,
     INFEASIBLE,
     MicroCluster,
+    SCALE_MAX,
+    SCALE_MIN,
     UserConstraintSpec,
     Violation,
 )
@@ -69,9 +71,9 @@ def reference_dataset_error(schema, rows):
                 f"got {len(ratings)}"
             )
         for name, r in zip(schema.names, ratings):
-            if not schema.scale_min <= r <= schema.scale_max:
+            if not SCALE_MIN <= r <= SCALE_MAX:
                 return f"candidate {cid}, attribute {name}: rating {r} out of range"
-        if not schema.scale_min <= constraints_rating <= schema.scale_max:
+        if not SCALE_MIN <= constraints_rating <= SCALE_MAX:
             return (
                 f"candidate {cid}: constraints rating "
                 f"{constraints_rating} out of range"
@@ -111,14 +113,13 @@ def reference_violations(ratings, constraints_rating, schema, spec):
     return tuple(violations)
 
 
-def reference_normalized(ratings, schema):
-    lo, hi = schema.scale_min, schema.scale_max
-    return [(r - lo) / (hi - lo) for r in ratings]
+def reference_normalized(ratings):
+    return [(r - SCALE_MIN) / (SCALE_MAX - SCALE_MIN) for r in ratings]
 
 
 def reference_score(ratings, schema, weights):
     w = weight_vector(schema, weights)
-    values = reference_normalized(ratings, schema)
+    values = reference_normalized(ratings)
     return float(sum(wi * v for wi, v in zip(w, values)) / float(w.sum()))
 
 
@@ -141,20 +142,19 @@ def bits(x: float) -> str:
 @st.composite
 def datasets(draw, min_size=0):
     names = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=4, unique=True)))
-    lo = draw(st.sampled_from((1.0, 0.0, -3.5)))
-    hi = lo + draw(st.sampled_from((9.0, 1.0, 100.0, 0.3)))
+    lo, hi = SCALE_MIN, SCALE_MAX
     value = st.one_of(
         st.floats(lo, hi, allow_nan=False),
         st.sampled_from((lo, hi, (lo + hi) / 2)),
     )
     n = draw(st.integers(min_size, 25))
     rows = [(f"X{i:02d}", tuple(draw(value) for _ in names), draw(value)) for i in range(n)]
-    return dataset_from_rows(AttributeSchema(names, scale_min=lo, scale_max=hi), rows)
+    return dataset_from_rows(AttributeSchema(names), rows)
 
 
 @st.composite
 def specs(draw, schema):
-    lo, hi = schema.scale_min, schema.scale_max
+    lo, hi = SCALE_MIN, SCALE_MAX
     value = st.floats(lo - 1, hi + 1, allow_nan=False)
     rules = [
         ExistentialRule(
@@ -212,7 +212,7 @@ def test_columnar_form_matches_rows_and_is_read_only(case):
     assert X.shape == (len(dataset), len(dataset.schema.names))
     rows = table_rows(dataset)
     for row, (_, ratings, _) in zip(X.tolist(), rows):
-        assert list(map(bits, row)) == list(map(bits, reference_normalized(ratings, dataset.schema)))
+        assert list(map(bits, row)) == list(map(bits, reference_normalized(ratings)))
     assert dataset.ratings.tolist() == [list(ratings) for _, ratings, _ in rows]
     assert dataset.constraints_ratings.tolist() == [c for _, _, c in rows]
     assert dataset.ids() == tuple(cid for cid, _, _ in rows)
@@ -325,7 +325,7 @@ def rank_one_cluster(dataset, spec, weights):
     )
     micro = refine_micro_clusters(clustering, dataset, spec)
     result = CBCResult(
-        clustering, micro, DeadlockReport(deadlocked=False), (), spec, CBCConfig(KMeansConfig(k=1, seed=0))
+        micro, DeadlockReport(deadlocked=False), (), spec, CBCConfig(KMeansConfig(k=1, seed=0))
     )
     return micro, rank(result, dataset, weights)
 
@@ -341,7 +341,7 @@ def test_scores_match_per_candidate_reference(case):
     # With the threshold at the bottom of the scale and no rules, every
     # candidate is feasible, so every row's score is checked.
     _, everyone = rank_one_cluster(
-        dataset, ConstraintSpec(feasibility_threshold=dataset.schema.scale_min), weights
+        dataset, ConstraintSpec(feasibility_threshold=SCALE_MIN), weights
     )
     assert {r.id: bits(r.score) for r in everyone.ranking} == {
         cid: bits(score) for cid, score in expected.items()
@@ -353,7 +353,7 @@ def test_scores_match_per_candidate_reference(case):
         assert bits(entry.score) == bits(expected[entry.id])
         ratings = dataset.ratings[dataset.row_of[entry.id]].tolist()
         assert entry.per_attribute == dict(
-            zip(dataset.schema.names, reference_normalized(ratings, dataset.schema))
+            zip(dataset.schema.names, reference_normalized(ratings))
         )
     assert [cid for cid, _ in report.excluded] == [
         cid for cid in dataset.ids() if cid not in feasible

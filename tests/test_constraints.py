@@ -143,11 +143,9 @@ def test_user_spec_rules_bridge_matching_columns():
 
 
 def test_user_spec_rules_gate_candidates():
-    schema = AttributeSchema(
-        ("budget_per_instance", "quality"), scale_min=0, scale_max=10000
-    )
-    dataset = dataset_from_rows(schema, [("cheap", (4000, 8), 9000), ("pricey", (7000, 9), 9000)])
-    spec = ConstraintSpec(user_spec=user_spec_fixture(), feasibility_threshold=5)
+    schema = AttributeSchema(("budget_per_instance", "quality"))
+    dataset = dataset_from_rows(schema, [("cheap", (4, 8), 9), ("pricey", (7, 9), 9)])
+    spec = ConstraintSpec(user_spec=user_spec_fixture(budget_per_instance=5), feasibility_threshold=5)
     feasible, [(cid, violations)] = feasible_and_infeasible(dataset, spec)
     assert feasible == ["cheap"]
     assert cid == "pricey"
@@ -268,6 +266,21 @@ def test_deadlock_population_restriction(sample_dataset):
     assert narrowed.deadlocked
     assert narrowed.stage == "post-refinement"
     assert narrowed.causes[0].witness["satisfying"] == 2
+
+
+def test_deadlock_population_rejects_unknown_ids(sample_dataset, sample_spec):
+    # An unknown id used to be dropped, leaving an empty population that
+    # reported an empty feasible set.
+    for population in (["NOPE"], ["T101", "NOPE", "ALSO"]):
+        with pytest.raises(DomainError, match="population names NOPE, not a candidate"):
+            detect_deadlock(
+                sample_spec,
+                sample_dataset,
+                3,
+                stage="post-refinement",
+                population=population,
+                structural=False,
+            )
 
 
 def test_deadlock_witnesses_revalidate(sample_dataset):

@@ -14,6 +14,7 @@ from cbceval.model import (
     CandidateDataset,
     ConstraintSpec,
     MicroClustering,
+    SCALE_MIN,
 )
 
 from helpers import FEASIBLE_AT_6, INFEASIBLE_AT_6, random_dataset, take_rows
@@ -25,7 +26,7 @@ def pipeline_result(dataset, spec, k=3, seed=42):
 
 def all_scores(dataset, weights=None):
     """Rank scores with every candidate feasible (threshold at the scale floor)."""
-    spec = ConstraintSpec(feasibility_threshold=dataset.schema.scale_min)
+    spec = ConstraintSpec(feasibility_threshold=SCALE_MIN)
     report = rank(pipeline_result(dataset, spec, k=1), dataset, weights)
     return report_scores(report)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbceval import kmeans
+from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.errors import CBCError, DomainError
 from cbceval.kmeans import (
     KMeansConfig,
@@ -11,17 +12,16 @@ from cbceval.kmeans import (
     distance_matrix,
     kmeans_pp_init,
     lloyd,
-    partition_signature,
     run_kmeans,
     silhouette,
     sse,
     weight_vector,
 )
-from cbceval.model import AttributeSchema, CandidateDataset
+from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 from cbceval.oracle import brute_force_min_sse
 from cbceval.rng import SplitMix64
 
-from helpers import pinned_values, random_dataset, take_rows
+from helpers import partition_signature, pinned_values, random_dataset, take_rows
 
 # Golden fixture: seeded k-means++ on the bundled sample, k=3, seed=42,
 # picks candidates T103, T101, T102 (indices 3, 1, 2) in that order.
@@ -177,6 +177,11 @@ def test_run_kmeans_calls_module_lloyd_per_restart(sample_dataset, monkeypatch):
 
     monkeypatch.setattr(kmeans, "lloyd", counted)
     run_kmeans(sample_dataset, KMeansConfig(k=3, seed=42, restarts=3))
+    assert len(calls) == 3
+    # The pipeline's assignment binds lloyd by name, so the wrapper counts
+    # plain k-means runs only.
+    spec = ConstraintSpec(must_link=[("T100", "T101")], feasibility_threshold=6)
+    run_pipeline(sample_dataset, spec, CBCConfig(KMeansConfig(k=3, seed=42, restarts=2)))
     assert len(calls) == 3
 
 
@@ -394,26 +399,35 @@ def test_choose_k_two_blobs():
     points = [(1 + rng.uniform(0, 0.4), 1 + rng.uniform(0, 0.4)) for _ in range(5)]
     points += [(9 + rng.uniform(0, 0.4), 9 + rng.uniform(0, 0.4)) for _ in range(5)]
     dataset = tiny_dataset(points)
-    assert choose_k(dataset, (2, 5), seed=3) == 2
-
-
-def test_choose_k_singleton_range(sample_dataset):
-    assert choose_k(sample_dataset, (3, 3), seed=1) == 3
+    assert choose_k(dataset, seed=3) == 2
 
 
 def test_choose_k_deterministic():
     dataset = tiny_dataset([(1, 1), (2, 9), (9, 2), (10, 10)])
-    first = choose_k(dataset, (2, 3), seed=17)
-    assert first == choose_k(dataset, (2, 3), seed=17)
+    first = choose_k(dataset, seed=17)
+    assert first == choose_k(dataset, seed=17)
 
 
-def test_choose_k_rejects_bad_ranges(sample_dataset):
-    with pytest.raises(DomainError, match="empty"):
-        choose_k(sample_dataset, (4, 3), seed=0)
-    with pytest.raises(DomainError):
-        choose_k(sample_dataset, (1, 3), seed=0)
-    with pytest.raises(DomainError):
-        choose_k(sample_dataset, (2, 10), seed=0)
+def test_choose_k_below_three_candidates_is_one_cluster():
+    points = [(1, 1), (9, 9), (5, 1)]
+    for n in (0, 1, 2):
+        assert choose_k(tiny_dataset(points[:n]), seed=0) == 1
+    assert choose_k(tiny_dataset(points), seed=0) == 2
+
+
+def test_choose_k_sweeps_up_to_the_cap(sample_dataset, monkeypatch):
+    # evaluate without --k picks k=4 on the sample at seed 0.
+    assert choose_k(sample_dataset, seed=0) == 4
+    swept = []
+    original = kmeans.run_kmeans
+    monkeypatch.setattr(
+        kmeans, "run_kmeans", lambda d, config: swept.append(config.k) or original(d, config)
+    )
+    choose_k(sample_dataset, seed=0)
+    assert swept == list(range(2, kmeans.CHOOSE_K_MAX + 1))
+    swept.clear()
+    choose_k(take_rows(sample_dataset, range(5)), seed=0)
+    assert swept == [2, 3, 4]
 
 
 def test_restart_reduction_prefers_lower_sse(sample_dataset):

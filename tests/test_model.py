@@ -16,23 +16,23 @@ from cbceval.model import (
     KEY_FEATURES,
     MicroCluster,
     MicroClustering,
+    SCALE_MAX,
+    SCALE_MIN,
     UserConstraintSpec,
     Violation,
 )
 
 
-def test_schema_rejects_duplicates_and_bad_scale():
+def test_schema_rejects_duplicates_and_no_attributes():
     with pytest.raises(DomainError):
         AttributeSchema(("a", "a"))
-    with pytest.raises(DomainError):
-        AttributeSchema(("a",), scale_min=5, scale_max=5)
     with pytest.raises(DomainError):
         AttributeSchema(())
 
 
 def normalized_rows(schema, *rows):
     ids = [f"x{i}" for i in range(len(rows))]
-    return CandidateDataset(schema, ids, rows, [schema.scale_max] * len(rows)).normalized.tolist()
+    return CandidateDataset(schema, ids, rows, [SCALE_MAX] * len(rows)).normalized.tolist()
 
 
 def test_normalize_bounds():
@@ -52,11 +52,11 @@ def test_normalize_names_offending_attribute():
 
 
 def test_normalize_monotone_per_attribute():
-    schema = AttributeSchema(("a",), scale_min=2, scale_max=8)
+    schema = AttributeSchema(("a",))
     rng = random.Random(0)
     for _ in range(200):
-        lo = rng.uniform(2, 8)
-        hi = rng.uniform(lo, 8)
+        lo = rng.uniform(SCALE_MIN, SCALE_MAX)
+        hi = rng.uniform(lo, SCALE_MAX)
         [[low], [high]] = normalized_rows(schema, (lo,), (hi,))
         assert low <= high
 

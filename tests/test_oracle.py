@@ -4,7 +4,6 @@ import random
 import pytest
 
 from cbceval.errors import CapacityError
-from cbceval.kmeans import partition_signature
 from cbceval.model import AttributeSchema, ConstraintSpec
 from cbceval.oracle import (
     brute_force_feasible_exists,
@@ -12,7 +11,7 @@ from cbceval.oracle import (
     restricted_growth_strings,
 )
 
-from helpers import dataset_from_rows, random_dataset, take_rows
+from helpers import dataset_from_rows, partition_signature, random_dataset, take_rows
 
 # Pinned exhaustive optima for the bundled sample (recomputed below).
 OPTIMAL_K2_SSE = 0.7376543209876534
