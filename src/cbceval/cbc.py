@@ -92,8 +92,7 @@ def constrained_assign(
         centroids,
         config,
         spec.distance_weights,
-        components.components,
-        components.lifted_cannot_link,
+        components,
         spec.max_cluster_size,
     )
 

@@ -70,7 +70,7 @@ def _load_weights(path: str | None) -> dict | None:
     raw = _read(path)
     try:
         data = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integer or deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: weights must be an object of attribute -> number")

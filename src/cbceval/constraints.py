@@ -3,10 +3,11 @@ feasibility, and deadlock identification.
 
 "Deadlock" is formalized as unsatisfiability of the constraint set. Detection
 combines quick sound rules (size arithmetic, direct link conflicts, oversized
-components, global existential counts, an empty feasible set) with an exact
-component-packing decision whenever the must-link component count stays at or
-below ``EXACT_COMPONENT_LIMIT``; beyond that limit only the cheap rules run
-and the report carries a "not checked" warning.
+components, global existential counts, an empty feasible set) with exact
+searches. Cannot-link coloring is exact when at most ``EXACT_COMPONENT_LIMIT``
+components are cannot-linked, and packing under size bounds is exact when the
+must-link component count stays at or below that limit; past either limit the
+report carries a "not checked" warning instead.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .model import (
     Violation,
 )
 
-#: Largest component count for which deadlock detection is exact.
+#: Largest component count for which coloring and packing are searched exactly.
 EXACT_COMPONENT_LIMIT = 12
 
 #: UserConstraintSpec fields that cap a cost-like dataset column (candidate
@@ -42,69 +43,63 @@ USER_CAPACITY_FIELDS = (
 )
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class LinkComponents:
-    """Must-link components with the cannot-link relation lifted onto them."""
+    """A dataset's must-link components as row-index tuples, listed in order
+    of first member with rows ascending, and the cannot-link relation lifted
+    onto component indices. ``ids`` is the dataset's id tuple; ``conflicts``
+    holds the cannot-link id pairs that fall inside one component."""
 
-    components: tuple[tuple[str, ...], ...]
+    ids: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
     lifted_cannot_link: tuple[tuple[int, int], ...]
     conflicts: tuple[tuple[str, str], ...]
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
+    @property
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """The components as id tuples."""
+        return tuple(tuple(self.ids[i] for i in rows) for rows in self.rows)
 
 
 def build_link_components(spec: ConstraintSpec, dataset: CandidateDataset) -> LinkComponents:
-    """Union-find over must_link pairs; cannot_link re-expressed between
-    components. Components are listed in dataset order of their first member,
-    and ids in no must-link pair are singletons. A cannot-link pair falling
-    inside one component is recorded as a conflict, not raised (deadlock
-    detection owns that verdict)."""
-    known = dataset.row_of
-    for a, b in (*spec.must_link, *spec.cannot_link):
-        for cid in (a, b):
-            if cid not in known:
-                raise DomainError(f"unknown id {cid} in link constraints")
+    """Union-find over the rows of must_link pairs; cannot_link re-expressed
+    between components. Rows in no must-link pair are singletons. A
+    cannot-link pair falling inside one component is recorded as a conflict,
+    not raised (deadlock detection owns that verdict)."""
+    row_of = dataset.row_of
+    try:
+        must = [(row_of[a], row_of[b]) for a, b in spec.must_link]
+        cannot = [(row_of[a], row_of[b]) for a, b in spec.cannot_link]
+    except KeyError as exc:
+        raise DomainError(f"unknown id {exc.args[0]} in link constraints") from None
 
-    uf = _UnionFind({cid for pair in spec.must_link for cid in pair})
-    for a, b in spec.must_link:
-        uf.union(a, b)
+    parent = list(range(len(dataset)))
 
-    groups: dict[str, list[str]] = {}
-    for cid in known:
-        groups.setdefault(uf.find(cid) if cid in uf.parent else cid, []).append(cid)
-    members = list(groups.values())
-    component_of = {cid: c for c, group in enumerate(members) for cid in group}
+    def find(row: int) -> int:
+        while parent[row] != row:
+            parent[row] = parent[parent[row]]
+            row = parent[row]
+        return row
+
+    for a, b in must:
+        parent[find(b)] = find(a)
+    groups: dict[int, list[int]] = {}
+    for row in range(len(parent)):
+        groups.setdefault(find(row), []).append(row)
+    component_of = {root: c for c, root in enumerate(groups)}
 
     lifted = set()
     conflicts = []
-    for a, b in spec.cannot_link:
-        ca, cb = component_of[a], component_of[b]
+    for pair, (a, b) in zip(spec.cannot_link, cannot):
+        ca, cb = component_of[find(a)], component_of[find(b)]
         if ca == cb:
-            conflicts.append((a, b))
+            conflicts.append(pair)
         else:
             lifted.add((min(ca, cb), max(ca, cb)))
 
     return LinkComponents(
-        components=tuple(tuple(m) for m in members),
+        ids=dataset.ids(),
+        rows=tuple(map(tuple, groups.values())),
         lifted_cannot_link=tuple(sorted(lifted)),
         conflicts=tuple(conflicts),
     )
@@ -316,8 +311,9 @@ def detect_deadlock(
     if structural:
         if components is None:
             components = build_link_components(spec, dataset)
-        sizes = list(components.sizes())
+        sizes = [len(rows) for rows in components.rows]
         m = len(sizes)
+        ids = components.ids
 
         if k is not None and spec.min_cluster_size:
             demand = k * spec.min_cluster_size
@@ -368,105 +364,89 @@ def detect_deadlock(
             )
 
         if spec.max_cluster_size is not None:
-            for comp in components.components:
-                if len(comp) > spec.max_cluster_size:
+            for rows in components.rows:
+                if len(rows) > spec.max_cluster_size:
                     causes.append(
                         DeadlockCause(
                             kind="size-arithmetic",
                             detail=(
-                                f"must-link component of size {len(comp)} exceeds "
+                                f"must-link component of size {len(rows)} exceeds "
                                 f"max_cluster_size {spec.max_cluster_size}"
                             ),
                             witness={
-                                "component": list(comp),
+                                "component": [ids[i] for i in rows],
                                 "max_cluster_size": spec.max_cluster_size,
                             },
                         )
                     )
 
-        needs_packing = bool(
-            components.lifted_cannot_link
-            or spec.min_cluster_size
-            or spec.max_cluster_size is not None
-        )
+        sized = bool(spec.min_cluster_size or spec.max_cluster_size is not None)
+        needs_packing = bool(components.lifted_cannot_link) or sized
         if not causes and needs_packing and k is not None and n > 0:
+            # A component in no cannot-link pair never blocks a coloring, so
+            # coloring the cannot-linked ones alone decides for all m.
             cl_pairs = list(components.lifted_cannot_link)
-            if m <= EXACT_COMPONENT_LIMIT:
-                if cl_pairs and _pack_components(sizes, cl_pairs, k, None, None) is None:
-                    causes.append(
-                        DeadlockCause(
-                            kind="link-conflict",
-                            detail=(
-                                f"the cannot-link graph over {m} must-link "
-                                f"components admits no {k}-coloring"
-                            ),
-                            witness={
-                                "components": [list(c) for c in components.components],
-                                "cannot_link_components": [list(p) for p in cl_pairs],
-                                "k": k,
-                            },
-                        )
+            constrained = sorted({c for pair in cl_pairs for c in pair})
+            index = {c: i for i, c in enumerate(constrained)}
+            sub_pairs = [(index[a], index[b]) for a, b in cl_pairs]
+            if len(constrained) > EXACT_COMPONENT_LIMIT:
+                warnings.append(
+                    f"cannot-link coloring not checked: {len(constrained)} "
+                    f"constrained components exceed the exact limit "
+                    f"{EXACT_COMPONENT_LIMIT}"
+                )
+            elif _pack_components([1] * len(constrained), sub_pairs, k, None, None) is None:
+                if m <= EXACT_COMPONENT_LIMIT:
+                    detail = (
+                        f"the cannot-link graph over {m} must-link "
+                        f"components admits no {k}-coloring"
                     )
-                elif (
-                    spec.min_cluster_size or spec.max_cluster_size is not None
-                ) and _pack_components(
-                    sizes, cl_pairs, k, spec.min_cluster_size, spec.max_cluster_size
-                ) is None:
-                    causes.append(
-                        DeadlockCause(
-                            kind="size-arithmetic",
-                            detail=(
-                                f"no assignment of the {m} must-link components to "
-                                f"{k} clusters satisfies the size bounds and "
-                                f"cannot-link constraints"
-                            ),
-                            witness={
-                                "component_sizes": sizes,
-                                "cannot_link_components": [list(p) for p in cl_pairs],
-                                "k": k,
-                                "min_cluster_size": spec.min_cluster_size,
-                                "max_cluster_size": spec.max_cluster_size,
-                            },
-                        )
+                    witness = {
+                        "components": [[ids[i] for i in rows] for rows in components.rows],
+                        "cannot_link_components": [list(p) for p in cl_pairs],
+                        "k": k,
+                    }
+                else:
+                    detail = (
+                        f"{len(constrained)} mutually cannot-linked "
+                        f"components admit no {k}-coloring"
                     )
-            else:
-                constrained = sorted({i for pair in cl_pairs for i in pair})
-                if cl_pairs and len(constrained) <= EXACT_COMPONENT_LIMIT:
-                    index = {c: i for i, c in enumerate(constrained)}
-                    sub_pairs = [(index[a], index[b]) for a, b in cl_pairs]
-                    if _pack_components([1] * len(constrained), sub_pairs, k, None, None) is None:
-                        causes.append(
-                            DeadlockCause(
-                                kind="link-conflict",
-                                detail=(
-                                    f"{len(constrained)} mutually cannot-linked "
-                                    f"components admit no {k}-coloring"
-                                ),
-                                witness={
-                                    "components": [
-                                        list(components.components[c]) for c in constrained
-                                    ],
-                                    "k": k,
-                                },
-                            )
-                        )
-                elif cl_pairs:
-                    warnings.append(
-                        f"cannot-link coloring not checked: {len(constrained)} "
-                        f"constrained components exceed the exact limit "
-                        f"{EXACT_COMPONENT_LIMIT}"
+                    witness = {
+                        "components": [
+                            [ids[i] for i in components.rows[c]] for c in constrained
+                        ],
+                        "k": k,
+                    }
+                causes.append(DeadlockCause(kind="link-conflict", detail=detail, witness=witness))
+            elif sized and m <= EXACT_COMPONENT_LIMIT and _pack_components(
+                sizes, cl_pairs, k, spec.min_cluster_size, spec.max_cluster_size
+            ) is None:
+                causes.append(
+                    DeadlockCause(
+                        kind="size-arithmetic",
+                        detail=(
+                            f"no assignment of the {m} must-link components to "
+                            f"{k} clusters satisfies the size bounds and "
+                            f"cannot-link constraints"
+                        ),
+                        witness={
+                            "component_sizes": sizes,
+                            "cannot_link_components": [list(p) for p in cl_pairs],
+                            "k": k,
+                            "min_cluster_size": spec.min_cluster_size,
+                            "max_cluster_size": spec.max_cluster_size,
+                        },
                     )
-                # With only single candidates and no cannot-link, the size
-                # arithmetic above is exact: some partition of n candidates
-                # into k clusters fits the bounds iff k*min <= n <= k*max.
-                if (spec.min_cluster_size or spec.max_cluster_size is not None) and (
-                    cl_pairs or m < n
-                ):
-                    warnings.append(
-                        "size and link constraint interaction not exhaustively "
-                        f"checked: {m} components exceed the exact limit "
-                        f"{EXACT_COMPONENT_LIMIT}"
-                    )
+                )
+            # With only single candidates and no cannot-link, the size
+            # arithmetic above is exact: some partition of n candidates
+            # into k clusters fits the bounds iff k*min <= n <= k*max.
+            if sized and m > EXACT_COMPONENT_LIMIT and (cl_pairs or m < n):
+                warnings.append(
+                    "size and link constraint interaction not exhaustively "
+                    f"checked: {m} components exceed the exact limit "
+                    f"{EXACT_COMPONENT_LIMIT}"
+                )
         if needs_packing and k is None:
             warnings.append("cluster count unknown; size and coloring rules skipped")
 

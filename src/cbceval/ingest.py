@@ -262,7 +262,7 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
     """
     try:
         data = json.loads(json_text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integer or deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")

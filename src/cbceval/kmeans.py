@@ -11,10 +11,11 @@ clusterings bit for bit.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
+from .constraints import LinkComponents
 from .errors import AssignmentDeadlockError, CBCError, DomainError
 from .model import AttributeSchema, CandidateDataset, Clustering
 from .rng import SplitMix64, child_seed
@@ -60,6 +61,9 @@ def weight_vector(
     vec = np.array([float(weights.get(n, 1.0)) for n in schema.names], dtype=np.float64)
     if not np.any(vec > 0):
         raise DomainError("weights need at least one positive entry")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(vec.sum()):
+            raise DomainError("weights sum to more than the largest float")
     return vec
 
 
@@ -117,22 +121,21 @@ def lloyd(
     init,
     config: KMeansConfig,
     weights: Mapping[str, float] | None = None,
-    components: Sequence[tuple[str, ...]] | None = None,
-    cannot_link: Sequence[tuple[int, int]] = (),
+    links: LinkComponents | None = None,
     max_size: int | None = None,
 ) -> Clustering:
     """The Lloyd loop, over must-link components placed whole by the
     weighted distance of their means.
 
-    ``components`` partitions the ids in order of first member, as
-    ``build_link_components`` lists them (None: every candidate alone, plain
-    k-means), and ``cannot_link`` pairs component indices. Without
-    cannot-links and ``max_size`` each component goes to its nearest
-    centroid and SSE must not rise. Otherwise a greedy pass (COP-KMeans)
-    takes components in index order to the nearest centroid that breaks no
-    cannot-link with a placed component and no max size; one with none
-    raises AssignmentDeadlockError, even where an exhaustive search may
-    succeed. Equal distances go to the lowest cluster index.
+    ``links`` is the dataset's ``build_link_components`` result (None: every
+    candidate alone, plain k-means); links built on another dataset raise
+    DomainError. Without lifted cannot-links and ``max_size`` each component
+    goes to its nearest centroid and SSE must not rise. Otherwise a greedy
+    pass (COP-KMeans) takes components in index order to the nearest
+    centroid that breaks no cannot-link with a placed component and no max
+    size; one with none raises AssignmentDeadlockError, even where an
+    exhaustive search may succeed. Equal distances go to the lowest cluster
+    index.
     """
     ids = dataset.ids()
     k = len(init)
@@ -140,21 +143,23 @@ def lloyd(
         raise DomainError(f"init has {k} centroids but config.k is {config.k}")
     if k > len(ids):
         raise DomainError("k exceeds candidate count")
+    if links is not None and links.ids != ids:
+        raise DomainError("links were built on another dataset")
     X = dataset.normalized
     w = weight_vector(dataset.schema, weights)
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
-    if components is None or len(components) == len(ids):
+    if links is None or len(links.rows) == len(ids):
         # Single candidates in dataset order: a one-row mean is the row itself.
         M, sizes, row_comp = X, [1] * len(X), None
     else:
-        rows = [[dataset.row_of[cid] for cid in comp] for comp in components]
-        M = X[[r[0] for r in rows]]
-        for ci, r in enumerate(rows):
-            if len(r) > 1:
-                M[ci] = X[r].mean(axis=0)
-        sizes = [len(r) for r in rows]
+        M = X[[rows[0] for rows in links.rows]]
+        for ci, rows in enumerate(links.rows):
+            if len(rows) > 1:
+                M[ci] = X[list(rows)].mean(axis=0)
+        sizes = [len(rows) for rows in links.rows]
         row_comp = np.empty(len(X), dtype=np.int64)
-        row_comp[[i for r in rows for i in r]] = np.repeat(np.arange(len(M)), sizes)
+        row_comp[[i for rows in links.rows for i in rows]] = np.repeat(np.arange(len(M)), sizes)
+    cannot_link = () if links is None else links.lifted_cannot_link
     greedy = bool(cannot_link) or max_size is not None
     if greedy:
         apart = [[] for _ in range(len(M))]
@@ -186,7 +191,8 @@ def lloyd(
                     counts[j] += size
                     break
                 else:
-                    component = (ids[ci],) if components is None else components[ci]
+                    rows = (ci,) if links is None else links.rows[ci]
+                    component = tuple(ids[i] for i in rows)
                     raise AssignmentDeadlockError(
                         f"no admissible cluster for must-link component "
                         f"{component} at iteration {iterations + 1}; "

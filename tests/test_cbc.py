@@ -25,6 +25,7 @@ from helpers import (
     pinned_values,
     random_constraint_spec,
     random_dataset,
+    take_rows,
 )
 
 # Golden fixture: pipeline on the bundled sample with the bundled spec,
@@ -199,6 +200,18 @@ def test_conflicting_links_rejected_up_front(sample_dataset):
     init = kmeans_pp_init(sample_dataset, config)
     with pytest.raises(DomainError, match="detect_deadlock"):
         constrained_assign(sample_dataset, init, spec, config)
+
+
+def test_lloyd_rejects_links_from_another_dataset(sample_dataset):
+    spec = spec_at(must_link=[("T100", "T101")], cannot_link=[("T102", "T103")])
+    links = build_link_components(spec, sample_dataset)
+    shuffled = take_rows(sample_dataset, reversed(range(len(sample_dataset))))
+    config = KMeansConfig(k=2, seed=1)
+    init = kmeans_pp_init(shuffled, config)
+    with pytest.raises(DomainError, match="another dataset"):
+        lloyd(shuffled, init, config, links=links)
+    labels = lloyd(sample_dataset, init, config, links=links).labels
+    assert labels[0] == labels[1] and labels[2] != labels[3]
 
 
 def test_refine_all_feasible_mirrors_parents(sample_dataset):

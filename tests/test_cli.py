@@ -387,6 +387,41 @@ def test_integer_literal_over_digit_limit_is_input_error(sample_paths, tmp_path,
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_is_input_error(sample_paths, tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, past its nesting limit.
+    data, constraints = sample_paths
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    assert run_cli("check", "--data", str(data), "--constraints", str(deep)) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON: maximum recursion depth")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(constraints), "--k", "3",
+        "--weights", str(deep),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {deep}: maximum recursion")
+
+
+def test_weights_whose_sum_overflows_are_input_error(sample_paths, tmp_path, capsys):
+    # Each weight is finite but their sum is not, which made every score 0.0
+    # (or NaN) in the report.
+    data, constraints = sample_paths
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"scalability": 1e308, "availability": 1e308}', encoding="utf-8")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(constraints), "--k", "3",
+        "--weights", str(weights),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: weights sum to more than the largest float\n"
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"distance_weights": {"scalability": 1e308, "availability": 1e308}}', encoding="utf-8"
+    )
+    assert run_cli("check", "--data", str(data), "--constraints", str(spec)) == 1
+    assert "weights sum to more than the largest float" in capsys.readouterr().err
+
+
 @NON_FINITE
 @pytest.mark.parametrize("command", ["cluster", "evaluate"])
 def test_weights_file_rejects_non_finite_numbers(sample_paths, tmp_path, capsys, literal, command):

@@ -10,6 +10,7 @@ from cbceval.constraints import (
     user_spec_rules,
 )
 from cbceval.errors import DomainError
+from cbceval.evaluate import deadlock_to_dict
 from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
@@ -203,8 +204,22 @@ def test_deadlock_coloring_rule(sample_dataset):
     ids = ["T100", "T101", "T102"]
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
     report = detect_deadlock(spec_at(cannot_link=pairs), sample_dataset, 2)
-    assert report.deadlocked
-    assert any(c.kind == "link-conflict" for c in report.causes)
+    assert deadlock_to_dict(report) == {
+        "deadlocked": True,
+        "stage": "bind",
+        "causes": [
+            {
+                "kind": "link-conflict",
+                "detail": "the cannot-link graph over 10 must-link components admits no 2-coloring",
+                "witness": {
+                    "components": [[cid] for cid in sample_dataset.ids()],
+                    "cannot_link_components": [[0, 1], [0, 2], [1, 2]],
+                    "k": 2,
+                },
+            }
+        ],
+        "warnings": [],
+    }
 
 
 def test_deadlock_size_link_interaction(sample_dataset):
@@ -367,3 +382,31 @@ def test_size_spec_with_must_link_keeps_warning():
     report = detect_deadlock(spec, dataset, 4)
     assert not report.deadlocked
     assert any(w.startswith(SIZE_WARNING) for w in report.warnings)
+
+
+def test_coloring_beyond_limit_checks_cannot_linked_components():
+    # 20 components, 3 of them mutually cannot-linked: the coloring runs over
+    # those 3 alone and names them in its witness.
+    dataset = twenty_candidates()
+    a, b, c = dataset.ids()[:3]
+    report = detect_deadlock(spec_at(1, cannot_link=[(a, b), (a, c), (b, c)]), dataset, 2)
+    assert deadlock_to_dict(report)["causes"] == [
+        {
+            "kind": "link-conflict",
+            "detail": "3 mutually cannot-linked components admit no 2-coloring",
+            "witness": {"components": [["C000"], ["C001"], ["C002"]], "k": 2},
+        }
+    ]
+    assert report.warnings == ()
+
+
+def test_coloring_beyond_limit_warns_when_too_many_are_cannot_linked():
+    dataset = twenty_candidates()
+    ids = dataset.ids()
+    chain = [(ids[i], ids[i + 1]) for i in range(14)]
+    report = detect_deadlock(spec_at(1, cannot_link=chain, max_cluster_size=10), dataset, 2)
+    assert not report.deadlocked
+    assert report.warnings == (
+        "cannot-link coloring not checked: 15 constrained components exceed the exact limit 12",
+        f"{SIZE_WARNING}: 20 components exceed the exact limit 12",
+    )

@@ -279,6 +279,13 @@ def test_weight_vector_validation(sample_dataset):
             weight_vector(schema, {"scalability": value})
 
 
+def test_weight_vector_rejects_overflowing_sum(sample_dataset):
+    schema = sample_dataset.schema
+    assert weight_vector(schema, {"scalability": 1e308})[2] == 1e308
+    with pytest.raises(DomainError, match="sum to more than the largest float"):
+        weight_vector(schema, {"scalability": 1e308, "availability": 1e308})
+
+
 def test_lloyd_sse_check_raises_package_error(sample_dataset, monkeypatch):
     # An infinite weight makes the SSE NaN; the check must raise a package
     # error (not an assert, which python -O strips).
