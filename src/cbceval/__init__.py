@@ -19,7 +19,7 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .evaluate import rank, report_json, report_to_dict
+from .evaluate import rank, report_json
 from .ingest import (
     ValidationReport,
     bind_and_validate,
@@ -43,7 +43,6 @@ from .model import (
     ConstraintSpec,
     DeadlockCause,
     DeadlockReport,
-    EvaluationReport,
     ExistentialRule,
     MicroCluster,
     MicroClustering,
@@ -67,7 +66,6 @@ __all__ = [
     "DeadlockCause",
     "DeadlockReport",
     "DomainError",
-    "EvaluationReport",
     "ExistentialRule",
     "KMeansConfig",
     "LinkComponents",
@@ -92,7 +90,6 @@ __all__ = [
     "rank",
     "refine_micro_clusters",
     "report_json",
-    "report_to_dict",
     "run_kmeans",
     "run_pipeline",
     "serialize_dataset",

@@ -2,8 +2,9 @@
 
 The composite score is a weighted mean of normalized ratings: linear,
 monotone in every rating, and invariant in ordering under positive weight
-rescaling. Reports serialize to JSON with numbers rounded to 12 significant
-digits so byte-level diffs stay stable.
+rescaling. ``rank`` builds a report once, as its JSON body, with numbers
+rounded to 12 significant digits so byte-level diffs stay stable;
+``report_json`` only adds the digest and timestamp and writes it out.
 """
 
 import hashlib
@@ -16,13 +17,7 @@ import numpy as np
 from .cbc import CBCResult
 from .ingest import constraint_spec_to_dict, serialize_dataset
 from .kmeans import CONVERGENCE_TOL, MAX_ITERATIONS, weight_vector
-from .model import (
-    AttributeSchema,
-    CandidateDataset,
-    EvaluationReport,
-    FEASIBLE,
-    RankedCandidate,
-)
+from .model import FEASIBLE, AttributeSchema, CandidateDataset
 
 
 def _weighted_means(
@@ -57,7 +52,8 @@ def _digest(rounded) -> str:
 
 
 # ``vars`` of a dataclass record is its fields in declaration order, the
-# JSON key order; ``round_floats`` copies it before anything is changed.
+# JSON key order. It is the frozen record's own ``__dict__``, so a body is
+# passed through ``round_floats``, which copies it, before it is handed out.
 def deadlock_to_dict(report) -> dict:
     return {
         "deadlocked": report.deadlocked,
@@ -71,13 +67,15 @@ def rank(
     result: CBCResult,
     dataset: CandidateDataset,
     weights: Mapping[str, float] | None = None,
-) -> EvaluationReport:
-    """Build the evaluation report for a pipeline result.
+) -> dict:
+    """The evaluation report body for a pipeline result, every float rounded.
 
-    Feasible micro-cluster members are ranked by composite score descending
-    (ties by ascending id); infeasible members land in the excluded section
-    with their violations. A bind-aborted result yields a report carrying
-    only metadata and the deadlock section.
+    Keys, in order: ``meta``, ``deadlock``, ``micro_clusters``, ``ranking``
+    (feasible candidates as ``{id, score, per_attribute}``, by exact score
+    descending, ties by ascending id) and ``excluded`` (infeasible candidates
+    as ``{id, violations}``, in dataset order). A bind-aborted result yields
+    ``meta`` and ``deadlock`` only. The body is a fresh copy: it shares no
+    mutable object with ``result``.
     """
     kmeans = result.config.kmeans
     config_payload = {
@@ -95,7 +93,7 @@ def rank(
         "refine": True,
         "weights": dict(sorted(weights.items())) if weights else None,
     }
-    meta: dict[str, object] = {
+    meta = {
         "seed": kmeans.seed,
         "k": result.spec.k if result.spec.k is not None else kmeans.k,
         "config_digest": _digest(round_floats(config_payload)),
@@ -107,73 +105,46 @@ def rank(
         "user_constraints": config_payload["spec"].get("user_spec"),
         "stages": [{"stage": s.name, "summary": s.summary} for s in result.stage_log],
     }
-
+    body = {"meta": meta, "deadlock": deadlock_to_dict(result.deadlock)}
     if result.micro is None:
-        return EvaluationReport(
-            meta=meta,
-            deadlock=result.deadlock,
-            micro=None,
-            ranking=(),
-            excluded=(),
-        )
+        return round_floats(body)
 
     result.clustering.label_array(dataset)  # rejects a result for other rows or order
     X = dataset.normalized
     scores = _weighted_means(X, dataset.schema, weights).tolist()
-    ids = dataset.ids()
+    ids, row_of, names = dataset.ids(), dataset.row_of, dataset.schema.names
     violations = result.micro.violations
-    names = dataset.schema.names
-    ranking = tuple(
-        RankedCandidate(id=ids[i], score=scores[i], per_attribute=dict(zip(names, X[i].tolist())))
+    body["micro_clusters"] = [
+        {
+            "parent": mc.parent,
+            "label": mc.label,
+            "members": [
+                {"id": cid, "score": scores[row_of[cid]]} if mc.label == FEASIBLE else {"id": cid}
+                for cid in mc.members
+            ],
+        }
+        for mc in result.micro.micro_clusters
+    ]
+    body["ranking"] = [
+        {"id": ids[i], "score": scores[i], "per_attribute": dict(zip(names, X[i].tolist()))}
         for i in sorted(
             (i for i, cid in enumerate(ids) if cid not in violations),
             key=lambda i: (-scores[i], ids[i]),
         )
-    )
-    excluded = tuple((cid, violations[cid]) for cid in ids if cid in violations)
-    return EvaluationReport(
-        meta=meta,
-        deadlock=result.deadlock,
-        micro=result.micro,
-        ranking=ranking,
-        excluded=excluded,
-    )
+    ]
+    body["excluded"] = [
+        {"id": cid, "violations": [vars(v) for v in violations[cid]]}
+        for cid in ids if cid in violations
+    ]
+    return round_floats(body)
 
 
-def report_to_dict(report: EvaluationReport, *, timestamp: str | None = None) -> dict:
-    """JSON-ready report dict. The timestamp (RFC 3339 UTC) is the only
-    run-to-run varying field and stays excluded from the embedded digest."""
+def report_json(body: dict, *, timestamp: str | None = None) -> str:
+    """The report text of a ``rank`` body, with ``report_digest`` and the
+    timestamp (RFC 3339 UTC) added to ``meta``. The timestamp is the only
+    run-to-run varying field and stays out of the digest; ``body`` itself is
+    left unchanged."""
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    body: dict = {"meta": dict(report.meta), "deadlock": deadlock_to_dict(report.deadlock)}
-    if report.micro is not None:
-        scores = {r.id: r.score for r in report.ranking}
-        body["micro_clusters"] = [
-            {
-                "parent": mc.parent,
-                "label": mc.label,
-                "members": [
-                    {"id": cid, "score": scores[cid]}
-                    if mc.label == FEASIBLE
-                    else {"id": cid}
-                    for cid in mc.members
-                ],
-            }
-            for mc in report.micro.micro_clusters
-        ]
-        body["ranking"] = [
-            {"id": r.id, "score": r.score, "per_attribute": r.per_attribute}
-            for r in report.ranking
-        ]
-        body["excluded"] = [
-            {"id": cid, "violations": [vars(v) for v in violations]}
-            for cid, violations in report.excluded
-        ]
-    body = round_floats(body)
-    body["meta"]["report_digest"] = _digest(body)
-    body["meta"]["timestamp"] = timestamp
-    return body
-
-
-def report_json(report: EvaluationReport, *, timestamp: str | None = None) -> str:
-    return json.dumps(report_to_dict(report, timestamp=timestamp), indent=2) + "\n"
+    meta = {**body["meta"], "report_digest": _digest(body), "timestamp": timestamp}
+    return json.dumps({**body, "meta": meta}, indent=2) + "\n"

@@ -92,7 +92,7 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
         if not name:
             raise ParseError(f"empty attribute name in column {i + 1}", locator="header")
         if name in names:
-            raise ParseError(f"duplicate column {name!r}", locator="header")
+            raise ParseError(f"duplicate column {_shown(name)}", locator="header")
         names.append(name)
 
     try:
@@ -122,7 +122,7 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
                 value = float(raw)
             except ValueError:
                 raise ParseError(
-                    f"not a number: {raw!r}", locator=f"row {cid}, column {name}"
+                    f"not a number: {_shown(raw)}", locator=f"row {cid}, column {name}"
                 ) from None
             if not SCALE_MIN <= value <= SCALE_MAX:
                 raise ParseError(
@@ -159,10 +159,16 @@ def _reject_bool(value, locator: str):
         raise ParseError("expected a number, got a boolean", locator=locator)
 
 
+def _shown(value) -> str:
+    """A rejected value as quoted in an error: its repr, cut to 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _as_int(value, locator: str) -> int:
     _reject_bool(value, locator)
     if not isinstance(value, int):
-        raise ParseError(f"expected an integer, got {value!r}", locator=locator)
+        raise ParseError(f"expected an integer, got {_shown(value)}", locator=locator)
     return value
 
 
@@ -171,7 +177,7 @@ def _as_number(value, locator: str) -> float:
     +-Infinity, and an integer too large for a float overflows to inf."""
     _reject_bool(value, locator)
     if not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {value!r}", locator=locator)
+        raise ParseError(f"expected a number, got {_shown(value)}", locator=locator)
     try:
         number = float(value)
     except OverflowError:
@@ -184,7 +190,7 @@ def _as_number(value, locator: str) -> float:
 def _check_keys(raw: dict, known, required, locator: str | None = None):
     for key in raw:
         if key not in known:
-            raise ParseError(f"unknown field {key!r}", locator=locator)
+            raise ParseError(f"unknown field {_shown(key)}", locator=locator)
     for key in required:
         if key not in raw:
             raise ParseError(f"required field {key!r} missing", locator=locator)
@@ -222,7 +228,7 @@ def _parse_rules(raw, locator: str) -> list[ExistentialRule]:
         op = entry["op"]
         if op not in COMPARATORS:
             raise ParseError(
-                f"op must be one of {list(COMPARATORS)}, got {op!r}", locator=loc
+                f"op must be one of {list(COMPARATORS)}, got {_shown(op)}", locator=loc
             )
         threshold = _as_number(entry["threshold"], f"{loc}.threshold")
         min_count = _as_int(entry["min_count"], f"{loc}.min_count")
@@ -346,7 +352,7 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
     if spec.distance_weights is not None:
         unknown = [name for name in spec.distance_weights if name not in names]
         for name in unknown:
-            report.error("distance_weights", f"unknown attribute {name!r}")
+            report.error("distance_weights", f"unknown attribute {_shown(name)}")
         if not unknown:
             # Unlisted attributes weigh 1, so only the full vector can be all zero.
             try:
@@ -356,7 +362,7 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
 
     for i, rule in enumerate(spec.existential):
         if rule.attribute not in names:
-            report.error(f"existential[{i}]", f"unknown attribute {rule.attribute!r}")
+            report.error(f"existential[{i}]", f"unknown attribute {_shown(rule.attribute)}")
         if rule.min_count == 0:
             report.warn(f"existential[{i}]", "min_count 0 makes the rule vacuous")
 

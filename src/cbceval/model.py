@@ -468,21 +468,3 @@ class DeadlockReport:
         object.__setattr__(self, "warnings", tuple(self.warnings))
         if self.deadlocked != bool(self.causes):
             raise DomainError("deadlocked must be true iff causes is non-empty")
-
-
-@dataclass(frozen=True)
-class RankedCandidate:
-    id: str
-    score: float
-    per_attribute: dict[str, float]
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Ranked feasible candidates plus exclusions, with run metadata."""
-
-    meta: dict[str, object]
-    deadlock: DeadlockReport
-    micro: MicroClustering | None
-    ranking: tuple[RankedCandidate, ...]
-    excluded: tuple[tuple[str, tuple[Violation, ...]], ...]

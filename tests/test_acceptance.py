@@ -198,8 +198,8 @@ def test_criterion_8_ranking_properties():
         weights = {n: rng.uniform(0.01, 10.0) for n in names}
         factor = rng.uniform(1e-3, 1e3)
         scaled = {n: w * factor for n, w in weights.items()}
-        if [r.id for r in rank(result, dataset, weights).ranking] != [
-            r.id for r in rank(result, dataset, scaled).ranking
+        if [r["id"] for r in rank(result, dataset, weights)["ranking"]] != [
+            r["id"] for r in rank(result, dataset, scaled)["ranking"]
         ]:
             rescale_failures += 1
 
@@ -210,7 +210,7 @@ def test_criterion_8_ranking_properties():
         sp = ConstraintSpec(feasibility_threshold=1)
         res = run_pipeline(d, sp, CBCConfig(kmeans=KMeansConfig(k=2, seed=trials)))
         report = rank(res, d)
-        order = [r.id for r in report.ranking]
+        order = [r["id"] for r in report["ranking"]]
         target = rng.choice(order)
         row = d.row_of[target]
         attr = rng.randrange(len(d.schema.names))
@@ -220,7 +220,7 @@ def test_criterion_8_ranking_properties():
         trials += 1
         ratings[row][attr] = min(10.0, ratings[row][attr] + rng.uniform(0.5, 4.0))
         new_dataset = CandidateDataset(d.schema, d.ids(), ratings, d.constraints_ratings)
-        new_order = [r.id for r in rank(res, new_dataset).ranking]
+        new_order = [r["id"] for r in rank(res, new_dataset)["ranking"]]
         if new_order.index(target) > order.index(target):
             monotonicity_failures += 1
 

@@ -12,6 +12,7 @@ import pytest
 from cbceval.cbc import CBCConfig, CBCResult, refine_micro_clusters
 from cbceval.constraints import detect_deadlock, effective_rules
 from cbceval.errors import DomainError
+from cbceval import evaluate
 from cbceval.evaluate import rank, round_floats
 from cbceval.kmeans import KMeansConfig, weight_vector
 from cbceval.model import (
@@ -338,24 +339,31 @@ def test_scores_match_per_candidate_reference(case):
         cid: reference_score(ratings, dataset.schema, weights)
         for cid, ratings, _ in table_rows(dataset)
     }
+    # Every row's exact score, the value rank sorts on, matches bit for bit.
+    exact = evaluate._weighted_means(dataset.normalized, dataset.schema, weights)
+    assert dict(zip(dataset.ids(), map(bits, exact.tolist()))) == {
+        cid: bits(score) for cid, score in expected.items()
+    }
     # With the threshold at the bottom of the scale and no rules, every
-    # candidate is feasible, so every row's score is checked.
+    # candidate is feasible, so every row's reported (rounded) score is checked.
     _, everyone = rank_one_cluster(
         dataset, ConstraintSpec(feasibility_threshold=SCALE_MIN), weights
     )
-    assert {r.id: bits(r.score) for r in everyone.ranking} == {
-        cid: bits(score) for cid, score in expected.items()
+    assert {r["id"]: bits(r["score"]) for r in everyone["ranking"]} == {
+        cid: bits(round_floats(score)) for cid, score in expected.items()
     }
     micro, report = rank_one_cluster(dataset, spec, weights)
     feasible = set(micro.feasible_ids())
-    assert [r.id for r in report.ranking] == sorted(feasible, key=lambda cid: (-expected[cid], cid))
-    for entry in report.ranking:
-        assert bits(entry.score) == bits(expected[entry.id])
-        ratings = dataset.ratings[dataset.row_of[entry.id]].tolist()
-        assert entry.per_attribute == dict(
-            zip(dataset.schema.names, reference_normalized(ratings))
+    assert [r["id"] for r in report["ranking"]] == sorted(
+        feasible, key=lambda cid: (-expected[cid], cid)
+    )
+    for entry in report["ranking"]:
+        assert bits(entry["score"]) == bits(round_floats(expected[entry["id"]]))
+        ratings = dataset.ratings[dataset.row_of[entry["id"]]].tolist()
+        assert entry["per_attribute"] == round_floats(
+            dict(zip(dataset.schema.names, reference_normalized(ratings)))
         )
-    assert [cid for cid, _ in report.excluded] == [
+    assert [e["id"] for e in report["excluded"]] == [
         cid for cid in dataset.ids() if cid not in feasible
     ]
 

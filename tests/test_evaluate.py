@@ -7,7 +7,7 @@ import pytest
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval import evaluate
 from cbceval.errors import DomainError
-from cbceval.evaluate import rank, report_json, report_to_dict, round_floats
+from cbceval.evaluate import _digest, rank, report_json, round_floats
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import (
     AttributeSchema,
@@ -49,14 +49,14 @@ def test_score_single_attribute_weight(sample_dataset):
 
 def test_rank_fixture_top_candidate(sample_dataset, sample_spec):
     report = rank(pipeline_result(sample_dataset, sample_spec), sample_dataset)
-    assert [r.id for r in report.ranking][0] == "T103"
-    assert len(report.ranking) == 6
-    assert [r.id for r in report.ranking] == sorted(
+    assert [r["id"] for r in report["ranking"]][0] == "T103"
+    assert len(report["ranking"]) == 6
+    assert [r["id"] for r in report["ranking"]] == sorted(
         FEASIBLE_AT_6, key=lambda cid: (-report_scores(report)[cid], cid)
     )
-    assert [cid for cid, _ in report.excluded] == INFEASIBLE_AT_6
-    for _, violations in report.excluded:
-        assert violations
+    assert [e["id"] for e in report["excluded"]] == INFEASIBLE_AT_6
+    for entry in report["excluded"]:
+        assert entry["violations"]
 
 
 def test_rank_excludes_in_dataset_order_whatever_the_map_order(sample_dataset, sample_spec):
@@ -65,7 +65,7 @@ def test_rank_excludes_in_dataset_order_whatever_the_map_order(sample_dataset, s
     assert list(reversed_map) == INFEASIBLE_AT_6[::-1]
     reversed_result = replace(result, micro=MicroClustering(result.clustering, reversed_map))
     report = rank(reversed_result, sample_dataset)
-    assert [cid for cid, _ in report.excluded] == INFEASIBLE_AT_6
+    assert [e["id"] for e in report["excluded"]] == INFEASIBLE_AT_6
     assert report_json(report, timestamp="t") == report_json(
         rank(result, sample_dataset), timestamp="t"
     )
@@ -79,13 +79,13 @@ def test_rank_rejects_a_result_for_other_rows(sample_dataset, sample_spec):
 
 
 def report_scores(report):
-    return {r.id: r.score for r in report.ranking}
+    return {r["id"]: r["score"] for r in report["ranking"]}
 
 
 def test_rank_completeness(sample_dataset, sample_spec):
     report = rank(pipeline_result(sample_dataset, sample_spec), sample_dataset)
-    assert len(report.ranking) + len(report.excluded) == len(sample_dataset)
-    ids = {r.id for r in report.ranking} | {cid for cid, _ in report.excluded}
+    assert len(report["ranking"]) + len(report["excluded"]) == len(sample_dataset)
+    ids = {r["id"] for r in report["ranking"]} | {e["id"] for e in report["excluded"]}
     assert ids == set(sample_dataset.ids())
 
 
@@ -95,9 +95,8 @@ def test_rank_empty_feasible_set(sample_dataset):
     # threshold 10 deadlocks at bind time (empty feasible set)
     assert result.aborted
     report = rank(result, sample_dataset)
-    assert report.ranking == ()
-    assert report.excluded == ()
-    assert report.deadlock.deadlocked
+    assert list(report) == ["meta", "deadlock"]
+    assert report["deadlock"]["deadlocked"]
 
 
 def test_rank_identical_candidates_tie_by_id():
@@ -105,7 +104,7 @@ def test_rank_identical_candidates_tie_by_id():
     dataset = CandidateDataset(schema, ["Z9", "A1", "M5"], [(5, 5), (5, 5), (2, 2)], [8, 8, 8])
     spec = ConstraintSpec(feasibility_threshold=5)
     report = rank(pipeline_result(dataset, spec, k=2, seed=1), dataset)
-    assert [r.id for r in report.ranking] == ["A1", "Z9", "M5"]
+    assert [r["id"] for r in report["ranking"]] == ["A1", "Z9", "M5"]
 
 
 def test_rank_scale_invariance_of_order(sample_dataset, sample_spec):
@@ -116,8 +115,8 @@ def test_rank_scale_invariance_of_order(sample_dataset, sample_spec):
         weights = {n: rng.uniform(0.01, 5.0) for n in names}
         factor = rng.uniform(0.001, 1000)
         scaled = {n: w * factor for n, w in weights.items()}
-        a = [r.id for r in rank(result, sample_dataset, weights).ranking]
-        b = [r.id for r in rank(result, sample_dataset, scaled).ranking]
+        a = [r["id"] for r in rank(result, sample_dataset, weights)["ranking"]]
+        b = [r["id"] for r in rank(result, sample_dataset, scaled)["ranking"]]
         assert a == b
 
 
@@ -128,7 +127,7 @@ def test_rank_monotone_in_ratings():
         spec = ConstraintSpec(feasibility_threshold=1)
         result = pipeline_result(dataset, spec, k=2, seed=rng.randrange(2**32))
         report = rank(result, dataset)
-        order = [r.id for r in report.ranking]
+        order = [r["id"] for r in report["ranking"]]
         target = rng.choice(order)
         row = dataset.row_of[target]
         attr = rng.randrange(len(dataset.schema.names))
@@ -142,7 +141,7 @@ def test_rank_monotone_in_ratings():
         new_report = rank(
             pipeline_result(new_dataset, spec, k=2, seed=1), new_dataset
         )
-        new_order = [r.id for r in new_report.ranking]
+        new_order = [r["id"] for r in new_report["ranking"]]
         assert new_order.index(target) <= order.index(target)
 
 
@@ -168,8 +167,8 @@ def test_report_json_shape(sample_dataset, sample_spec):
 
 def test_report_digest_excludes_timestamp(sample_dataset, sample_spec):
     report = rank(pipeline_result(sample_dataset, sample_spec), sample_dataset)
-    a = report_to_dict(report, timestamp="1970-01-01T00:00:00Z")
-    b = report_to_dict(report, timestamp="2000-06-15T12:30:00Z")
+    a = json.loads(report_json(report, timestamp="1970-01-01T00:00:00Z"))
+    b = json.loads(report_json(report, timestamp="2000-06-15T12:30:00Z"))
     assert a["meta"]["report_digest"] == b["meta"]["report_digest"]
     a["meta"].pop("timestamp")
     b["meta"].pop("timestamp")
@@ -193,21 +192,53 @@ def test_aborted_report_has_only_deadlock_section(sample_dataset):
     assert payload["deadlock"]["deadlocked"] is True
 
 
-def test_rounding_a_report_body_twice_changes_nothing(monkeypatch):
-    # report_to_dict hashes the body it has already rounded; that equals
+def test_rounding_a_report_body_twice_changes_nothing():
+    # rank rounds once and report_json hashes the body as is; that equals
     # hashing a second rounding only because rounding is idempotent.
     rng = random.Random(11)
     dataset = random_dataset(rng, 300, 5)
     weights = {name: rng.uniform(0.1, 3.0) for name in dataset.schema.names}
     spec = ConstraintSpec(feasibility_threshold=4, distance_weights=weights)
-    report = rank(pipeline_result(dataset, spec, k=4, seed=9), dataset, weights)
-    monkeypatch.setattr(evaluate, "round_floats", lambda value: value)
-    body = report_to_dict(report, timestamp="1970-01-01T00:00:00Z")
-    monkeypatch.undo()
-    once = round_floats(body)
-    assert once != body
-    assert round_floats(once) == once
-    assert repr(round_floats(once)) == repr(once)
-    rounded = report_to_dict(report, timestamp="1970-01-01T00:00:00Z")
-    del once["meta"]["report_digest"], rounded["meta"]["report_digest"]
-    assert once == rounded
+    result = pipeline_result(dataset, spec, k=4, seed=9)
+    body = rank(result, dataset, weights)
+    exact = evaluate._weighted_means(dataset.normalized, dataset.schema, weights).tolist()
+    assert any(r["score"] != exact[dataset.row_of[r["id"]]] for r in body["ranking"])
+    assert round_floats(body) == body
+    assert repr(round_floats(body)) == repr(body)
+    written = json.loads(report_json(body, timestamp="1970-01-01T00:00:00Z"))
+    assert written["meta"]["report_digest"] == _digest(body)
+
+
+def test_report_body_shares_nothing_with_the_result(sample_dataset, sample_spec):
+    result = pipeline_result(sample_dataset, sample_spec)
+    violations, deadlock = repr(result.micro.violations), repr(result.deadlock)
+    text = report_json(rank(result, sample_dataset), timestamp="t")
+    body = rank(result, sample_dataset)
+    body["excluded"][0]["violations"][0]["message"] = "changed"
+    body["deadlock"]["causes"].append({"kind": "changed"})
+    body["meta"]["stages"][0]["summary"] = "changed"
+    assert repr(result.micro.violations) == violations
+    assert repr(result.deadlock) == deadlock
+    assert report_json(rank(result, sample_dataset), timestamp="t") == text
+
+
+def test_aborted_report_body_shares_nothing_with_the_result(sample_dataset):
+    result = pipeline_result(sample_dataset, ConstraintSpec(feasibility_threshold=10))
+    deadlock = repr(result.deadlock)
+    text = report_json(rank(result, sample_dataset), timestamp="t")
+    body = rank(result, sample_dataset)
+    body["deadlock"]["causes"][0]["kind"] = "changed"
+    body["deadlock"]["causes"][0]["witness"]["population"] = -1
+    body["meta"]["stages"][0]["summary"] = "changed"
+    assert repr(result.deadlock) == deadlock
+    assert report_json(rank(result, sample_dataset), timestamp="t") == text
+
+
+def test_report_json_is_repeatable_and_leaves_the_body_alone(sample_dataset, sample_spec):
+    body = rank(pipeline_result(sample_dataset, sample_spec), sample_dataset)
+    before = repr(body)
+    first = report_json(body, timestamp="t")
+    assert report_json(body, timestamp="t") == first
+    assert "report_digest" not in body["meta"]
+    assert "timestamp" not in body["meta"]
+    assert repr(body) == before

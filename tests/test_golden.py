@@ -117,6 +117,14 @@ def test_golden_linked_report():
     )
 
 
+def test_golden_aborted_report(sample_dataset):
+    # threshold 10 empties the feasible set: only meta and deadlock are written
+    spec = ConstraintSpec(feasibility_threshold=10)
+    assert report_sha256(sample_dataset, spec, k=3, seed=42) == (
+        "7090aad5c64fcfa6f1a37ece9e0efdf1f7a93d65d1aedeb991d1d97b52933e01"
+    )
+
+
 #: Ids holding a quote, a backslash, an internal tab, a non-ASCII letter and a
 #: non-BMP character, a non-ASCII attribute name, and two rows below the
 #: default threshold so ``excluded`` is written too.

@@ -280,6 +280,20 @@ MALFORMED_SPECS = [
     ({"must_link": "ab"}, "must_link: expected an array of id pairs"),
     ({"distance_weights": [1]}, "distance_weights: expected an object"),
     ({"distance_weights": {"a": -1}}, "distance weight for a is negative"),
+    # a long rejected value is quoted as its repr cut to 40 characters
+    (
+        {"k": [1] * 3000},
+        "k: expected an integer, got [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ... (9000 characters)",
+    ),
+    (
+        {"distance_weights": {"reusability": "x" * 5000}},
+        f"distance_weights.reusability: expected a number, got '{'x' * 39}... (5002 characters)",
+    ),
+    (
+        {"existential": [{**RULE, "op": ">" * 1000}]},
+        "existential[0]: op must be one of ['>=', '<=', '>', '<', '=='], got "
+        f"'{'>' * 39}... (1002 characters)",
+    ),
 ]
 
 
@@ -288,6 +302,12 @@ def test_malformed_spec_error_text(spec, message):
     with pytest.raises(ParseError) as info:
         parse_constraint_spec(json.dumps(spec))
     assert str(info.value) == message
+
+
+def test_long_csv_cell_is_cut_in_errors():
+    with pytest.raises(ParseError) as info:
+        parse_dataset("id,a,constraints\nx," + "q" * 2000 + ",5\n")
+    assert str(info.value) == f"row x, column a: not a number: '{'q' * 39}... (2002 characters)"
 
 
 def spec_round_trip(spec):
