@@ -13,7 +13,7 @@ import sys
 
 from .cbc import CBCConfig, run_pipeline
 from .constraints import detect_deadlock
-from .errors import AssignmentDeadlockError, CapacityError, CBCError, ParseError
+from .errors import AssignmentDeadlockError, CapacityError, CBCError, ParseError, _cut
 from .evaluate import deadlock_to_dict, rank, report_json, round_floats
 from .ingest import _as_number, bind_and_validate, parse_constraint_spec, parse_dataset
 from .kmeans import KMeansConfig, choose_k, run_kmeans, sse, weight_vector
@@ -74,7 +74,7 @@ def _load_weights(path: str | None) -> dict | None:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: weights must be an object of attribute -> number")
-    return {k: _as_number(v, f"{path}:{k}") for k, v in data.items()}
+    return {k: _as_number(v, f"{path}:{_cut(k)}") for k, v in data.items()}
 
 
 def _bound_inputs(args) -> tuple:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show
+outside input."""
+
+
+def _cut(text: str) -> str:
+    """Outside text as echoed in an error: whole up to 40 characters, else
+    its first 40 characters and its length."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def _shown(value) -> str:
+    """A rejected value as quoted in an error: its repr, cut to 40 characters."""
+    return _cut(repr(value))
 
 
 class CBCError(Exception):

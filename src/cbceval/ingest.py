@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _cut, _shown
 from .kmeans import weight_vector
 from .model import (
     AttributeSchema,
@@ -157,12 +157,6 @@ def serialize_dataset(dataset: CandidateDataset) -> str:
 def _reject_bool(value, locator: str):
     if isinstance(value, bool):
         raise ParseError("expected a number, got a boolean", locator=locator)
-
-
-def _shown(value) -> str:
-    """A rejected value as quoted in an error: its repr, cut to 40 characters."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _as_int(value, locator: str) -> int:
@@ -347,7 +341,7 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
         for i, (a, b) in enumerate(getattr(spec, label)):
             for cid in (a, b):
                 if cid not in ids:
-                    report.error(f"{label}[{i}]", f"unknown id {cid}")
+                    report.error(f"{label}[{i}]", f"unknown id {_cut(cid)}")
 
     if spec.distance_weights is not None:
         unknown = [name for name in spec.distance_weights if name not in names]

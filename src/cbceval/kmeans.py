@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .constraints import LinkComponents
-from .errors import AssignmentDeadlockError, CBCError, DomainError
+from .errors import AssignmentDeadlockError, CBCError, DomainError, _shown
 from .model import AttributeSchema, CandidateDataset, Clustering
 from .rng import SplitMix64, child_seed
 
@@ -53,7 +53,7 @@ def weight_vector(
         return np.ones(len(schema.names), dtype=np.float64)
     for name, value in weights.items():
         if name not in schema.names:
-            raise DomainError(f"unknown attribute {name!r} in weights")
+            raise DomainError(f"unknown attribute {_shown(name)} in weights")
         if not math.isfinite(value):
             raise DomainError(f"weight for {name} is not finite")
         if value < 0:
@@ -304,36 +304,57 @@ def silhouette(dataset: CandidateDataset, clustering: Clustering) -> float:
     normalized ratings. Singleton members contribute 0, as does the
     degenerate a = b = 0 case.
 
-    Distances are computed for ``SILHOUETTE_BLOCK`` rows at a time, so
-    memory is O(block * n * d) rather than O(n^2 * d). Each mean runs over
-    its members in dataset order, so the block size never changes a score.
+    The one-clustering call of ``_silhouettes``, which ``choose_k`` uses to
+    score its whole sweep in one pass; the score is the same bits either way.
     """
-    k = clustering.k
-    if k < 2:
-        raise DomainError("silhouette needs at least 2 clusters")
-    X = dataset.normalized
-    labels = clustering.label_array(dataset)
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        raise DomainError("silhouette needs every cluster non-empty")
-    members = [np.flatnonzero(labels == j) for j in range(k)]
+    return _silhouettes(dataset, [clustering])[0]
 
+
+def _silhouettes(dataset: CandidateDataset, clusterings) -> list[float]:
+    """``silhouette`` of each clustering of ``dataset``, from one pass over
+    the distance blocks.
+
+    Distances are computed for ``SILHOUETTE_BLOCK`` rows at a time and each
+    block is shared by every clustering, so memory is O(block * n * d) plus
+    one label array per clustering, rather than O(n^2 * d). Each mean runs
+    over a C-contiguous row of its members in dataset order, the same sum a
+    1-D mean takes, so neither the block size nor the batch changes a score.
+    """
+    X = dataset.normalized
     n = len(dataset)
-    scores = np.zeros(n)
+    sweep = []
+    for clustering in clusterings:
+        if clustering.k < 2:
+            raise DomainError("silhouette needs at least 2 clusters")
+        labels = clustering.label_array(dataset)
+        counts = np.bincount(labels, minlength=clustering.k)
+        if np.any(counts == 0):
+            raise DomainError("silhouette needs every cluster non-empty")
+        members = [np.flatnonzero(labels == j) for j in range(clustering.k)]
+        sweep.append((labels, counts, members, np.zeros(n)))
+
     for start in range(0, n, SILHOUETTE_BLOCK):
         block = X[start : start + SILHOUETTE_BLOCK]
         D = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-        for r, own in enumerate(labels[start : start + len(block)].tolist()):
-            if counts[own] < 2:
-                continue
-            i = start + r
-            same = members[own]
-            a = float(D[r, same[same != i]].mean())
-            b = min(float(D[r, members[other]].mean()) for other in range(k) if other != own)
-            denom = max(a, b)
-            if denom != 0.0:
-                scores[i] = (b - a) / denom
-    return float(np.mean(scores))
+        rows = np.arange(start, start + len(block))
+        for labels, counts, members, scores in sweep:
+            own = labels[rows]
+            a = np.zeros(len(block))
+            b = np.full(len(block), np.inf)
+            for j, same in enumerate(members):
+                # take, not D[:, same]: a fancy index on axis 1 gives a
+                # strided array whose row means differ in the last bit.
+                to_j = D.take(same, axis=1)
+                mine = own == j
+                b = np.minimum(b, np.where(mine, np.inf, to_j.mean(axis=1)))
+                inside = np.flatnonzero(mine)
+                if len(same) > 1 and len(inside):
+                    others = same[None, :] != rows[inside, None]
+                    a[inside] = to_j[inside][others].reshape(len(inside), -1).mean(axis=1)
+            denom = np.maximum(a, b)
+            scored = (counts[own] > 1) & (denom != 0.0)
+            scores[rows[scored]] = (b[scored] - a[scored]) / denom[scored]
+    return [float(np.mean(scores)) for _, _, _, scores in sweep]
 
 
 #: ``choose_k`` sweeps k = 2..min(CHOOSE_K_MAX, n - 1), scoring the best of
@@ -345,16 +366,19 @@ CHOOSE_K_RESTARTS = 10
 def choose_k(dataset: CandidateDataset, seed: int) -> int:
     """The cluster count for a run that gives none: 1 below three
     candidates, else the swept k maximizing silhouette over seeded
-    best-of-restarts unweighted runs; ties go to the smallest k."""
+    best-of-restarts unweighted runs; ties go to the smallest k.
+
+    Every k is clustered first, in order, through ``run_kmeans``; then one
+    pass over the ``SILHOUETTE_BLOCK``-row distance blocks scores all the
+    clusterings, so memory is O(block * n * d) plus one label array per k,
+    and each score has the bits a separate ``silhouette`` call gives."""
     n = len(dataset)
     if n < 3:
         return 1
-    best_k = None
-    best_score = -np.inf
-    for k in range(2, min(CHOOSE_K_MAX, n - 1) + 1):
-        config = KMeansConfig(k=k, seed=child_seed(seed, k), restarts=CHOOSE_K_RESTARTS)
-        clustering = run_kmeans(dataset, config)
-        score = silhouette(dataset, clustering)
-        if score > best_score:
-            best_k, best_score = k, score
-    return best_k
+    ks = range(2, min(CHOOSE_K_MAX, n - 1) + 1)
+    clusterings = [
+        run_kmeans(dataset, KMeansConfig(k=k, seed=child_seed(seed, k), restarts=CHOOSE_K_RESTARTS))
+        for k in ks
+    ]
+    scores = _silhouettes(dataset, clusterings)
+    return ks[scores.index(max(scores))]

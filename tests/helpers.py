@@ -3,7 +3,10 @@
 import hashlib
 import random
 
+import numpy as np
+
 from cbceval.constraints import feasibility_partition
+from cbceval.kmeans import SILHOUETTE_BLOCK
 from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
@@ -165,3 +168,31 @@ def pinned_values(clustering, dataset: CandidateDataset) -> tuple:
         repr(clustering.sse),
         clustering.iterations,
     )
+
+
+def reference_silhouette(dataset: CandidateDataset, clustering) -> float:
+    """Mean silhouette coefficient one row and one 1-D mean at a time, over
+    blocks of ``SILHOUETTE_BLOCK`` distance rows: the per-row form that
+    ``kmeans.silhouette`` must equal bit for bit."""
+    k = clustering.k
+    X = dataset.normalized
+    labels = clustering.label_array(dataset)
+    counts = np.bincount(labels, minlength=k)
+    members = [np.flatnonzero(labels == j) for j in range(k)]
+
+    n = len(dataset)
+    scores = np.zeros(n)
+    for start in range(0, n, SILHOUETTE_BLOCK):
+        block = X[start : start + SILHOUETTE_BLOCK]
+        D = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        for r, own in enumerate(labels[start : start + len(block)].tolist()):
+            if counts[own] < 2:
+                continue
+            i = start + r
+            same = members[own]
+            a = float(D[r, same[same != i]].mean())
+            b = min(float(D[r, members[other]].mean()) for other in range(k) if other != own)
+            denom = max(a, b)
+            if denom != 0.0:
+                scores[i] = (b - a) / denom
+    return float(np.mean(scores))

@@ -214,6 +214,16 @@ def test_check_unknown_id(sample_paths, tmp_path, capsys):
     assert "unknown id T999" in err
 
 
+def test_long_link_id_is_cut_in_errors(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    spec = tmp_path / "long-id.json"
+    spec.write_text(json.dumps({"must_link": [["b" * 100_000, "T100"]]}), encoding="utf-8")
+    code = run_cli("check", "--data", str(data), "--constraints", str(spec))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: must_link[0]: unknown id {'b' * 40}... (100000 characters)\n"
+
+
 def test_check_rejects_all_zero_spec_weights(sample_paths, tmp_path, capsys):
     data, _ = sample_paths
     names = ("reusability", "customizability", "scalability", "availability",
@@ -333,6 +343,23 @@ def test_evaluate_rejects_weights_before_clustering(sample_paths, tmp_path, caps
     )
     assert code == 1
     assert capsys.readouterr().err == "error: unknown attribute 'nosuch' in weights\n"
+
+
+@pytest.mark.parametrize("value", ["x", 1])
+def test_long_weights_key_is_cut_in_errors(sample_paths, tmp_path, capsys, value):
+    # A key with a bad number fails in the locator, one with a good number
+    # as an unknown attribute; neither echoes the key whole.
+    data, constraints = sample_paths
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"a" * 100_000: value}), encoding="utf-8")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(constraints),
+        "--k", "3", "--weights", str(weights),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "a" * 39 + "... (1000" in err
+    assert len(err.encode()) < 300
 
 
 # JSON literals Python's json accepts that are not finite floats.

@@ -19,7 +19,7 @@ from cbceval.kmeans import (
 )
 from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 from cbceval.oracle import brute_force_min_sse
-from cbceval.rng import SplitMix64
+from cbceval.rng import SplitMix64, child_seed
 
 from helpers import partition_signature, pinned_values, random_dataset, take_rows
 
@@ -435,6 +435,20 @@ def test_choose_k_sweeps_up_to_the_cap(sample_dataset, monkeypatch):
     swept.clear()
     choose_k(take_rows(sample_dataset, range(5)), seed=0)
     assert swept == [2, 3, 4]
+
+
+@pytest.mark.parametrize(("seed", "n", "d"), [(41, 300, 3), (42, 520, 6)])
+def test_choose_k_matches_a_per_k_sweep(seed, n, d):
+    # The per-k loop that perfbench/trace_layers.py replays: one silhouette
+    # per clustering, the first best score wins.
+    dataset = random_dataset(random.Random(seed), n, d)
+    best_k, best = None, -np.inf
+    for k in range(2, kmeans.CHOOSE_K_MAX + 1):
+        config = KMeansConfig(k=k, seed=child_seed(seed, k), restarts=kmeans.CHOOSE_K_RESTARTS)
+        score = silhouette(dataset, run_kmeans(dataset, config))
+        if score > best:
+            best_k, best = k, score
+    assert choose_k(dataset, seed) == best_k
 
 
 def test_restart_reduction_prefers_lower_sse(sample_dataset):
