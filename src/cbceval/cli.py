@@ -64,6 +64,10 @@ def _emit(text: str, out: str | None):
         raise CBCError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
+def _emit_json(payload, out: str | None):
+    _emit(json.dumps(round_floats(payload), indent=2) + "\n", out)
+
+
 def _load_weights(path: str | None) -> dict | None:
     if path is None:
         return None
@@ -111,7 +115,7 @@ def _cmd_cluster(args) -> int:
     weights = _load_weights(args.weights)
     config = KMeansConfig(k=_fixed_k(args, dataset, spec), seed=args.seed, restarts=args.restarts)
     clustering = run_kmeans(dataset, config, weights)
-    payload = round_floats(
+    _emit_json(
         {
             "k": clustering.k,
             "seed": clustering.seed,
@@ -120,9 +124,9 @@ def _cmd_cluster(args) -> int:
             "attributes": list(dataset.schema.names),
             "assignment": clustering.assignment,
             "centroids": [list(c) for c in clustering.centroids],
-        }
+        },
+        args.out,
     )
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -145,8 +149,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_check(args) -> int:
     dataset, spec = _bound_inputs(args)
     report = detect_deadlock(spec, dataset, _fixed_k(args, dataset, spec))
-    payload = round_floats(deadlock_to_dict(report))
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit_json(deadlock_to_dict(report), None)
     return EXIT_DEADLOCK if report.deadlocked else EXIT_OK
 
 

@@ -3,21 +3,31 @@
 The composite score is a weighted mean of normalized ratings: linear,
 monotone in every rating, and invariant in ordering under positive weight
 rescaling. ``rank`` builds a report once, as its JSON body, with numbers
-rounded to 12 significant digits so byte-level diffs stay stable;
-``report_json`` only adds the digest and timestamp and writes it out.
+rounded to 12 significant digits so byte-level diffs stay stable; each
+distinct value is rounded once. ``report_json`` adds the digest and
+timestamp and writes the text. ``meta`` and ``deadlock`` go through
+``json.dumps``; the three bulk sections (``micro_clusters``, ``ranking``,
+``excluded``) are written from fixed per-entry templates, because the
+stdlib's indented encoder is pure Python and took most of a large report's
+time. The templates give the same bytes as ``json.dumps(body, indent=2)``,
+and the digest hashes the same text as the sorted compact dump; the tests
+keep the stdlib form as the reference and compare byte for byte.
 """
 
 import hashlib
 import json
+from dataclasses import fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
 
 from .cbc import CBCResult
-from .ingest import constraint_spec_to_dict, serialize_dataset
+from .ingest import _OncePerValue, constraint_spec_to_dict, serialize_dataset
 from .kmeans import CONVERGENCE_TOL, MAX_ITERATIONS, weight_vector
-from .model import FEASIBLE, AttributeSchema, CandidateDataset
+from .model import FEASIBLE, AttributeSchema, CandidateDataset, Violation
 
 
 def _weighted_means(
@@ -33,10 +43,14 @@ def _weighted_means(
     return s / float(w.sum())
 
 
+def _round12(value: float) -> float:
+    return float(format(value, ".12g"))
+
+
 def round_floats(value):
     """Round floats to 12 significant digits, recursively, for diff-stable JSON."""
     if isinstance(value, float):
-        return float(format(value, ".12g"))
+        return _round12(value)
     if isinstance(value, dict):
         return {k: round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -44,11 +58,17 @@ def round_floats(value):
     return value
 
 
+_COMPACT = {"sort_keys": True, "separators": (",", ":")}
+
+
 def _digest(rounded) -> str:
     """sha256 of canonical JSON of a payload whose floats are already rounded
     (rounding is idempotent, so a rounded payload is hashed as is)."""
-    canonical = json.dumps(rounded, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(rounded, **_COMPACT)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+_VIOLATION_FLOATS = tuple(f.name for f in fields(Violation) if f.type is float)
 
 
 # ``vars`` of a dataclass record is its fields in declaration order, the
@@ -105,15 +125,28 @@ def rank(
         "user_constraints": config_payload["spec"].get("user_spec"),
         "stages": [{"stage": s.name, "summary": s.summary} for s in result.stage_log],
     }
-    body = {"meta": meta, "deadlock": deadlock_to_dict(result.deadlock)}
+    body = round_floats({"meta": meta, "deadlock": deadlock_to_dict(result.deadlock)})
     if result.micro is None:
-        return round_floats(body)
+        return body
 
     result.clustering.label_array(dataset)  # rejects a result for other rows or order
     X = dataset.normalized
-    scores = _weighted_means(X, dataset.schema, weights).tolist()
+    means = _weighted_means(X, dataset.schema, weights)
+    exact = means.tolist()
+    # The bulk floats are rounded where they are made: a report has few
+    # distinct scores and ratings, so each is rounded once.
+    rounded = _OncePerValue(_round12)
+    scores = rounded.of_array(means)
     ids, row_of, names = dataset.ids(), dataset.row_of, dataset.schema.names
     violations = result.micro.violations
+
+    def violation_dict(v: Violation) -> dict:
+        record = vars(v).copy()
+        for key in _VIOLATION_FLOATS:
+            if isinstance(record[key], float):
+                record[key] = rounded[record[key]]
+        return record
+
     body["micro_clusters"] = [
         {
             "parent": mc.parent,
@@ -125,26 +158,159 @@ def rank(
         }
         for mc in result.micro.micro_clusters
     ]
+    ranked = sorted((i for i, cid in enumerate(ids) if cid not in violations), key=ids.__getitem__)
+    ranked.sort(key=exact.__getitem__, reverse=True)  # stable: ties stay in id order
+    per_attribute = rounded.of_array(X[ranked])
     body["ranking"] = [
-        {"id": ids[i], "score": scores[i], "per_attribute": dict(zip(names, X[i].tolist()))}
-        for i in sorted(
-            (i for i, cid in enumerate(ids) if cid not in violations),
-            key=lambda i: (-scores[i], ids[i]),
-        )
+        {"id": ids[i], "score": scores[i], "per_attribute": dict(zip(names, values))}
+        for i, values in zip(ranked, per_attribute)
     ]
     body["excluded"] = [
-        {"id": cid, "violations": [vars(v) for v in violations[cid]]}
+        {"id": cid, "violations": [violation_dict(v) for v in violations[cid]]}
         for cid in ids if cid in violations
     ]
-    return round_floats(body)
+    return body
+
+
+# The report text. Each bulk entry is written twice from one tuple of value
+# texts: indented as ``json.dumps(indent=2)`` writes it at its depth, and in
+# the sorted compact form that ``report_digest`` hashes. A value's text is
+# what ``json.dumps`` writes for it: strings go through the stdlib's own
+# ``encode_basestring_ascii``, and each distinct float is written once, by
+# ``json.dumps`` itself.
+
+
+def _texts(values, floats: _OncePerValue) -> tuple[str, ...]:
+    """The JSON text of each scalar in ``values``; ``floats`` memoises
+    ``json.dumps`` of floats."""
+    return tuple(
+        [
+            floats[x] if isinstance(x, float)
+            else _quote(x) if isinstance(x, str)
+            else json.dumps(x)
+            for x in values
+        ]
+    )
+
+
+def _key(name: str) -> str:
+    """A JSON object key as %-template text."""
+    return _quote(name).replace("%", "%%")
+
+
+class _Object:
+    """Templates of a JSON object with fixed keys at nesting ``depth``, filled
+    with the texts of its values in key order."""
+
+    def __init__(self, keys: tuple[str, ...], depth: int):
+        inner = "\n" + "  " * (depth + 1)
+        self.indented = (
+            "{" + inner + ("," + inner).join(f"{_key(k)}: %s" for k in keys)
+            + "\n" + "  " * depth + "}"
+        )
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.compact = "{" + ",".join(f"{_key(keys[i])}:%s" for i in order) + "}"
+        self._sorted = itemgetter(*order)
+
+    def write(self, texts: tuple, compact_texts: tuple | None = None) -> tuple[str, str]:
+        """(indented, compact) text; ``compact_texts`` replaces ``texts`` in
+        the compact form where a value is itself a container."""
+        return self.indented % texts, self.compact % self._sorted(compact_texts or texts)
+
+
+def _arrays(written: list[tuple[str, str]], depth: int) -> tuple[str, str]:
+    """The JSON array of ``written`` items: indented at nesting ``depth``,
+    and compact."""
+    if not written:
+        return "[]", "[]"
+    indented, compact = zip(*written)
+    inner = "\n" + "  " * (depth + 1)
+    return (
+        "[" + inner + ("," + inner).join(indented) + "\n" + "  " * depth + "]",
+        "[" + ",".join(compact) + "]",
+    )
+
+
+# Depths: the body is 0, a section 1, its entries 2, their arrays and
+# objects 3.
+_SCORED_MEMBER = _Object(("id", "score"), 4)
+_MEMBER = _Object(("id",), 4)
+_MICRO_CLUSTER = _Object(("parent", "label", "members"), 2)
+_RANKED = _Object(("id", "score", "per_attribute"), 2)
+_VIOLATION = _Object(tuple(f.name for f in fields(Violation)), 4)
+_EXCLUDED = _Object(("id", "violations"), 2)
+
+
+def _micro_clusters(section: list, floats: _OncePerValue) -> list[tuple[str, str]]:
+    written = []
+    for mc in section:
+        if mc["label"] == FEASIBLE:
+            members = [
+                _SCORED_MEMBER.write(_texts((m["id"], m["score"]), floats))
+                for m in mc["members"]
+            ]
+        else:
+            members = [_MEMBER.write((_quote(m["id"]),)) for m in mc["members"]]
+        head = _texts((mc["parent"], mc["label"]), floats)
+        indented, compact = _arrays(members, 3)
+        written.append(_MICRO_CLUSTER.write((*head, indented), (*head, compact)))
+    return written
+
+
+def _ranking(section: list, floats: _OncePerValue) -> list[tuple[str, str]]:
+    if not section:
+        return []
+    attributes = _Object(tuple(section[0]["per_attribute"]), 3)
+    written = []
+    for entry in section:
+        indented, compact = attributes.write(_texts(entry["per_attribute"].values(), floats))
+        head = _texts((entry["id"], entry["score"]), floats)
+        written.append(_RANKED.write((*head, indented), (*head, compact)))
+    return written
+
+
+def _excluded(section: list, floats: _OncePerValue) -> list[tuple[str, str]]:
+    written = []
+    for entry in section:
+        violations = [_VIOLATION.write(_texts(v.values(), floats)) for v in entry["violations"]]
+        indented, compact = _arrays(violations, 3)
+        cid = _quote(entry["id"])
+        written.append(_EXCLUDED.write((cid, indented), (cid, compact)))
+    return written
+
+
+_SECTIONS = {"micro_clusters": _micro_clusters, "ranking": _ranking, "excluded": _excluded}
 
 
 def report_json(body: dict, *, timestamp: str | None = None) -> str:
     """The report text of a ``rank`` body, with ``report_digest`` and the
     timestamp (RFC 3339 UTC) added to ``meta``. The timestamp is the only
     run-to-run varying field and stays out of the digest; ``body`` itself is
-    left unchanged."""
+    left unchanged.
+
+    The text is ``json.dumps(report, indent=2)`` plus a newline, byte for
+    byte, and ``report_digest`` is the sha256 of the body's
+    ``json.dumps(sort_keys=True, separators=(",", ":"))``. Only ``meta`` and
+    ``deadlock`` go through ``json.dumps`` whole: the bulk sections are
+    written entry by entry from templates of the shape ``rank`` gives them,
+    so a body passed here must keep that shape (the keys of its entries)."""
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    meta = {**body["meta"], "report_digest": _digest(body), "timestamp": timestamp}
-    return json.dumps({**body, "meta": meta}, indent=2) + "\n"
+    floats = _OncePerValue(json.dumps)
+    indented, compact = {}, {}
+    for key, value in body.items():
+        if key in _SECTIONS:
+            indented[key], compact[key] = _arrays(_SECTIONS[key](value, floats), 1)
+        else:
+            compact[key] = json.dumps(value, **_COMPACT)
+    digest = hashlib.sha256(b"{")
+    for i, key in enumerate(sorted(body)):
+        digest.update(f'{"," if i else ""}{_quote(key)}:{compact.pop(key)}'.encode("utf-8"))
+    digest.update(b"}")
+    meta = {**body["meta"], "report_digest": digest.hexdigest(), "timestamp": timestamp}
+    report = {**body, "meta": meta}
+    for key, value in report.items():
+        if key not in indented:
+            # a nested value's stdlib text, moved one level in
+            indented[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
+    return "{\n" + ",\n".join(f"  {_quote(key)}: {indented[key]}" for key in report) + "\n}\n"

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
+import numpy as np
+
 from .errors import DomainError, ParseError, _cut, _shown
 from .kmeans import weight_vector
 from .model import (
@@ -138,19 +140,49 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
     return CandidateDataset(schema, ids, ratings, constraints)
 
 
+class _OncePerValue(dict):
+    """``fn`` of floats, memoised: ``memo[v]`` computes ``fn(v)`` once per
+    distinct value. Only floats may be looked up, since ``1 == 1.0`` would
+    share an entry. So would ``0.0 == -0.0``: zeros are kept under
+    ``(value, sign)`` keys instead."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, value: float):
+        if value:
+            out = self[value] = self.fn(value)
+            return out
+        key = (value, math.copysign(1.0, value))
+        if key not in self:
+            self[key] = self.fn(value)
+        return self[key]
+
+    def of_array(self, values: np.ndarray) -> list:
+        """``memo[v]`` for every float in ``values``, as nested lists of its
+        shape. Each distinct bit pattern is looked up once and no float
+        object is made per element."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        out = np.array([self[v] for v in bits.view(np.float64).tolist()], dtype=object)
+        return out[inverse.reshape(values.shape)].tolist()
+
+
+def _rating_text(value: float) -> str:
+    """12 significant digits where they read back exactly; repr always does."""
+    text = format(value, ".12g")
+    return text if float(text) == value else repr(value)
+
+
 def serialize_dataset(dataset: CandidateDataset) -> str:
     """Canonical CSV for a dataset; ``parse_dataset`` round-trips it exactly.
     Ids and names holding a comma, quote or line break are quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", *dataset.schema.names, "constraints"])
-    for cid, ratings, constraints_rating in zip(
-        dataset.ids(), dataset.ratings.tolist(), dataset.constraints_ratings.tolist()
-    ):
-        values = [*ratings, constraints_rating]
-        # 12 significant digits where they read back exactly; repr always does.
-        texts = [format(v, ".12g") for v in values]
-        writer.writerow([cid, *(t if float(t) == v else repr(v) for t, v in zip(texts, values))])
+    columns = np.vstack((dataset.ratings.T, dataset.constraints_ratings))
+    writer.writerows(zip(dataset.ids(), *_OncePerValue(_rating_text).of_array(columns)))
     return out.getvalue()
 
 

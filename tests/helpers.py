@@ -1,6 +1,7 @@
 """Shared generators and fixtures for the test suite."""
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -196,3 +197,13 @@ def reference_silhouette(dataset: CandidateDataset, clustering) -> float:
             if denom != 0.0:
                 scores[i] = (b - a) / denom
     return float(np.mean(scores))
+
+
+def reference_report_json(body: dict, timestamp: str) -> str:
+    """The stdlib text that ``evaluate.report_json`` must equal byte for
+    byte: ``report_digest`` is the sha256 of the body's sorted compact dump,
+    and the report is ``json.dumps(indent=2)`` plus a newline."""
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    meta = {**body["meta"], "report_digest": digest, "timestamp": timestamp}
+    return json.dumps({**body, "meta": meta}, indent=2) + "\n"

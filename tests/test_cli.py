@@ -48,6 +48,24 @@ def test_cluster_byte_determinism(sample_paths, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", "--k", "3", "--seed", "42"),
+        ("cluster", "--k", "3", "--seed", "1"),
+        ("check",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_outputs_are_fixpoints_of_the_stdlib_dump(argv, sample_paths, capsys):
+    # Every command's JSON is exactly what json.dumps(indent=2) writes for it.
+    data, constraints = sample_paths
+    inputs = ["--data", str(data)] + (["--constraints", str(constraints)] if argv[0] != "cluster" else [])
+    assert run_cli(argv[0], *inputs, *argv[1:]) == 0
+    text = capsys.readouterr().out
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
 def test_evaluate_sample(sample_paths, capsys):
     data, constraints = sample_paths
     code = run_cli(

@@ -6,6 +6,7 @@ import pytest
 
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.errors import DomainError, ParseError
+from cbceval.evaluate import rank
 from cbceval.ingest import (
     bind_and_validate,
     constraint_spec_to_dict,
@@ -97,6 +98,29 @@ def test_serialize_round_trip_quotes_ids_and_names():
     assert text.splitlines()[0] == 'id,plain,"a,b","say ""hi""","two'
     assert text.endswith("\nT1,1,1,1,1,1\n")
     assert parse_dataset(text) == dataset
+
+
+def test_serialize_long_ratings_round_trip_with_a_pinned_digest():
+    # Ratings past 12 significant digits fall back to repr; a repeated value
+    # is written once per distinct value and reused, in both columns.
+    dataset = CandidateDataset(
+        AttributeSchema(("a", "b")),
+        ["x", "y", "z"],
+        [[1.2345678901234, 5.0], [1.2345678901234, 2.5], [9.999999999999998, 1.0]],
+        [7.123456789012345, 10.0, 1.2345678901234],
+    )
+    text = serialize_dataset(dataset)
+    assert text == (
+        "id,a,b,constraints\n"
+        "x,1.2345678901234,5,7.123456789012345\n"
+        "y,1.2345678901234,2.5,10\n"
+        "z,9.999999999999998,1,1.2345678901234\n"
+    )
+    assert parse_dataset(text) == dataset
+    result = run_pipeline(dataset, ConstraintSpec(feasibility_threshold=1), CBCConfig(KMeansConfig(k=1, seed=0)))
+    assert rank(result, dataset)["meta"]["dataset_digest"] == (
+        "de4416365c2fe63579ee54ade64a4a5fda047cddf15f26061e22a98800086cde"
+    )
 
 
 @pytest.mark.parametrize("cid", [" x", "a\xa0", "x\ry", "x\r\ny"])
