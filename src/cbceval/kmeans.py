@@ -7,6 +7,11 @@ Distance is weighted squared Euclidean on min-max-normalized ratings.
 Tie-breaking is always by lowest index and all randomness comes from the
 package's portable generator, so identical inputs reproduce identical
 clusterings bit for bit.
+
+Nearest-centroid Lloyd skips the distances it can rule out with Hamerly's
+bounds (SDM 2010) and takes every centroid from one grouped reduction,
+``group_means``; both give the bits of the full recompute with one mean per
+cluster, which ``tests/helpers.py`` keeps as the reference.
 """
 
 import math
@@ -25,6 +30,9 @@ from .rng import SplitMix64, child_seed
 #: farther than ``CONVERGENCE_TOL``.
 MAX_ITERATIONS = 100
 CONVERGENCE_TOL = 1e-9
+#: Relative float-safety margin of Lloyd's pruning test: a component keeps
+#: its label only when its bounds are apart by more than this share.
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,9 +83,34 @@ def distance_matrix(X: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows x centroids matrix of weighted squared distances.
 
     Entry (i, j) is bit-identical to ``((X[i] - C[j]) ** 2 * w).sum()``:
-    each is one reduction over the d coordinates of a contiguous row.
+    each is one reduction over the d coordinates of a contiguous row, so a
+    row has the same bits in ``distance_matrix(X[rows], C, w)`` as in the
+    matrix over all of ``X``. ``lloyd`` relies on this to recompute only
+    the rows its bounds cannot settle.
     """
     return np.stack([_sq_distances(X, C[j], w) for j in range(len(C))], axis=1)
+
+
+def group_means(X: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(means, counts) of the rows of ``X`` in each group 0..size-1; an empty
+    group's mean is nan.
+
+    Each mean has the bits of ``X[groups == g].mean(axis=0)``. With two or
+    more columns that reduce adds the rows in ascending order, as a per-column
+    ``np.bincount`` does. A one-column mean is a 1-D reduction, which numpy
+    sums pairwise, so there each group is summed as one contiguous slice.
+    """
+    counts = np.bincount(groups, minlength=size)
+    if X.shape[1] == 1:
+        parts = np.split(X[np.argsort(groups, kind="stable"), 0], np.cumsum(counts)[:-1])
+        sums = np.array([[part.sum()] for part in parts])
+    else:
+        sums = np.stack(
+            [np.bincount(groups, weights=X[:, c], minlength=size) for c in range(X.shape[1])],
+            axis=1,
+        )
+    with np.errstate(invalid="ignore"):
+        return sums / counts[:, None], counts
 
 
 def kmeans_pp_init(
@@ -136,6 +169,20 @@ def lloyd(
     size; one with none raises AssignmentDeadlockError, even where an
     exhaustive search may succeed. Equal distances go to the lowest cluster
     index.
+
+    The nearest-centroid step is pruned; the greedy pass needs every
+    component's full order and is not. Each component keeps an upper bound
+    on its weighted distance ``sqrt(sum(w * (m - c) ** 2))`` to its own
+    centroid and a lower bound on the distance to every other one, moved by
+    each centroid's weighted shift after an update. A component keeps its
+    label while ``upper * (1 + BOUND_MARGIN)`` is below ``(1 - BOUND_MARGIN)``
+    times the larger of its lower bound and half the distance from its
+    centroid to the nearest other one; the margin absorbs float rounding,
+    so a kept label is the strict nearest one. Every other component is
+    recomputed with ``distance_matrix`` and the same lowest-index argmin:
+    all of them at iteration 1, and each donor of an empty-cluster repair at
+    the iteration after. Labels, centroids, SSE and iteration count are
+    those of recomputing every distance.
     """
     ids = dataset.ids()
     k = len(init)
@@ -152,13 +199,10 @@ def lloyd(
         # Single candidates in dataset order: a one-row mean is the row itself.
         M, sizes, row_comp = X, [1] * len(X), None
     else:
-        M = X[[rows[0] for rows in links.rows]]
-        for ci, rows in enumerate(links.rows):
-            if len(rows) > 1:
-                M[ci] = X[list(rows)].mean(axis=0)
         sizes = [len(rows) for rows in links.rows]
         row_comp = np.empty(len(X), dtype=np.int64)
-        row_comp[[i for rows in links.rows for i in rows]] = np.repeat(np.arange(len(M)), sizes)
+        row_comp[[i for rows in links.rows for i in rows]] = np.repeat(np.arange(len(sizes)), sizes)
+        M = group_means(X, row_comp, len(sizes))[0]
     cannot_link = () if links is None else links.lifted_cannot_link
     greedy = bool(cannot_link) or max_size is not None
     if greedy:
@@ -166,15 +210,32 @@ def lloyd(
         for a, b in cannot_link:
             apart[a].append(b)
             apart[b].append(a)
+    # Hamerly bounds on the weighted distance sqrt(sum(w * (m - c) ** 2)):
+    # ``upper`` from each component mean to its own centroid, ``lower`` to
+    # every other one. An infinite upper bound forces a full recompute.
+    comp_labels = np.zeros(len(M), dtype=np.int64)
+    upper = np.full(len(M), np.inf)
+    lower = np.zeros(len(M))
 
     iterations = 0
     prev_sse = np.inf
     for _ in range(MAX_ITERATIONS):
-        D = distance_matrix(M, C, w)
         if not greedy:
-            comp_labels = D.argmin(axis=1)
+            # A component nearer its centroid than half that centroid's gap
+            # to the next one is nearest to it (infinite gap when k = 1).
+            gaps = np.sqrt(((C[:, None, :] - C) ** 2 * w).sum(axis=2))
+            np.fill_diagonal(gaps, np.inf)
+            bound = np.maximum(lower, 0.5 * gaps.min(axis=1)[comp_labels])
+            stale = np.flatnonzero(~(upper * (1 + BOUND_MARGIN) < bound * (1 - BOUND_MARGIN)))
+            D = distance_matrix(M[stale], C, w)
+            near = D.argmin(axis=1)
+            at = np.arange(len(stale))
+            comp_labels[stale] = near
+            upper[stale] = np.sqrt(D[at, near])
+            D[at, near] = np.inf
+            lower[stale] = np.sqrt(D.min(axis=1))
         else:
-            orders = np.argsort(D, axis=1, kind="stable").tolist()
+            orders = np.argsort(distance_matrix(M, C, w), axis=1, kind="stable").tolist()
             counts = [0] * k
             # Components are placed in index order, so every earlier component
             # holds its label for this iteration and every later one is still -1.
@@ -203,7 +264,8 @@ def lloyd(
             comp_labels = np.array(placed, dtype=np.int64)
         # Reseed each empty cluster with the component farthest from its own
         # centroid, never a cluster's sole one (any placed component fits a
-        # max size alone). Ties go to the lowest index, empties fill lowest first.
+        # max size alone). Ties go to the lowest index, empties fill lowest
+        # first. A donor's bounds no longer describe its label.
         while True:
             occupants = np.bincount(comp_labels, minlength=k)
             empties = np.flatnonzero(occupants == 0)
@@ -215,10 +277,20 @@ def lloyd(
             if d_own[donor] < 0:
                 break
             comp_labels[donor] = int(empties[0])
+            upper[donor] = np.inf
 
         labels = comp_labels if row_comp is None else comp_labels[row_comp]
-        members = np.bincount(labels, minlength=k)
-        new_C = np.stack([X[labels == j].mean(axis=0) if members[j] else C[j] for j in range(k)])
+        means, members = group_means(X, labels, k)
+        new_C = np.where(members[:, None] > 0, means, C)
+        if not greedy:
+            # Each bound moves by at most the weighted shift of its centroid;
+            # a lower bound by the largest shift among the other centroids.
+            shift = np.sqrt(((new_C - C) ** 2 * w).sum(axis=1))
+            upper += shift[comp_labels]
+            ranked = np.argsort(shift)
+            others = np.full(k, shift[ranked[-1]])
+            others[ranked[-1]] = shift[ranked[-2]] if k > 1 else 0.0
+            lower -= others[comp_labels]
         movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
         C = new_C
         iterations += 1

@@ -7,7 +7,13 @@ import random
 import numpy as np
 
 from cbceval.constraints import feasibility_partition
-from cbceval.kmeans import SILHOUETTE_BLOCK
+from cbceval.kmeans import (
+    CONVERGENCE_TOL,
+    MAX_ITERATIONS,
+    SILHOUETTE_BLOCK,
+    distance_matrix,
+    weight_vector,
+)
 from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
@@ -197,6 +203,55 @@ def reference_silhouette(dataset: CandidateDataset, clustering) -> float:
             if denom != 0.0:
                 scores[i] = (b - a) / denom
     return float(np.mean(scores))
+
+
+def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=None):
+    """Nearest-centroid Lloyd with every distance recomputed every iteration
+    and one ``mean`` per cluster and per multi-row must-link component: the
+    unpruned form that ``kmeans.lloyd`` must equal bit for bit.
+
+    Yields (labels, centroids, sse) after each iteration, up to convergence
+    or ``MAX_ITERATIONS``.
+    """
+    X = dataset.normalized
+    w = weight_vector(dataset.schema, weights)
+    k = len(init)
+    C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
+    if links is None:
+        M, row_comp = X, None
+    else:
+        M = X[[rows[0] for rows in links.rows]]
+        row_comp = np.empty(len(X), dtype=np.int64)
+        for ci, rows in enumerate(links.rows):
+            row_comp[list(rows)] = ci
+            if len(rows) > 1:
+                M[ci] = X[list(rows)].mean(axis=0)
+
+    for _ in range(MAX_ITERATIONS):
+        comp_labels = distance_matrix(M, C, w).argmin(axis=1)
+        while True:
+            occupants = np.bincount(comp_labels, minlength=k)
+            empties = np.flatnonzero(occupants == 0)
+            if empties.size == 0:
+                break
+            d_own = ((M - C[comp_labels]) ** 2 * w).sum(axis=1)
+            d_own[occupants[comp_labels] < 2] = -1.0
+            donor = int(np.argmax(d_own))
+            if d_own[donor] < 0:
+                break
+            comp_labels[donor] = int(empties[0])
+        labels = comp_labels if row_comp is None else comp_labels[row_comp]
+        members = np.bincount(labels, minlength=k)
+        new_C = np.stack([X[labels == j].mean(axis=0) if members[j] else C[j] for j in range(k)])
+        movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
+        C = new_C
+        yield (
+            tuple(labels.tolist()),
+            tuple(tuple(float(v) for v in row) for row in C),
+            float(((X - C[labels]) ** 2 * w).sum()),
+        )
+        if movement <= CONVERGENCE_TOL:
+            return
 
 
 def reference_report_json(body: dict, timestamp: str) -> str:

@@ -5,11 +5,13 @@ import pytest
 
 from cbceval import kmeans
 from cbceval.cbc import CBCConfig, run_pipeline
+from cbceval.constraints import build_link_components
 from cbceval.errors import CBCError, DomainError
 from cbceval.kmeans import (
     KMeansConfig,
     choose_k,
     distance_matrix,
+    group_means,
     kmeans_pp_init,
     lloyd,
     run_kmeans,
@@ -21,7 +23,19 @@ from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 from cbceval.oracle import brute_force_min_sse
 from cbceval.rng import SplitMix64, child_seed
 
-from helpers import partition_signature, pinned_values, random_dataset, take_rows
+from helpers import (
+    partition_signature,
+    pinned_values,
+    random_dataset,
+    random_pairs,
+    reference_lloyd_steps,
+    take_rows,
+)
+
+try:
+    from hypothesis import HealthCheck, given, settings, strategies as st
+except ImportError:  # the Lloyd property needs Hypothesis; nothing else here does
+    st = None
 
 # Golden fixture: seeded k-means++ on the bundled sample, k=3, seed=42,
 # picks candidates T103, T101, T102 (indices 3, 1, 2) in that order.
@@ -310,6 +324,139 @@ def test_distance_matrix_matches_per_row_form(d):
         row = ((X[i] - C) ** 2 * w).sum(axis=1)
         assert D[i].tobytes() == row.tobytes()
         assert np.argsort(D, axis=1, kind="stable")[i].tolist() == np.argsort(row, kind="stable").tolist()
+    # Any subset of rows, in any order and of any size, has the same bits.
+    X = rng.random((300, d)) * 10.0 ** rng.integers(-3, 4, (300, d))
+    D = distance_matrix(X, C, w)
+    for idx in (
+        np.array([7]),
+        rng.choice(300, 17, replace=False),
+        np.sort(rng.choice(300, 150, replace=False)),
+        np.arange(300),
+    ):
+        assert distance_matrix(X[idx], C, w).tobytes() == D[idx].tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 20))
+def test_group_means_have_the_bits_of_one_mean_per_group(d):
+    rng = np.random.default_rng(200 + d)
+    sizes = (1, 2, 9, 129, 300)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    X = rng.random((len(labels), d)) * 10.0 ** rng.integers(-3, 4, (len(labels), d))
+    # One more group than labels use: it is empty.
+    means, counts = group_means(X, labels, len(sizes) + 1)
+    assert counts.tolist() == [*sizes, 0]
+    for j in range(len(sizes)):
+        assert means[j].tobytes() == X[labels == j].mean(axis=0).tobytes()
+    assert np.isnan(means[-1]).all()
+
+
+def lloyd_case(seed, n, d, k, distinct, grid=False, coincide=False, far=False, zeros=0, links=0):
+    """(dataset, init, weights, must-link components) drawn from ``seed``.
+
+    ``distinct`` rows are drawn and the other n - distinct repeat them.
+    ``grid`` puts every rating at 1, 5.5 or 10 (normalized 0, 0.5 and 1) and
+    every init centroid on the quarter grid, so exact distance ties occur;
+    otherwise ratings are uniform and init centroids are rows. ``coincide``
+    makes the first two init centroids equal, ``far`` moves the last one
+    outside the unit cube so its cluster starts empty, ``zeros`` attributes
+    (all but one at most) get weight 0, and ``links`` random must-link pairs
+    join rows into components.
+    """
+    rng = random.Random(seed)
+    rating = (lambda: rng.choice((1.0, 5.5, 10.0))) if grid else (lambda: rng.uniform(1, 10))
+    pool = [[rating() for _ in range(d)] for _ in range(distinct)]
+    rows = pool + [pool[rng.randrange(distinct)] for _ in range(n - distinct)]
+    rng.shuffle(rows)
+    dataset = tiny_dataset(rows, tuple(f"f{i}" for i in range(d)))
+    if grid:
+        init = [tuple(rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(d)) for _ in range(k)]
+    else:
+        init = [tuple(dataset.normalized[rng.randrange(n)].tolist()) for _ in range(k)]
+    if coincide and k > 1:
+        init[1] = init[0]
+    if far and k > 1:
+        init[-1] = (3.0,) * d
+    names = dataset.schema.names
+    zeroed = set(rng.sample(names, min(zeros, d - 1)))
+    weights = {name: 0.0 if name in zeroed else rng.choice((1.0, 0.5, 3.0)) for name in names}
+    pairs = random_pairs(rng, dataset.ids(), links)
+    components = build_link_components(ConstraintSpec(must_link=pairs), dataset) if pairs else None
+    return dataset, tuple(init), weights, components
+
+
+def assert_lloyd_matches_reference(dataset, init, weights, links):
+    """``lloyd`` capped at t iterations equals the reference after its t-th,
+    for every t up to the reference's convergence."""
+    config = KMeansConfig(k=len(init), seed=0)
+    steps = list(reference_lloyd_steps(dataset, init, weights, links))
+    with pytest.MonkeyPatch.context() as patch:
+        for t, (labels, centroids, expected_sse) in enumerate(steps, 1):
+            patch.setattr(kmeans, "MAX_ITERATIONS", t)
+            got = lloyd(dataset, init, config, weights, links)
+            assert got.iterations == t
+            assert got.labels == labels
+            assert [v.hex() for row in got.centroids for v in row] == [
+                v.hex() for row in centroids for v in row
+            ]
+            assert got.sse.hex() == expected_sse.hex()
+
+
+# The cases the bounds must survive, each built on purpose.
+LLOYD_CASES = {
+    "duplicate rows": dict(seed=1, n=40, d=3, k=4, distinct=5),
+    "coincident init centroids": dict(seed=2, n=30, d=2, k=4, distinct=30, coincide=True),
+    "exact ties": dict(seed=0, n=40, d=1, k=7, distinct=30, grid=True),
+    "zero weight": dict(seed=4, n=40, d=4, k=4, distinct=40, zeros=2),
+    "k = 1": dict(seed=5, n=20, d=3, k=1, distinct=20),
+    "empty-cluster repair": dict(seed=6, n=30, d=3, k=4, distinct=30, far=True),
+    "must-link components": dict(seed=7, n=40, d=3, k=4, distinct=40, links=12),
+    "crowded bisectors": dict(seed=1, n=60, d=1, k=5, distinct=60),
+    "one attribute, linked": dict(seed=8, n=60, d=1, k=3, distinct=60, links=6),
+}
+
+
+@pytest.mark.parametrize("case", list(LLOYD_CASES))
+def test_lloyd_matches_the_unpruned_reference_every_iteration(case):
+    assert_lloyd_matches_reference(*lloyd_case(**LLOYD_CASES[case]))
+
+
+if st is not None:
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        d=st.integers(1, 5),
+        k=st.integers(1, 8),
+        distinct=st.integers(1, 60),
+        grid=st.booleans(),
+        coincide=st.booleans(),
+        far=st.booleans(),
+        zeros=st.integers(0, 4),
+        links=st.integers(0, 15),
+    )
+    def test_lloyd_matches_the_unpruned_reference_property(
+        seed, n, d, k, distinct, grid, coincide, far, zeros, links
+    ):
+        case = lloyd_case(seed, n, d, min(k, n), min(distinct, n), grid, coincide, far, zeros, links)
+        assert_lloyd_matches_reference(*case)
+
+
+def test_lloyd_recomputes_only_the_rows_its_bounds_cannot_settle(monkeypatch):
+    dataset, config, init = lloyd_instance(42, 1500, 8, 8)
+    rows = []
+    full = kmeans.distance_matrix
+    monkeypatch.setattr(kmeans, "distance_matrix", lambda X, C, w: rows.append(len(X)) or full(X, C, w))
+    clustering = lloyd(dataset, init, config)
+    assert len(rows) == clustering.iterations
+    assert rows[0] == len(dataset)
+    assert sum(rows[1:]) < 0.5 * len(dataset) * (len(rows) - 1)
 
 
 def test_silhouette_duplicated_tight_clusters():
