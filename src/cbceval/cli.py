@@ -13,10 +13,10 @@ import sys
 
 from .cbc import CBCConfig, run_pipeline
 from .constraints import detect_deadlock
-from .errors import AssignmentDeadlockError, CapacityError, CBCError, ParseError, _cut
+from .errors import AssignmentDeadlockError, CapacityError, CBCError, DomainError, ParseError, _cut
 from .evaluate import deadlock_to_dict, rank, report_json, round_floats
 from .ingest import _as_number, bind_and_validate, parse_constraint_spec, parse_dataset
-from .kmeans import KMeansConfig, choose_k, run_kmeans, sse, weight_vector
+from .kmeans import KMeansConfig, _distance_weights, choose_k, run_kmeans, sse, weight_vector
 from .model import ConstraintSpec
 from .oracle import MAX_CANDIDATES, MAX_CLUSTERS, brute_force_feasible_exists, brute_force_min_sse
 
@@ -68,17 +68,22 @@ def _emit_json(payload, out: str | None):
     _emit(json.dumps(round_floats(payload), indent=2) + "\n", out)
 
 
-def _load_weights(path: str | None) -> dict | None:
+def _load_weights(path: str | None, to_vector) -> dict | None:
+    """The weights file at ``path``, refused before any run if ``to_vector`` refuses it."""
     if path is None:
         return None
-    raw = _read(path)
     try:
-        data = json.loads(raw)
+        data = json.loads(_read(path))
     except (ValueError, RecursionError) as exc:  # bad syntax, huge integer or deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: weights must be an object of attribute -> number")
-    return {k: _as_number(v, f"{path}:{_cut(k)}") for k, v in data.items()}
+    weights = {k: _as_number(v, f"{path}:{_cut(k)}") for k, v in data.items()}
+    try:
+        to_vector(weights)
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return weights
 
 
 def _bound_inputs(args) -> tuple:
@@ -112,7 +117,7 @@ def _fixed_k(args, dataset, spec) -> int | None:
 
 def _cmd_cluster(args) -> int:
     dataset, spec = _bound_inputs(args)
-    weights = _load_weights(args.weights)
+    weights = _load_weights(args.weights, lambda w: _distance_weights(dataset, w))
     config = KMeansConfig(k=_fixed_k(args, dataset, spec), seed=args.seed, restarts=args.restarts)
     clustering = run_kmeans(dataset, config, weights)
     _emit_json(
@@ -132,8 +137,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     dataset, spec = _bound_inputs(args)
-    weights = _load_weights(args.weights)
-    weight_vector(dataset.schema, weights)  # reject bad weights before the run
+    weights = _load_weights(args.weights, lambda w: weight_vector(dataset.schema, w))
     k = _fixed_k(args, dataset, spec)
     if k is None:
         k = choose_k(dataset, args.seed)
@@ -168,6 +172,8 @@ def _cmd_verify(args) -> int:
 
     checks: list[tuple[str, bool, str]] = []
     weights = spec.distance_weights if spec is not None else None
+    # Engine and oracle add up SSE in other orders; n * sum(w) bounds both.
+    slack = 1e-12 * n * float(_distance_weights(dataset, weights).sum())
 
     config = KMeansConfig(k=k, seed=args.seed, restarts=args.restarts)
     engine_status = "ok"
@@ -184,13 +190,8 @@ def _cmd_verify(args) -> int:
     engine_sse = None
     if clustering is not None:
         engine_sse = clustering.sse
-        checks.append(
-            (
-                "sse-recompute",
-                abs(sse(dataset, clustering, weights) - engine_sse) <= 1e-9,
-                f"stored {engine_sse:.12g}",
-            )
-        )
+        recomputed_ok = abs(sse(dataset, clustering, weights) - engine_sse) <= 1e-9
+        checks.append(("sse-recompute", recomputed_ok, f"stored {engine_sse:.12g}"))
 
     oracle_result = brute_force_min_sse(dataset, k, spec)
     oracle_sse = oracle_result[1] if oracle_result is not None else None
@@ -203,7 +204,7 @@ def _cmd_verify(args) -> int:
         checks.append(
             (
                 "engine-not-below-oracle",
-                engine_sse >= oracle_sse - 1e-9,
+                engine_sse >= oracle_sse - slack,
                 f"engine {engine_sse:.12g} vs oracle {oracle_sse:.12g}",
             )
         )

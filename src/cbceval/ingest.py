@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, ParseError, _cut, _shown
-from .kmeans import weight_vector
+from .kmeans import _distance_weights
 from .model import (
     AttributeSchema,
     CandidateDataset,
@@ -380,9 +380,9 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
         for name in unknown:
             report.error("distance_weights", f"unknown attribute {_shown(name)}")
         if not unknown:
-            # Unlisted attributes weigh 1, so only the full vector can be all zero.
+            # Unlisted attributes weigh 1: only the full vector shows a zero or overflowing sum.
             try:
-                weight_vector(dataset.schema, spec.distance_weights)
+                _distance_weights(dataset, spec.distance_weights)
             except DomainError as exc:
                 report.error("distance_weights", str(exc))
 

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .constraints import LinkComponents
-from .errors import AssignmentDeadlockError, CBCError, DomainError, _shown
+from .errors import AssignmentDeadlockError, DomainError, _shown
 from .model import AttributeSchema, CandidateDataset, Clustering
 from .rng import SplitMix64, child_seed
 
@@ -73,6 +73,15 @@ def weight_vector(
         if not np.isfinite(vec.sum()):
             raise DomainError("weights sum to more than the largest float")
     return vec
+
+
+def _distance_weights(dataset: CandidateDataset, weights: Mapping[str, float] | None) -> np.ndarray:
+    """``weight_vector`` with n * sum(w) finite: rows and k-means++ centroids
+    lie in [0, 1]^d, so that bounds every distance, cumulative sum and SSE."""
+    w = weight_vector(dataset.schema, weights)
+    if not math.isfinite(len(dataset) * float(w.sum())):
+        raise DomainError(f"weights times {len(dataset)} candidates exceed the largest float")
+    return w
 
 
 def _sq_distances(X: np.ndarray, point: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -127,7 +136,7 @@ def kmeans_pp_init(
     if config.k > n:
         raise DomainError("k exceeds candidate count")
     X = dataset.normalized
-    w = weight_vector(dataset.schema, weights)
+    w = _distance_weights(dataset, weights)
     rng = SplitMix64(config.seed)
 
     chosen = [rng.randbelow(n)]
@@ -163,12 +172,12 @@ def lloyd(
     ``links`` is the dataset's ``build_link_components`` result (None: every
     candidate alone, plain k-means); links built on another dataset raise
     DomainError. Without lifted cannot-links and ``max_size`` each component
-    goes to its nearest centroid and SSE must not rise. Otherwise a greedy
-    pass (COP-KMeans) takes components in index order to the nearest
-    centroid that breaks no cannot-link with a placed component and no max
-    size; one with none raises AssignmentDeadlockError, even where an
-    exhaustive search may succeed. Equal distances go to the lowest cluster
-    index.
+    goes to its nearest centroid. Otherwise a greedy pass (COP-KMeans) takes
+    components in index order to the nearest centroid that breaks no
+    cannot-link with a placed component and no max size; one with none
+    raises AssignmentDeadlockError, even where an exhaustive search may
+    succeed. Equal distances go to the lowest cluster index. SSE is
+    computed once, after the loop.
 
     The nearest-centroid step is pruned; the greedy pass needs every
     component's full order and is not. Each component keeps an upper bound
@@ -193,7 +202,7 @@ def lloyd(
     if links is not None and links.ids != ids:
         raise DomainError("links were built on another dataset")
     X = dataset.normalized
-    w = weight_vector(dataset.schema, weights)
+    w = _distance_weights(dataset, weights)
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
     if links is None or len(links.rows) == len(ids):
         # Single candidates in dataset order: a one-row mean is the row itself.
@@ -217,9 +226,7 @@ def lloyd(
     upper = np.full(len(M), np.inf)
     lower = np.zeros(len(M))
 
-    iterations = 0
-    prev_sse = np.inf
-    for _ in range(MAX_ITERATIONS):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         if not greedy:
             # A component nearer its centroid than half that centroid's gap
             # to the next one is nearest to it (infinite gap when k = 1).
@@ -256,7 +263,7 @@ def lloyd(
                     component = tuple(ids[i] for i in rows)
                     raise AssignmentDeadlockError(
                         f"no admissible cluster for must-link component "
-                        f"{component} at iteration {iterations + 1}; "
+                        f"{component} at iteration {iterations}; "
                         f"greedy order found no slot (an exhaustive search may "
                         f"still succeed at small n)",
                         component=component,
@@ -293,16 +300,6 @@ def lloyd(
             lower -= others[comp_labels]
         movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
         C = new_C
-        iterations += 1
-        current = float(((X - C[labels]) ** 2 * w).sum())
-        # Nearest-centroid placement cannot raise SSE, so a rise means
-        # non-finite input; the greedy pass trades distance for admissibility.
-        if not greedy and not current <= prev_sse + 1e-9:
-            raise CBCError(
-                f"SSE rose from {prev_sse!r} to {current!r} at Lloyd iteration "
-                f"{iterations}; inputs must be finite"
-            )
-        prev_sse = current
         if movement <= CONVERGENCE_TOL:
             break
 
@@ -311,7 +308,7 @@ def lloyd(
         ids=ids,
         labels=tuple(labels.tolist()),
         centroids=tuple(tuple(float(v) for v in row) for row in C),
-        sse=prev_sse,
+        sse=float(((X - C[labels]) ** 2 * w).sum()),
         iterations=iterations,
         seed=config.seed,
     )
@@ -363,7 +360,7 @@ def sse(
     weights: Mapping[str, float] | None = None,
 ) -> float:
     """Recompute the sum of squared weighted distances to assigned centroids."""
-    w = weight_vector(dataset.schema, weights)
+    w = _distance_weights(dataset, weights)
     C = np.array(clustering.centroids, dtype=np.float64)
     return float(((dataset.normalized - C[clustering.label_array(dataset)]) ** 2 * w).sum())
 

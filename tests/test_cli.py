@@ -324,6 +324,36 @@ def test_verify_detects_injected_disagreement(sample_paths, capsys, monkeypatch)
     assert "FAIL feasibility-agreement" in out
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_verify_slack_scales_with_the_distance_weights(sample_paths, tmp_path, capsys, monkeypatch, k):
+    # At weights 1e12 the engine finds the optimum, but its SSE and the
+    # oracle's total_sq - sum(|s|^2 / c) differ by about 1e-3: far above an
+    # absolute 1e-9, about 1e-17 of n * sum(w) = 6e13, which sets the slack
+    # (1e-12 of it, 60 here).
+    import cbceval.cli as cli_module
+
+    data, _ = sample_paths
+    names = data.read_text(encoding="utf-8").splitlines()[0].split(",")[1:-1]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"distance_weights": dict.fromkeys(names, 1e12)}), encoding="utf-8")
+    argv = ("verify", "--data", str(data), "--constraints", str(spec), "--k", str(k))
+    oracle, found = cli_module.brute_force_min_sse, []
+
+    def recorded(*args):
+        found.append(oracle(*args))
+        return found[-1]
+
+    monkeypatch.setattr(cli_module, "brute_force_min_sse", recorded)
+    assert run_cli(*argv) == 0
+    assert "PASS engine-not-below-oracle" in capsys.readouterr().out
+    # An engine SSE truly below the oracle's is still a violation.
+    [(clustering, best)] = found
+    for raised, code in ((59.0, 0), (61.0, 5)):
+        monkeypatch.setattr(cli_module, "brute_force_min_sse", lambda *a: (clustering, best + raised))
+        assert run_cli(*argv) == code
+        assert ("FAIL engine-not-below-oracle" in capsys.readouterr().out) == (code == 5)
+
+
 def test_cluster_with_weights_file(sample_paths, tmp_path, capsys):
     data, _ = sample_paths
     weights = tmp_path / "weights.json"
@@ -360,7 +390,7 @@ def test_evaluate_rejects_weights_before_clustering(sample_paths, tmp_path, caps
         "--weights", str(weights),
     )
     assert code == 1
-    assert capsys.readouterr().err == "error: unknown attribute 'nosuch' in weights\n"
+    assert capsys.readouterr().err == f"error: {weights}: unknown attribute 'nosuch' in weights\n"
 
 
 @pytest.mark.parametrize("value", ["x", 1])
@@ -458,13 +488,30 @@ def test_weights_whose_sum_overflows_are_input_error(sample_paths, tmp_path, cap
         "--weights", str(weights),
     )
     assert code == 1
-    assert capsys.readouterr().err == "error: weights sum to more than the largest float\n"
+    assert capsys.readouterr().err == f"error: {weights}: weights sum to more than the largest float\n"
+    # As distance weights, a sum that ten candidates times overflows also
+    # fails: it gave an infinite SSE and numpy overflow warnings.
     spec = tmp_path / "spec.json"
-    spec.write_text(
-        '{"distance_weights": {"scalability": 1e308, "availability": 1e308}}', encoding="utf-8"
+    for text, message in (
+        ('{"scalability": 1e308, "availability": 1e308}', "weights sum to more than the largest float"),
+        ('{"reusability": 1e308, "customizability": 7e307}', "weights times 10 candidates exceed the largest float"),
+    ):
+        weights.write_text(text, encoding="utf-8")
+        spec.write_text('{"distance_weights": %s}' % text, encoding="utf-8")
+        for argv, locator in (
+            (("cluster", "--data", str(data), "--k", "3", "--seed", "1", "--weights", str(weights)), f"{weights}: "),
+            (("evaluate", "--data", str(data), "--constraints", str(spec), "--k", "3"), "distance_weights: "),
+            (("check", "--data", str(data), "--constraints", str(spec)), "distance_weights: "),
+        ):
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr() == ("", f"error: {locator}{message}\n")
+    # Scoring weights keep the bound on their sum alone.
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(constraints), "--k", "3",
+        "--weights", str(weights),
     )
-    assert run_cli("check", "--data", str(data), "--constraints", str(spec)) == 1
-    assert "weights sum to more than the largest float" in capsys.readouterr().err
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 @NON_FINITE

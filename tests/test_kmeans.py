@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from cbceval import kmeans
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.constraints import build_link_components
-from cbceval.errors import CBCError, DomainError
+from cbceval.errors import DomainError
 from cbceval.kmeans import (
     KMeansConfig,
     choose_k,
@@ -220,13 +221,21 @@ def test_sse_two_point_cluster_halves_squared_distance():
 
 
 def test_sse_monotone_within_runs():
+    # Capped at t iterations, lloyd reports the SSE after the t-th; nearest-
+    # centroid placement and the mean update never raise it.
     rng = random.Random(12)
     for _ in range(30):
         dataset = random_dataset(rng, rng.randint(3, 12), rng.randint(1, 4))
         k = rng.randint(1, min(4, len(dataset)))
         config = KMeansConfig(k=k, seed=rng.randrange(2**32))
-        # lloyd asserts per-iteration SSE monotonicity internally
-        lloyd(dataset, kmeans_pp_init(dataset, config), config)
+        init = kmeans_pp_init(dataset, config)
+        runs = lloyd(dataset, init, config).iterations
+        sses = []
+        with pytest.MonkeyPatch.context() as patch:
+            for t in range(1, runs + 1):
+                patch.setattr(kmeans, "MAX_ITERATIONS", t)
+                sses.append(lloyd(dataset, init, config).sse)
+        assert all(later <= earlier + 1e-9 for earlier, later in zip(sses, sses[1:]))
 
 
 def test_determinism_bitwise():
@@ -300,16 +309,58 @@ def test_weight_vector_rejects_overflowing_sum(sample_dataset):
         weight_vector(schema, {"scalability": 1e308, "availability": 1e308})
 
 
-def test_lloyd_sse_check_raises_package_error(sample_dataset, monkeypatch):
-    # An infinite weight makes the SSE NaN; the check must raise a package
-    # error (not an assert, which python -O strips).
+def test_distance_weights_reject_an_overflowing_n_times_sum(sample_dataset):
+    # The sum is finite, so these are valid scoring weights, but ten rows
+    # times it are not: as distance weights they gave an infinite SSE.
+    weights = {"reusability": 1e308, "customizability": 7e307}
+    assert np.isfinite(weight_vector(sample_dataset.schema, weights).sum())
     config = KMeansConfig(k=3, seed=42)
     init = kmeans_pp_init(sample_dataset, config)
-    w = np.ones(6)
-    w[0] = np.inf
-    monkeypatch.setattr(kmeans, "weight_vector", lambda schema, weights: w)
-    with np.errstate(invalid="ignore"), pytest.raises(CBCError, match="SSE rose"):
-        lloyd(sample_dataset, init, config)
+    clustering = lloyd(sample_dataset, init, config)
+    for call in (
+        lambda: kmeans._distance_weights(sample_dataset, weights),
+        lambda: kmeans_pp_init(sample_dataset, config, weights),
+        lambda: lloyd(sample_dataset, init, config, weights),
+        lambda: sse(sample_dataset, clustering, weights),
+    ):
+        with pytest.raises(DomainError, match="weights times 10 candidates exceed the largest float"):
+            call()
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_distance_weights_scaled_by_powers_of_4_scale_only_the_sse(greedy):
+    # A power of 4 scales each weighted square exactly and each Hamerly bound
+    # by a power of 2, so seeding, labels, centroids and iterations keep
+    # their bits and SSE scales exactly, up to the largest scale whose
+    # n * sum(w) is finite, and no float operation overflows on the way.
+    dataset, config, _ = lloyd_instance(42, 600, 8, 8)
+    base = dict(zip(dataset.schema.names, (1.0, 0.5, 3.0, 0.25, 1.0, 2.0, 0.75, 1.5)))
+    links = max_size = None
+    if greedy:
+        pairs = random_pairs(random.Random(42), dataset.ids(), 40)
+        links, max_size = build_link_components(ConstraintSpec(cannot_link=pairs), dataset), 82
+    bound = len(dataset) * sum(base.values())
+    jmax = 0
+    while math.isfinite(bound * 4.0 ** (jmax + 1)):
+        jmax += 1
+
+    def run(j):
+        weights = {name: w * 4.0**j for name, w in base.items()}
+        with np.errstate(all="raise"):
+            init = kmeans_pp_init(dataset, config, weights)
+            return init, lloyd(dataset, init, config, weights, links, max_size)
+
+    init, expected = run(0)
+    assert expected.iterations > 1
+    for j in (7, 100, jmax):
+        got_init, got = run(j)
+        assert got_init == init
+        assert (got.labels, got.centroids, got.iterations) == (
+            expected.labels, expected.centroids, expected.iterations
+        )
+        assert got.sse == expected.sse * 4.0**j
+    with pytest.raises(DomainError, match="exceed the largest float"):
+        run(jmax + 1)
 
 
 @pytest.mark.parametrize("d", range(1, 20))
