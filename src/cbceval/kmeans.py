@@ -11,7 +11,11 @@ clusterings bit for bit.
 Nearest-centroid Lloyd skips the distances it can rule out with Hamerly's
 bounds (SDM 2010) and takes every centroid from one grouped reduction,
 ``group_means``; both give the bits of the full recompute with one mean per
-cluster, which ``tests/helpers.py`` keeps as the reference.
+cluster. The greedy constrained pass, ``greedy_place``, places runs of
+components at their nearest admissible cluster at once and applies the
+per-component rule only where a run ends. ``tests/helpers.py`` keeps the
+full recompute and the one-component-at-a-time greedy loop as the
+references.
 """
 
 import math
@@ -33,6 +37,9 @@ CONVERGENCE_TOL = 1e-9
 #: Relative float-safety margin of Lloyd's pruning test: a component keeps
 #: its label only when its bounds are apart by more than this share.
 BOUND_MARGIN = 1e-9
+#: A greedy segment search looks this many components ahead, or twice the
+#: last segment's length if that is more.
+MIN_SPAN = 256
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,87 @@ def kmeans_pp_init(
     return tuple(tuple(float(v) for v in X[i]) for i in chosen)
 
 
+def greedy_place(D: np.ndarray, sizes, cannot_link, max_size: int | None) -> np.ndarray:
+    """The greedy COP-KMeans pass (Wagstaff et al., ICML 2001) over an m x k
+    distance matrix. Component i, in index order, goes to the first cluster
+    in the stable ascending order of ``D[i]`` that holds none of its
+    cannot-link partners and that its ``sizes[i]`` rows keep within
+    ``max_size`` (None: no limit). ``cannot_link`` holds component pairs
+    (a, b) with a < b. Returns each component's cluster; a component with no
+    admissible cluster and every one after it get -1.
+
+    Components are placed in segments. Each one not yet placed holds its
+    nearest cluster, by one ``argmin`` (lowest index on ties, as in the
+    stable order), among the clusters neither full for the smallest
+    remaining size nor holding one of its placed partners, so every cluster
+    before that one in its order is inadmissible. The first component whose
+    choice crosses ``max_size`` (a cumulative sum per overflowing cluster)
+    or meets a partner's choice ends the segment: the ones before it are
+    placed at once, and it alone goes through the full rule. The argmin is
+    taken again for every remaining component when the set of full clusters
+    grows, and for one component when a partner is placed in its choice. A
+    segment search looks ``MIN_SPAN`` components ahead, or twice the last
+    segment's length if that is more.
+    """
+    m, k = D.shape
+    sizes = np.asarray(sizes, dtype=np.float64)
+    cap = np.inf if max_size is None else float(max_size)
+    # Every component from position i on has at least smallest[i] rows.
+    smallest = np.minimum.accumulate(sizes[::-1])[::-1]
+    pairs = np.asarray(cannot_link, dtype=np.int64).reshape(-1, 2)
+    first, second = pairs[np.argsort(pairs[:, 1], kind="stable")].T
+    earlier, later = pairs[np.argsort(pairs[:, 0], kind="stable")].T
+    counts = np.zeros(k)
+    # banned[i, j]: a placed cannot-link partner of component i is in j.
+    banned = np.zeros((m, k), dtype=bool)
+    # Below ``start`` each component's cluster; from it on, its nearest
+    # cluster among those neither full nor banned.
+    placed = np.empty(m, dtype=np.int64)
+    full = None
+    start, span = 0, m
+    while start < m:
+        now_full = counts + smallest[start] > cap
+        if full is None or (now_full != full).any():
+            full = now_full
+            placed[start:] = np.where(full | banned[start:], np.inf, D[start:]).argmin(axis=1)
+        end = min(m, start + span)
+        near = placed[start:end]
+        stop = end
+        over = counts + np.bincount(near, weights=sizes[start:end], minlength=k) > cap
+        for j in over.nonzero()[0]:
+            rows = (near == j).nonzero()[0]
+            filled = counts[j] + sizes[start:end][rows].cumsum()
+            stop = min(stop, start + int(rows[filled.searchsorted(cap, side="right")]))
+        lo, hi = second.searchsorted(start), second.searchsorted(end)
+        clash = (placed[first[lo:hi]] == placed[second[lo:hi]]).nonzero()[0]
+        if clash.size:
+            stop = min(stop, int(second[lo + clash[0]]))
+        counts += np.bincount(placed[start:stop], weights=sizes[start:stop], minlength=k)
+        span = max(MIN_SPAN, 2 * (stop - start))
+        if stop < end:
+            lo, hi = second.searchsorted(stop), second.searchsorted(stop + 1)
+            partners = placed[first[lo:hi]].tolist()
+            for j in D[stop].argsort(kind="stable").tolist():
+                if counts[j] + sizes[stop] <= cap and j not in partners:
+                    placed[stop] = j
+                    counts[j] += sizes[stop]
+                    break
+            else:
+                placed[stop:] = -1
+                break
+            stop += 1
+        # Bar the clusters just taken from the later partners, and move each
+        # one whose nearest cluster that was.
+        lo, hi = earlier.searchsorted(start), earlier.searchsorted(stop)
+        ahead = later[lo:hi] >= stop
+        a, b = earlier[lo:hi][ahead], later[lo:hi][ahead]
+        banned[b, placed[a]] = True
+        moved = b[placed[b] == placed[a]]
+        placed[moved] = np.where(full | banned[moved], np.inf, D[moved]).argmin(axis=1)
+        start = stop
+    return placed
+
+
 def lloyd(
     dataset: CandidateDataset,
     init,
@@ -179,11 +267,12 @@ def lloyd(
     succeed. Equal distances go to the lowest cluster index. SSE is
     computed once, after the loop.
 
-    The nearest-centroid step is pruned; the greedy pass needs every
-    component's full order and is not. Each component keeps an upper bound
-    on its weighted distance ``sqrt(sum(w * (m - c) ** 2))`` to its own
-    centroid and a lower bound on the distance to every other one, moved by
-    each centroid's weighted shift after an update. A component keeps its
+    The greedy pass computes every distance and places the components in
+    vectorized segments (``greedy_place``). The nearest-centroid step is
+    pruned instead: each component keeps an upper bound on its weighted
+    distance ``sqrt(sum(w * (m - c) ** 2))`` to its own centroid and a lower
+    bound on the distance to every other one, moved by each centroid's
+    weighted shift after an update. A component keeps its
     label while ``upper * (1 + BOUND_MARGIN)`` is below ``(1 - BOUND_MARGIN)``
     times the larger of its lower bound and half the distance from its
     centroid to the nearest other one; the margin absorbs float rounding,
@@ -206,19 +295,16 @@ def lloyd(
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
     if links is None or len(links.rows) == len(ids):
         # Single candidates in dataset order: a one-row mean is the row itself.
-        M, sizes, row_comp = X, [1] * len(X), None
+        M, sizes, row_comp = X, np.ones(len(X), dtype=np.int64), None
     else:
-        sizes = [len(rows) for rows in links.rows]
+        sizes = np.array([len(rows) for rows in links.rows])
         row_comp = np.empty(len(X), dtype=np.int64)
         row_comp[[i for rows in links.rows for i in rows]] = np.repeat(np.arange(len(sizes)), sizes)
         M = group_means(X, row_comp, len(sizes))[0]
     cannot_link = () if links is None else links.lifted_cannot_link
     greedy = bool(cannot_link) or max_size is not None
     if greedy:
-        apart = [[] for _ in range(len(M))]
-        for a, b in cannot_link:
-            apart[a].append(b)
-            apart[b].append(a)
+        cannot_link = np.array(cannot_link, dtype=np.int64).reshape(-1, 2)
     # Hamerly bounds on the weighted distance sqrt(sum(w * (m - c) ** 2)):
     # ``upper`` from each component mean to its own centroid, ``lower`` to
     # every other one. An infinite upper bound forces a full recompute.
@@ -242,33 +328,18 @@ def lloyd(
             D[at, near] = np.inf
             lower[stale] = np.sqrt(D.min(axis=1))
         else:
-            orders = np.argsort(distance_matrix(M, C, w), axis=1, kind="stable").tolist()
-            counts = [0] * k
-            # Components are placed in index order, so every earlier component
-            # holds its label for this iteration and every later one is still -1.
-            placed = [-1] * len(M)
-            for ci, order in enumerate(orders):
-                size = sizes[ci]
-                partners = apart[ci]
-                for j in order:
-                    if max_size is not None and counts[j] + size > max_size:
-                        continue
-                    if partners and any(placed[other] == j for other in partners):
-                        continue
-                    placed[ci] = j
-                    counts[j] += size
-                    break
-                else:
-                    rows = (ci,) if links is None else links.rows[ci]
-                    component = tuple(ids[i] for i in rows)
-                    raise AssignmentDeadlockError(
-                        f"no admissible cluster for must-link component "
-                        f"{component} at iteration {iterations}; "
-                        f"greedy order found no slot (an exhaustive search may "
-                        f"still succeed at small n)",
-                        component=component,
-                    )
-            comp_labels = np.array(placed, dtype=np.int64)
+            comp_labels = greedy_place(distance_matrix(M, C, w), sizes, cannot_link, max_size)
+            if comp_labels[-1] < 0:
+                ci = int(np.flatnonzero(comp_labels < 0)[0])
+                rows = (ci,) if links is None else links.rows[ci]
+                component = tuple(ids[i] for i in rows)
+                raise AssignmentDeadlockError(
+                    f"no admissible cluster for must-link component "
+                    f"{component} at iteration {iterations}; "
+                    f"greedy order found no slot (an exhaustive search may "
+                    f"still succeed at small n)",
+                    component=component,
+                )
         # Reseed each empty cluster with the component farthest from its own
         # centroid, never a cluster's sole one (any placed component fits a
         # max size alone). Ties go to the lowest index, empties fill lowest

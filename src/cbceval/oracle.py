@@ -149,7 +149,7 @@ def brute_force_min_sse(
     cl_pairs = _lifted_pairs(spec, dataset, components)
     comp_sizes = [len(c) for c in components]
     comp_sums = [X[comp].sum(axis=0) for comp in components]
-    total_sq = float((X**2 * w).sum())
+    comp_squares = [(X[comp] ** 2).sum(axis=0) for comp in components]
 
     best_sse = None
     best_labels = None
@@ -159,15 +159,19 @@ def brute_force_min_sse(
         ):
             continue
         sums = np.zeros((k, X.shape[1]))
+        squares = np.zeros((k, X.shape[1]))
         counts = [0] * k
         for comp, label in enumerate(labels):
             sums[label] += comp_sums[comp]
+            squares[label] += comp_squares[comp]
             counts[label] += comp_sizes[comp]
-        reduction = 0.0
+        # Each attribute's scatter, sum(x**2) - sum(x)**2 / count, is taken
+        # before its weight: it is at most count, so the weighted term stays
+        # within n * sum(w), and no weighted totals cancel.
+        sse_value = 0.0
         for j in range(k):
             if counts[j]:
-                reduction += float((w * sums[j] ** 2).sum()) / counts[j]
-        sse_value = total_sq - reduction
+                sse_value += float((w * (squares[j] - sums[j] ** 2 / counts[j])).sum())
         if best_sse is None or sse_value < best_sse:
             best_sse = sse_value
             best_labels = labels

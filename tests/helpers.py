@@ -6,12 +6,15 @@ import random
 
 import numpy as np
 
-from cbceval.constraints import feasibility_partition
+from cbceval.constraints import build_link_components, feasibility_partition
+from cbceval.errors import AssignmentDeadlockError
 from cbceval.kmeans import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
     SILHOUETTE_BLOCK,
+    KMeansConfig,
     distance_matrix,
+    kmeans_pp_init,
     weight_vector,
 )
 from cbceval.model import (
@@ -127,6 +130,32 @@ def random_constraint_spec(
     return ConstraintSpec(**kwargs)
 
 
+def pinned_instance(seed, n, d, k, must, cannot, max_size, far=False):
+    """Uniform integer ratings, random must-link pairs, cannot-link pairs
+    across components, a max cluster size and k-means++ init. ``far`` moves
+    the last centroid outside the unit cube so that cluster starts empty."""
+    rng = random.Random(seed)
+    dataset = random_dataset(rng, n, d)
+    ids = list(dataset.ids())
+    must_link = [tuple(rng.sample(ids, 2)) for _ in range(must)]
+    component_of = component_index(
+        build_link_components(ConstraintSpec(must_link=must_link), dataset)
+    )
+    cannot_link = []
+    while len(cannot_link) < cannot:
+        a, b = rng.sample(ids, 2)
+        if component_of[a] != component_of[b]:
+            cannot_link.append((a, b))
+    spec = ConstraintSpec(
+        must_link=must_link, cannot_link=cannot_link, max_cluster_size=max_size
+    )
+    config = KMeansConfig(k=k, seed=seed)
+    init = kmeans_pp_init(dataset, config)
+    if far:
+        init = init[:-1] + ((3.0,) * d,)
+    return dataset, spec, config, init
+
+
 def assignment_satisfies(assignment: dict, spec: ConstraintSpec, k: int) -> list[str]:
     """List of constraint violations in an assignment (empty means clean)."""
     problems = []
@@ -205,20 +234,23 @@ def reference_silhouette(dataset: CandidateDataset, clustering) -> float:
     return float(np.mean(scores))
 
 
-def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=None):
-    """Nearest-centroid Lloyd with every distance recomputed every iteration
-    and one ``mean`` per cluster and per multi-row must-link component: the
-    unpruned form that ``kmeans.lloyd`` must equal bit for bit.
+def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=None, max_size=None):
+    """Lloyd with every distance recomputed every iteration and one ``mean``
+    per cluster and per multi-row must-link component: the unpruned form
+    that ``kmeans.lloyd`` must equal bit for bit. Components go to their
+    nearest centroid, or through ``reference_greedy_place`` when ``links``
+    has cannot-links or ``max_size`` is set.
 
     Yields (labels, centroids, sse) after each iteration, up to convergence
-    or ``MAX_ITERATIONS``.
+    or ``MAX_ITERATIONS``. A greedy pass that places no component raises
+    AssignmentDeadlockError with that component's ids.
     """
     X = dataset.normalized
     w = weight_vector(dataset.schema, weights)
     k = len(init)
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
     if links is None:
-        M, row_comp = X, None
+        M, row_comp, sizes = X, None, [1] * len(X)
     else:
         M = X[[rows[0] for rows in links.rows]]
         row_comp = np.empty(len(X), dtype=np.int64)
@@ -226,9 +258,25 @@ def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=N
             row_comp[list(rows)] = ci
             if len(rows) > 1:
                 M[ci] = X[list(rows)].mean(axis=0)
+        sizes = [len(rows) for rows in links.rows]
+    cannot_link = () if links is None else links.lifted_cannot_link
+    apart = [[] for _ in range(len(M))]
+    for a, b in cannot_link:
+        apart[a].append(b)
+        apart[b].append(a)
 
     for _ in range(MAX_ITERATIONS):
-        comp_labels = distance_matrix(M, C, w).argmin(axis=1)
+        if cannot_link or max_size is not None:
+            placed = reference_greedy_place(distance_matrix(M, C, w), sizes, apart, max_size)
+            if -1 in placed:
+                ci = placed.index(-1)
+                rows = (ci,) if links is None else links.rows[ci]
+                raise AssignmentDeadlockError(
+                    "no admissible cluster", component=tuple(dataset.ids()[i] for i in rows)
+                )
+            comp_labels = np.array(placed)
+        else:
+            comp_labels = distance_matrix(M, C, w).argmin(axis=1)
         while True:
             occupants = np.bincount(comp_labels, minlength=k)
             empties = np.flatnonzero(occupants == 0)
@@ -252,6 +300,33 @@ def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=N
         )
         if movement <= CONVERGENCE_TOL:
             return
+
+
+def reference_greedy_place(D, sizes, apart, max_size):
+    """The greedy COP-KMeans pass as one loop over the components: the form
+    that ``kmeans.greedy_place`` must equal. ``apart[i]`` lists component
+    i's cannot-link partners, both ways. Returns each component's cluster;
+    a component with no admissible cluster and every one after it get -1.
+    """
+    orders = np.argsort(D, axis=1, kind="stable").tolist()
+    counts = [0] * D.shape[1]
+    # Components are placed in index order, so every earlier component
+    # holds its label for this iteration and every later one is still -1.
+    placed = [-1] * len(D)
+    for ci, order in enumerate(orders):
+        size = sizes[ci]
+        partners = apart[ci]
+        for j in order:
+            if max_size is not None and counts[j] + size > max_size:
+                continue
+            if partners and any(placed[other] == j for other in partners):
+                continue
+            placed[ci] = j
+            counts[j] += size
+            break
+        else:
+            break
+    return placed
 
 
 def reference_report_json(body: dict, timestamp: str) -> str:

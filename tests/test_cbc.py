@@ -20,8 +20,8 @@ from cbceval.oracle import brute_force_feasible_exists, brute_force_min_sse
 from helpers import (
     FEASIBLE_AT_6,
     assignment_satisfies,
-    component_index,
     partition_signature,
+    pinned_instance,
     pinned_values,
     random_constraint_spec,
     random_dataset,
@@ -35,32 +35,6 @@ GOLDEN_PIPELINE_SIGNATURE = (0, 0, 1, 2, 0, 0, 0, 0, 0, 0)
 
 def spec_at(tau=6, **kwargs):
     return ConstraintSpec(feasibility_threshold=tau, **kwargs)
-
-
-def pinned_instance(seed, n, d, k, must, cannot, max_size, far=False):
-    """Uniform integer ratings, random must-link pairs, cannot-link pairs
-    across components, a max cluster size and k-means++ init. ``far`` moves
-    the last centroid outside the unit cube so that cluster starts empty."""
-    rng = random.Random(seed)
-    dataset = random_dataset(rng, n, d)
-    ids = list(dataset.ids())
-    must_link = [tuple(rng.sample(ids, 2)) for _ in range(must)]
-    component_of = component_index(
-        build_link_components(ConstraintSpec(must_link=must_link), dataset)
-    )
-    cannot_link = []
-    while len(cannot_link) < cannot:
-        a, b = rng.sample(ids, 2)
-        if component_of[a] != component_of[b]:
-            cannot_link.append((a, b))
-    spec = ConstraintSpec(
-        must_link=must_link, cannot_link=cannot_link, max_cluster_size=max_size
-    )
-    config = KMeansConfig(k=k, seed=seed)
-    init = kmeans_pp_init(dataset, config)
-    if far:
-        init = init[:-1] + ((3.0,) * d,)
-    return dataset, spec, config, init
 
 
 # pinned_instance arguments -> (partition signature digest, centroid tuple

@@ -7,7 +7,7 @@ import pytest
 from cbceval import kmeans
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.constraints import build_link_components
-from cbceval.errors import DomainError
+from cbceval.errors import AssignmentDeadlockError, DomainError
 from cbceval.kmeans import (
     KMeansConfig,
     choose_k,
@@ -26,6 +26,7 @@ from cbceval.rng import SplitMix64, child_seed
 
 from helpers import (
     partition_signature,
+    pinned_instance,
     pinned_values,
     random_dataset,
     random_pairs,
@@ -435,15 +436,15 @@ def lloyd_case(seed, n, d, k, distinct, grid=False, coincide=False, far=False, z
     return dataset, tuple(init), weights, components
 
 
-def assert_lloyd_matches_reference(dataset, init, weights, links):
+def assert_lloyd_matches_reference(dataset, init, weights, links, max_size=None):
     """``lloyd`` capped at t iterations equals the reference after its t-th,
     for every t up to the reference's convergence."""
     config = KMeansConfig(k=len(init), seed=0)
-    steps = list(reference_lloyd_steps(dataset, init, weights, links))
+    steps = list(reference_lloyd_steps(dataset, init, weights, links, max_size))
     with pytest.MonkeyPatch.context() as patch:
         for t, (labels, centroids, expected_sse) in enumerate(steps, 1):
             patch.setattr(kmeans, "MAX_ITERATIONS", t)
-            got = lloyd(dataset, init, config, weights, links)
+            got = lloyd(dataset, init, config, weights, links, max_size)
             assert got.iterations == t
             assert got.labels == labels
             assert [v.hex() for row in got.centroids for v in row] == [
@@ -469,6 +470,36 @@ LLOYD_CASES = {
 @pytest.mark.parametrize("case", list(LLOYD_CASES))
 def test_lloyd_matches_the_unpruned_reference_every_iteration(case):
     assert_lloyd_matches_reference(*lloyd_case(**LLOYD_CASES[case]))
+
+
+# pinned_instance arguments of greedy runs: cannot-links and a max size
+# that binds (the second also starts with an empty cluster).
+GREEDY_LLOYD_CASES = [(1, 200, 6, 5, 30, 10, 48), (2, 300, 6, 8, 60, 20, 60, True)]
+
+
+@pytest.mark.parametrize("args", GREEDY_LLOYD_CASES)
+def test_greedy_lloyd_matches_the_reference_every_iteration(args):
+    dataset, spec, config, init = pinned_instance(*args)
+    links = build_link_components(spec, dataset)
+    assert links.lifted_cannot_link
+    steps = list(reference_lloyd_steps(dataset, init, None, links, spec.max_cluster_size))
+    assert len(steps) > 5
+    # The max size binds: without it the run goes otherwise.
+    assert steps != list(reference_lloyd_steps(dataset, init, None, links))
+    assert_lloyd_matches_reference(dataset, init, None, links, spec.max_cluster_size)
+
+
+def test_greedy_lloyd_deadlocks_where_the_reference_does():
+    dataset, spec, config, init = pinned_instance(21, 240, 6, 6, 40, 20, 41)
+    links = build_link_components(spec, dataset)
+    done = []
+    with pytest.raises(AssignmentDeadlockError) as expected:
+        for step in reference_lloyd_steps(dataset, init, None, links, spec.max_cluster_size):
+            done.append(step)
+    with pytest.raises(AssignmentDeadlockError) as got:
+        lloyd(dataset, init, config, None, links, spec.max_cluster_size)
+    assert got.value.component == expected.value.component
+    assert f" at iteration {len(done) + 1};" in str(got.value)
 
 
 if st is not None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -11,7 +12,7 @@ from cbceval.oracle import (
     restricted_growth_strings,
 )
 
-from helpers import dataset_from_rows, partition_signature, random_dataset, take_rows
+from helpers import SAMPLE_ROWS, dataset_from_rows, partition_signature, random_dataset, take_rows
 
 # Pinned exhaustive optima for the bundled sample (recomputed below).
 OPTIMAL_K2_SSE = 0.7376543209876534
@@ -180,3 +181,19 @@ def test_weighted_optimum_uses_spec_weights():
     assert optimum == pytest.approx(0.0, abs=1e-15)
     assert clustering.assignment["p"] == clustering.assignment["q"]
     assert clustering.assignment["r"] == clustering.assignment["s"]
+
+
+def test_optimum_under_a_huge_weight_on_a_constant_attribute(sample_dataset):
+    # Every row rates reusability 10 and its weight times n is near the
+    # largest float: weighting the squared cluster sums overflowed, and the
+    # optimum came out 0.
+    rows = [(cid, (10, *ratings[1:]), c) for cid, (ratings, c) in SAMPLE_ROWS.items()]
+    dataset = dataset_from_rows(sample_dataset.schema, rows)
+    huge = ConstraintSpec(distance_weights={"reusability": 1.7e307})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clustering, optimum = brute_force_min_sse(dataset, 2, huge)
+    _, without = brute_force_min_sse(dataset, 2, ConstraintSpec(distance_weights={"reusability": 0.0}))
+    assert without > 0.5
+    assert optimum == pytest.approx(without, abs=1e-12)
+    assert clustering.sse == optimum
