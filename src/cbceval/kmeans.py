@@ -37,9 +37,6 @@ CONVERGENCE_TOL = 1e-9
 #: Relative float-safety margin of Lloyd's pruning test: a component keeps
 #: its label only when its bounds are apart by more than this share.
 BOUND_MARGIN = 1e-9
-#: A greedy segment search looks this many components ahead, or twice the
-#: last segment's length if that is more.
-MIN_SPAN = 256
 
 
 @dataclass(frozen=True)
@@ -183,9 +180,7 @@ def greedy_place(D: np.ndarray, sizes, cannot_link, max_size: int | None) -> np.
     or meets a partner's choice ends the segment: the ones before it are
     placed at once, and it alone goes through the full rule. The argmin is
     taken again for every remaining component when the set of full clusters
-    grows, and for one component when a partner is placed in its choice. A
-    segment search looks ``MIN_SPAN`` components ahead, or twice the last
-    segment's length if that is more.
+    grows, and for one component when a partner is placed in its choice.
     """
     m, k = D.shape
     sizes = np.asarray(sizes, dtype=np.float64)
@@ -202,27 +197,25 @@ def greedy_place(D: np.ndarray, sizes, cannot_link, max_size: int | None) -> np.
     # cluster among those neither full nor banned.
     placed = np.empty(m, dtype=np.int64)
     full = None
-    start, span = 0, m
+    start = 0
     while start < m:
         now_full = counts + smallest[start] > cap
         if full is None or (now_full != full).any():
             full = now_full
             placed[start:] = np.where(full | banned[start:], np.inf, D[start:]).argmin(axis=1)
-        end = min(m, start + span)
-        near = placed[start:end]
-        stop = end
-        over = counts + np.bincount(near, weights=sizes[start:end], minlength=k) > cap
+        near = placed[start:]
+        stop = m
+        over = counts + np.bincount(near, weights=sizes[start:], minlength=k) > cap
         for j in over.nonzero()[0]:
             rows = (near == j).nonzero()[0]
-            filled = counts[j] + sizes[start:end][rows].cumsum()
+            filled = counts[j] + sizes[start:][rows].cumsum()
             stop = min(stop, start + int(rows[filled.searchsorted(cap, side="right")]))
-        lo, hi = second.searchsorted(start), second.searchsorted(end)
-        clash = (placed[first[lo:hi]] == placed[second[lo:hi]]).nonzero()[0]
+        lo = second.searchsorted(start)
+        clash = (placed[first[lo:]] == placed[second[lo:]]).nonzero()[0]
         if clash.size:
             stop = min(stop, int(second[lo + clash[0]]))
         counts += np.bincount(placed[start:stop], weights=sizes[start:stop], minlength=k)
-        span = max(MIN_SPAN, 2 * (stop - start))
-        if stop < end:
+        if stop < m:
             lo, hi = second.searchsorted(stop), second.searchsorted(stop + 1)
             partners = placed[first[lo:hi]].tolist()
             for j in D[stop].argsort(kind="stable").tolist():
@@ -303,8 +296,6 @@ def lloyd(
         M = group_means(X, row_comp, len(sizes))[0]
     cannot_link = () if links is None else links.lifted_cannot_link
     greedy = bool(cannot_link) or max_size is not None
-    if greedy:
-        cannot_link = np.array(cannot_link, dtype=np.int64).reshape(-1, 2)
     # Hamerly bounds on the weighted distance sqrt(sum(w * (m - c) ** 2)):
     # ``upper`` from each component mean to its own centroid, ``lower`` to
     # every other one. An infinite upper bound forces a full recompute.

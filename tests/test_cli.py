@@ -326,10 +326,10 @@ def test_verify_detects_injected_disagreement(sample_paths, capsys, monkeypatch)
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_verify_slack_scales_with_the_distance_weights(sample_paths, tmp_path, capsys, monkeypatch, k):
-    # At weights 1e12 the engine finds the optimum, but its SSE and the
-    # oracle's total_sq - sum(|s|^2 / c) differ by about 1e-3: far above an
-    # absolute 1e-9, about 1e-17 of n * sum(w) = 6e13, which sets the slack
-    # (1e-12 of it, 60 here).
+    # At weights 1e12 the engine finds the optimum, but engine and oracle add
+    # up its SSE in different orders, so the two differ by up to about 1e-3:
+    # far above an absolute 1e-9, about 1e-17 of n * sum(w) = 6e13, which
+    # sets the slack (1e-12 of it, 60 here).
     import cbceval.cli as cli_module
 
     data, _ = sample_paths

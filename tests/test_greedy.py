@@ -4,14 +4,12 @@
 admissible cluster at once; ``helpers.reference_greedy_place`` is the
 COP-KMeans loop that places one component at a time. Both must give the
 same labels, or fail on the same component. Distances are small integers so
-that ties are common, and ``MIN_SPAN`` is shrunk so that segment searches
-end inside cannot-link pairs.
+that ties are common.
 """
 
 import numpy as np
 import pytest
 
-from cbceval import kmeans
 from cbceval.kmeans import greedy_place
 
 from helpers import reference_greedy_place
@@ -22,7 +20,7 @@ except ImportError:  # only the property needs Hypothesis
     st = None
 
 
-def assert_same_placement(D, sizes, pairs, max_size, span=kmeans.MIN_SPAN):
+def assert_same_placement(D, sizes, pairs, max_size):
     """``greedy_place`` equals the reference; returns the reference labels."""
     D = np.asarray(D, dtype=np.float64)
     apart = [[] for _ in range(len(D))]
@@ -30,44 +28,42 @@ def assert_same_placement(D, sizes, pairs, max_size, span=kmeans.MIN_SPAN):
         apart[a].append(b)
         apart[b].append(a)
     expected = reference_greedy_place(D, sizes, apart, max_size)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kmeans, "MIN_SPAN", span)
-        got = greedy_place(D, np.array(sizes), np.array(pairs, dtype=np.int64), max_size)
+    got = greedy_place(D, np.array(sizes), np.array(pairs, dtype=np.int64), max_size)
     assert got.tolist() == expected
     return expected
 
 
-# name -> (distances, sizes, cannot-link pairs, max size, span, labels)
+# name -> (distances, sizes, cannot-link pairs, max size, labels)
 PLACEMENTS = {
-    "exact fill": ([[0, 1]] * 4, [1, 1, 2, 1], [], 4, 256, [0, 0, 0, 1]),
-    "multi-row crossing, singletons fit": (
-        [[0, 1]] * 5, [1, 1, 3, 1, 1], [], 4, 256, [0, 0, 1, 0, 0]
-    ),
-    "tied distances": ([[2, 2, 2]] * 4, [1] * 4, [], 2, 256, [0, 0, 1, 1]),
-    "cannot-link chain": ([[0, 0, 0]] * 4, [1] * 4, [(0, 1), (1, 2), (2, 3)], None, 256, [0, 1, 0, 1]),
+    "exact fill": ([[0, 1]] * 4, [1, 1, 2, 1], [], 4, [0, 0, 0, 1]),
+    "multi-row crossing, singletons fit": ([[0, 1]] * 5, [1, 1, 3, 1, 1], [], 4, [0, 0, 1, 0, 0]),
+    "tied distances": ([[2, 2, 2]] * 4, [1] * 4, [], 2, [0, 0, 1, 1]),
+    "cannot-link chain": ([[0, 0, 0]] * 4, [1] * 4, [(0, 1), (1, 2), (2, 3)], None, [0, 1, 0, 1]),
+    # The clash at 1 ends the first segment; (1, 2) then straddles the
+    # second one's start and moves 2 off its nearest cluster.
     "pair straddles the segment start": (
-        [[0, 1]] * 4, [1] * 4, [(0, 3)], None, 1, [0, 0, 0, 1]
+        [[0, 1], [0, 1], [1, 0], [0, 1]], [1] * 4, [(0, 1), (1, 2)], None, [0, 1, 0, 0]
     ),
-    "k = 1": ([[0]] * 3, [2, 1, 1], [], None, 256, [0, 0, 0]),
-    "k = 1, cannot-link": ([[0]] * 3, [1] * 3, [(0, 2)], None, 256, [0, 0, -1]),
-    "late deadlock": ([[0, 1]] * 7, [1] * 7, [], 3, 256, [0, 0, 0, 1, 1, 1, -1]),
+    "k = 1": ([[0]] * 3, [2, 1, 1], [], None, [0, 0, 0]),
+    "k = 1, cannot-link": ([[0]] * 3, [1] * 3, [(0, 2)], None, [0, 0, -1]),
+    "late deadlock": ([[0, 1]] * 7, [1] * 7, [], 3, [0, 0, 0, 1, 1, 1, -1]),
     "deadlock by partners in every cluster": (
-        [[0, 1]] * 5, [1] * 5, [(0, 1), (0, 4), (1, 4)], None, 2, [0, 1, 0, 0, -1]
+        [[0, 1]] * 5, [1] * 5, [(0, 1), (0, 4), (1, 4)], None, [0, 1, 0, 0, -1]
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(PLACEMENTS))
 def test_greedy_place_matches_the_loop(name):
-    D, sizes, pairs, max_size, span, labels = PLACEMENTS[name]
-    assert assert_same_placement(D, sizes, pairs, max_size, span) == labels
+    D, sizes, pairs, max_size, labels = PLACEMENTS[name]
+    assert assert_same_placement(D, sizes, pairs, max_size) == labels
 
 
 if st is not None:
 
     @st.composite
     def placements(draw):
-        """(D, sizes, pairs, max_size, span). ``max_size`` is None, any
+        """(D, sizes, pairs, max_size). ``max_size`` is None, any
         size, or the fill of component t's nearest cluster, without a cap,
         when t joins it (an exact fill) or one less (t crosses it)."""
         m = draw(st.integers(1, 24))
@@ -101,8 +97,7 @@ if st is not None:
             else:
                 fill = sum(s for s, j in zip(sizes[: t + 1], free) if j == free[t])
                 max_size = max(1, fill - (mode == "cross"))
-        span = draw(st.sampled_from((1, 2, 3, kmeans.MIN_SPAN)))
-        return D, sizes, pairs, max_size, span
+        return D, sizes, pairs, max_size
 
     @settings(
         max_examples=400,
