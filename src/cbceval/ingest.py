@@ -11,6 +11,9 @@ import io
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain, compress, count
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,22 +62,31 @@ class ValidationReport:
         return "\n".join(lines) if lines else "ok"
 
 
-def parse_dataset(csv_text: str) -> CandidateDataset:
-    """Parse dataset CSV text into a validated :class:`CandidateDataset`.
+class _Table(NamedTuple):
+    """A dataset CSV read up to its data: the checked header and the data
+    records, blank ones dropped, each with its row number in the file."""
 
-    Accepts LF or CRLF line endings. Column order defines attribute order,
-    so centroid vectors are reproducible from the file alone. Ratings lie on
-    the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
-    """
-    text = csv_text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
+    schema: AttributeSchema
+    header: list[str]
+    columns: list[int]  # the attribute columns in header order, then the constraints column
+    numbers: list[int]
+    records: list[list[str]]
+
+
+def _read_table(csv_text: str) -> _Table:
+    text = csv_text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
-    if not rows:
+    # Records are numbered before blank ones are dropped, so a locator
+    # ``row N`` names the file's N-th record.
+    kept = list(map(str.strip, map("".join, rows)))
+    numbers = list(compress(count(1), kept))
+    records = list(compress(rows, kept))
+    if not records:
         raise ParseError("missing header", locator="header")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in records[0]]
     if not header or header[0].lower() != "id":
         raise ParseError("first column must be 'id'", locator="header")
     constraints_cols = [i for i, name in enumerate(header) if name.lower() == "constraints"]
@@ -102,9 +114,49 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
     except DomainError as exc:
         raise ParseError(str(exc), locator="header") from exc
 
+    return _Table(schema, header, [*attr_cols, constraints_col], numbers[1:], records[1:])
+
+
+def parse_dataset(csv_text: str) -> CandidateDataset:
+    """Parse dataset CSV text into a validated :class:`CandidateDataset`.
+
+    Accepts LF or CRLF line endings. Column order defines attribute order,
+    so centroid vectors are reproducible from the file alone. Ratings lie on
+    the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
+
+    Each check runs once over all records, and every rating cell goes
+    through one ``float`` pass into an n x (columns - 1) array. On any
+    failure :func:`_parse_rows` parses the records again one at a time, to
+    raise the error of the earliest bad record.
+    """
+    table = _read_table(csv_text)
+    records, width = table.records, len(table.header)
+    if set(map(len, records)) - {width}:
+        return _parse_rows(table)
+    ids = list(map(str.strip, map(itemgetter(0), records)))
+    if not all(ids) or len(set(ids)) < len(ids):
+        return _parse_rows(table)
+    # float() skips the same surrounding whitespace as str.strip().
+    cells = chain.from_iterable(map(itemgetter(slice(1, None)), records))
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64)
+    except ValueError:
+        return _parse_rows(table)
+    values = values.reshape(len(records), width - 1)[:, [col - 1 for col in table.columns]]
+    with np.errstate(invalid="ignore"):  # NaN fails the range check quietly
+        in_range = ((SCALE_MIN <= values) & (values <= SCALE_MAX)).all()
+    if not in_range:
+        return _parse_rows(table)
+    return CandidateDataset(table.schema, ids, values[:, :-1], values[:, -1])
+
+
+def _parse_rows(table: _Table) -> CandidateDataset:
+    """Parse ``table``'s records one at a time, raising the error of the
+    first bad record."""
+    header = table.header
     ids, ratings, constraints = [], [], []
     seen_ids = set()
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in zip(table.numbers, table.records):
         cells = [cell.strip() for cell in row]
         if len(cells) != len(header):
             raise ParseError(
@@ -115,29 +167,31 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
         if not cid:
             raise ParseError("empty id", locator=f"row {line_no}")
         if cid in seen_ids:
-            raise ParseError(f"duplicate id {cid}", locator=f"row {line_no}")
+            raise ParseError(f"duplicate id {_cut(cid)}", locator=f"row {line_no}")
         seen_ids.add(cid)
 
-        def _cell(col: int, name: str) -> float:
+        def _cell(col: int) -> float:
             raw = cells[col]
             try:
                 value = float(raw)
             except ValueError:
                 raise ParseError(
-                    f"not a number: {_shown(raw)}", locator=f"row {cid}, column {name}"
+                    f"not a number: {_shown(raw)}",
+                    locator=f"row {_cut(cid)}, column {_cut(header[col])}",
                 ) from None
             if not SCALE_MIN <= value <= SCALE_MAX:
                 raise ParseError(
-                    f"rating {raw} out of range [{SCALE_MIN:g}, {SCALE_MAX:g}]",
-                    locator=f"row {cid}, column {name}",
+                    f"rating {_cut(raw)} out of range [{SCALE_MIN:g}, {SCALE_MAX:g}]",
+                    locator=f"row {_cut(cid)}, column {_cut(header[col])}",
                 )
             return value
 
         ids.append(cid)
-        ratings.append([_cell(i, header[i]) for i in attr_cols])
-        constraints.append(_cell(constraints_col, header[constraints_col]))
+        *values, constraints_rating = map(_cell, table.columns)
+        ratings.append(values)
+        constraints.append(constraints_rating)
 
-    return CandidateDataset(schema, ids, ratings, constraints)
+    return CandidateDataset(table.schema, ids, ratings, constraints)
 
 
 class _OncePerValue(dict):

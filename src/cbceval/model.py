@@ -9,12 +9,13 @@ beyond rating normalization and micro-cluster grouping.
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _cut, _shown
 
 #: The six core SaaS features: the paper's default rating schema.
 KEY_FEATURES = (
@@ -53,6 +54,11 @@ _NOT_CSV_TEXT = "must not start or end with whitespace or hold a carriage return
 
 def _survives_csv(text: str) -> bool:
     return text == text.strip() and "\r" not in text
+
+
+def _sequence(values):
+    """``values`` as a sized, sliceable sequence; arrays are kept as they are."""
+    return values if isinstance(values, np.ndarray) else list(values)
 
 
 @dataclass(frozen=True)
@@ -103,28 +109,30 @@ class CandidateDataset:
     row_of: Mapping[str, int] = field(repr=False)
 
     def __init__(self, schema: AttributeSchema, ids, ratings, constraints_ratings):
-        ids, rows, constraints = list(ids), list(ratings), list(constraints_ratings)
+        ids, rows, constraints = list(ids), _sequence(ratings), _sequence(constraints_ratings)
         if not len(ids) == len(rows) == len(constraints):
             raise DomainError("ids, ratings and constraints ratings differ in length")
         d = len(schema.names)
+        # Every row of an n x d array holds d ratings: only lists are measured.
+        widths = repeat(d) if isinstance(rows, np.ndarray) and rows.shape[1:] == (d,) else map(len, rows)
         # Rows before the first bad id or wrong-length row are range checked
         # first, so the error raised is the one for the earliest row.
         row_of: dict[str, int] = {}
         shape_error = None
-        for cid, row in zip(ids, rows):
+        for cid, width in zip(ids, widths):
             if not isinstance(cid, str) or not cid.strip():
                 shape_error = "candidate id must be a non-empty string"
             elif not _survives_csv(cid):
-                shape_error = f"candidate id {cid!r} {_NOT_CSV_TEXT}"
+                shape_error = f"candidate id {_shown(cid)} {_NOT_CSV_TEXT}"
             elif cid in row_of:
-                shape_error = f"duplicate candidate id {cid}"
-            elif len(row) != d:
-                shape_error = f"candidate {cid}: expected {d} ratings, got {len(row)}"
+                shape_error = f"duplicate candidate id {_cut(cid)}"
+            elif width != d:
+                shape_error = f"candidate {cid}: expected {d} ratings, got {width}"
             if shape_error is not None:
                 break
             row_of[cid] = len(row_of)
         m = len(row_of)
-        ratings = np.array(rows[:m], dtype=np.float64).reshape(m, d)
+        ratings = np.array(rows[:m], dtype=np.float64, order="C").reshape(m, d)
         constraints = np.array(constraints[:m], dtype=np.float64)
         lo, hi = SCALE_MIN, SCALE_MAX
         bad_rating = ~((lo <= ratings) & (ratings <= hi))

@@ -8,6 +8,8 @@ from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.errors import DomainError, ParseError
 from cbceval.evaluate import rank
 from cbceval.ingest import (
+    _parse_rows,
+    _read_table,
     bind_and_validate,
     constraint_spec_to_dict,
     parse_constraint_spec,
@@ -18,6 +20,11 @@ from cbceval.kmeans import KMeansConfig
 from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 
 from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, dataset_from_rows, random_dataset
+
+try:
+    from hypothesis import HealthCheck, given, settings, strategies as st
+except ImportError:  # only the row-loop property needs Hypothesis
+    st = None
 
 HEADER = "id,reusability,customizability,scalability,availability,data_management,pay_per_use,constraints"
 
@@ -328,10 +335,99 @@ def test_malformed_spec_error_text(spec, message):
     assert str(info.value) == message
 
 
-def test_long_csv_cell_is_cut_in_errors():
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (
+            "id,a,constraints\nx," + "q" * 2000 + ",5\n",
+            f"row x, column a: not a number: '{'q' * 39}... (2002 characters)",
+        ),
+        (
+            "id,a,constraints\n" + f"{'d' * 5000},5,5\n" * 2,
+            f"row 3: duplicate id {'d' * 40}... (5000 characters)",
+        ),
+        (
+            "id,a,constraints\nx," + "9" * 5000 + ",5\n",
+            f"row x, column a: rating {'9' * 40}... (5000 characters) out of range [1, 10]",
+        ),
+        (
+            f"id,{'a' * 41},constraints\n{'y' * 41},11,5\n",
+            f"row {'y' * 40}... (41 characters), column {'a' * 40}... (41 characters): "
+            "rating 11 out of range [1, 10]",
+        ),
+    ],
+    ids=["not a number", "duplicate id", "rating out of range", "id and column name"],
+)
+def test_long_csv_cell_is_cut_in_errors(text, message):
     with pytest.raises(ParseError) as info:
-        parse_dataset("id,a,constraints\nx," + "q" * 2000 + ",5\n")
-    assert str(info.value) == f"row x, column a: not a number: '{'q' * 39}... (2002 characters)"
+        parse_dataset(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("id,a,constraints\n\n\nx,5\n", "row 4: expected 3 cells, got 2"),
+        ("id,a,constraints\nx,5,5\n\n \nx,6,6\n", "row 5: duplicate id x"),
+        ("\n,\nid,a,constraints\nx,5,5\n\ny\n", "row 6: expected 3 cells, got 1"),
+    ],
+    ids=["short record", "duplicate id", "blank records before the header"],
+)
+def test_row_numbers_count_blank_records(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_dataset(text)
+    assert str(info.value) == message
+
+
+def dataset_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the dataset's ids and column bytes,
+    or the text of the ParseError it raises."""
+    try:
+        dataset = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return dataset.ids(), dataset.ratings.tobytes(), dataset.constraints_ratings.tobytes()
+
+
+def parse_by_rows(text):
+    return _parse_rows(_read_table(text))
+
+
+if st is not None:
+    # Mostly valid cells, so that whole datasets parse as well as fail.
+    IDS = ("p", "q", "r", "s", "t", " u", "v\t", "w\xa0", '"x,y"') * 3 + ("", "  ")
+    RATINGS = (
+        ("1", "5", "10", "2.5", " 7 ", "\t3", "\xa04\u2003", '" 6"', "1e1", "٣") * 12
+        + ("", " ", "0", "11", "-1", "nan", "inf", "-inf", "1_0", "1e999", "x", "5 5", "0x5")
+    )
+    BLANK_RECORDS = ("", " ", ",", " ,\t,")
+    HEADERS = ("id,a,constraints", "id, a ,b,constraints", "id,constraints,a")
+
+    @st.composite
+    def dataset_texts(draw):
+        header = draw(st.sampled_from(HEADERS))
+        width = header.count(",") + 1
+        lines = draw(st.lists(st.sampled_from(BLANK_RECORDS), max_size=2)) + [header]
+        for _ in range(draw(st.integers(0, 6))):
+            if draw(st.integers(0, 5)) == 0:
+                lines.append(draw(st.sampled_from(BLANK_RECORDS)))
+                continue
+            cells = [draw(st.sampled_from(IDS))]
+            cells += draw(st.lists(st.sampled_from(RATINGS), min_size=width - 1, max_size=width - 1))
+            extra = draw(st.sampled_from((0,) * 8 + (-1, 1)))  # a short or a long record
+            lines.append(",".join(cells[:-1] if extra < 0 else cells + ["5"] * extra))
+        return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\r\n")))
+
+    @settings(
+        max_examples=600,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(text=dataset_texts())
+    def test_parse_dataset_matches_the_row_loop(text):
+        assert dataset_outcome(parse_dataset, text) == dataset_outcome(parse_by_rows, text)
 
 
 def spec_round_trip(spec):

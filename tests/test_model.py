@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cbceval.errors import DomainError
@@ -77,6 +78,34 @@ def test_dataset_rejects_ragged_columns_and_blank_ids():
         CandidateDataset(schema, ["x", "y"], [[5]], [5, 5])
     with pytest.raises(DomainError, match="non-empty string"):
         CandidateDataset(schema, ["x", " "], [[5], [6]], [5, 5])
+
+
+def test_dataset_cuts_long_ids_in_errors():
+    schema = AttributeSchema(("a",))
+    long_id = "x" * 5000
+    with pytest.raises(DomainError) as info:
+        CandidateDataset(schema, [long_id, long_id], [[5], [6]], [5, 5])
+    assert str(info.value) == f"duplicate candidate id {'x' * 40}... (5000 characters)"
+    with pytest.raises(DomainError) as info:
+        CandidateDataset(schema, [" " + long_id], [[5]], [5])
+    assert str(info.value) == (
+        f"candidate id ' {'x' * 38}... (5003 characters) "
+        "must not start or end with whitespace or hold a carriage return"
+    )
+
+
+def test_dataset_takes_arrays_as_lists():
+    schema = AttributeSchema(("a", "b"))
+    rows = [[1.0, 2.5], [10.0, 3.0], [4.0, 7.25]]
+    from_lists = CandidateDataset(schema, ["x", "y", "z"], rows, [5, 6, 7])
+    # A transposed view holds the same rows; the dataset keeps its own C-order copy.
+    columns = np.array(rows).T.copy()
+    from_arrays = CandidateDataset(schema, ["x", "y", "z"], columns.T, np.array([5.0, 6.0, 7.0]))
+    assert from_arrays == from_lists
+    assert from_arrays.ratings.flags.c_contiguous
+    assert columns.flags.writeable
+    with pytest.raises(DomainError, match="candidate x: expected 2 ratings, got 3"):
+        CandidateDataset(schema, ["x"], np.ones((1, 3)), [5])
 
 
 def test_clustering_labels_follow_ids():
