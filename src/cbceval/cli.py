@@ -10,11 +10,12 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable
 
 from .cbc import CBCConfig, run_pipeline
 from .constraints import detect_deadlock
 from .errors import AssignmentDeadlockError, CapacityError, CBCError, DomainError, ParseError, _cut
-from .evaluate import deadlock_to_dict, rank, report_json, round_floats
+from .evaluate import _report_chunks, deadlock_to_dict, rank, round_floats
 from .ingest import _as_number, bind_and_validate, parse_constraint_spec, parse_dataset
 from .kmeans import KMeansConfig, _distance_weights, choose_k, run_kmeans, sse, weight_vector
 from .model import ConstraintSpec
@@ -53,19 +54,20 @@ def _read(path: str) -> str:
         ) from exc
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks: Iterable[str], out: str | None):
+    """Write the text ``chunks`` to ``out``, or to stdout."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise CBCError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(payload, out: str | None):
-    _emit(json.dumps(round_floats(payload), indent=2) + "\n", out)
+    _emit([json.dumps(round_floats(payload), indent=2) + "\n"], out)
 
 
 def _load_weights(path: str | None, to_vector) -> dict | None:
@@ -143,7 +145,7 @@ def _cmd_evaluate(args) -> int:
         k = choose_k(dataset, args.seed)
     result = run_pipeline(dataset, spec, CBCConfig(kmeans=KMeansConfig(k=k, seed=args.seed)))
     report = rank(result, dataset, weights)
-    _emit(report_json(report), args.out)
+    _emit(_report_chunks(report), args.out)
     if result.aborted:
         print(_style("deadlock: run aborted at bind time", "33"), file=sys.stderr)
         return EXIT_DEADLOCK

@@ -12,6 +12,8 @@ stdlib's indented encoder is pure Python and took most of a large report's
 time. The templates give the same bytes as ``json.dumps(body, indent=2)``,
 and the digest hashes the same text as the sorted compact dump; the tests
 keep the stdlib form as the reference and compare byte for byte.
+``evaluate --out`` writes the text in chunks (``_report_chunks``) after a
+first pass that makes the digest, so no whole-report text is held.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -241,8 +243,7 @@ _VIOLATION = _Object(tuple(f.name for f in fields(Violation)), 4)
 _EXCLUDED = _Object(("id", "violations"), 2)
 
 
-def _micro_clusters(section: list, floats: _OncePerValue) -> list[tuple[str, str]]:
-    written = []
+def _micro_clusters(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
     for mc in section:
         if mc["label"] == FEASIBLE:
             members = [
@@ -253,33 +254,85 @@ def _micro_clusters(section: list, floats: _OncePerValue) -> list[tuple[str, str
             members = [_MEMBER.write((_quote(m["id"]),)) for m in mc["members"]]
         head = _texts((mc["parent"], mc["label"]), floats)
         indented, compact = _arrays(members, 3)
-        written.append(_MICRO_CLUSTER.write((*head, indented), (*head, compact)))
-    return written
+        yield _MICRO_CLUSTER.write((*head, indented), (*head, compact))
 
 
-def _ranking(section: list, floats: _OncePerValue) -> list[tuple[str, str]]:
+def _ranking(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
     if not section:
-        return []
+        return
     attributes = _Object(tuple(section[0]["per_attribute"]), 3)
-    written = []
     for entry in section:
         indented, compact = attributes.write(_texts(entry["per_attribute"].values(), floats))
         head = _texts((entry["id"], entry["score"]), floats)
-        written.append(_RANKED.write((*head, indented), (*head, compact)))
-    return written
+        yield _RANKED.write((*head, indented), (*head, compact))
 
 
-def _excluded(section: list, floats: _OncePerValue) -> list[tuple[str, str]]:
-    written = []
+def _excluded(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
     for entry in section:
         violations = [_VIOLATION.write(_texts(v.values(), floats)) for v in entry["violations"]]
         indented, compact = _arrays(violations, 3)
         cid = _quote(entry["id"])
-        written.append(_EXCLUDED.write((cid, indented), (cid, compact)))
-    return written
+        yield _EXCLUDED.write((cid, indented), (cid, compact))
 
 
 _SECTIONS = {"micro_clusters": _micro_clusters, "ranking": _ranking, "excluded": _excluded}
+# Bulk entries per written chunk.
+_BATCH = 256
+
+
+def _report_chunks(body: dict, timestamp: str | None = None) -> Iterator[str]:
+    """``report_json``'s text as an iterator of chunks.
+
+    ``meta`` comes first but holds the digest of the whole body, so the text
+    is made in two passes. This call runs the first one: it walks the body
+    in sorted-key order, feeds each bulk entry's compact text to the digest
+    as it is made and keeps only its indented text, then writes ``meta`` and
+    ``deadlock``. Everything that can fail has run when it returns. The
+    iterator, the second pass, joins the held texts in file order, a batch
+    of entries per chunk, and drops each section once it is written."""
+    if timestamp is None:
+        timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    floats = _OncePerValue(json.dumps)
+    held = {}
+    digest = hashlib.sha256(b"{")
+    for i, key in enumerate(sorted(body)):
+        digest.update(f'{"," if i else ""}{_quote(key)}:'.encode("utf-8"))
+        if key not in _SECTIONS:
+            digest.update(json.dumps(body[key], **_COMPACT).encode("utf-8"))
+            continue
+        entries = held[key] = []
+        digest.update(b"[")
+        for indented, compact in _SECTIONS[key](body[key], floats):
+            digest.update(f'{"," if entries else ""}{compact}'.encode("utf-8"))
+            entries.append(indented)
+        digest.update(b"]")
+    digest.update(b"}")
+    meta = {**body["meta"], "report_digest": digest.hexdigest(), "timestamp": timestamp}
+    texts = {
+        # a nested value's stdlib text, moved one level in
+        key: held[key] if key in held else json.dumps(value, indent=2).replace("\n", "\n  ")
+        for key, value in {**body, "meta": meta}.items()
+    }
+    return _joined(texts)
+
+
+def _joined(texts: dict) -> Iterator[str]:
+    """The report text of its sections' ``texts`` (a section's indented
+    text, or a bulk section's list of indented entries), in their order."""
+    for i, key in enumerate(list(texts)):
+        value = texts.pop(key)
+        head = f'{"," if i else "{"}\n  {_quote(key)}: '
+        if isinstance(value, str):
+            yield head + value
+        elif not value:
+            yield head + "[]"
+        else:
+            for start in range(0, len(value), _BATCH):
+                yield (head + "[" if start == 0 else ",") + "\n    " + ",\n    ".join(
+                    value[start : start + _BATCH]
+                )
+            yield "\n  ]"
+    yield "\n}\n"
 
 
 def report_json(body: dict, *, timestamp: str | None = None) -> str:
@@ -293,24 +346,6 @@ def report_json(body: dict, *, timestamp: str | None = None) -> str:
     ``json.dumps(sort_keys=True, separators=(",", ":"))``. Only ``meta`` and
     ``deadlock`` go through ``json.dumps`` whole: the bulk sections are
     written entry by entry from templates of the shape ``rank`` gives them,
-    so a body passed here must keep that shape (the keys of its entries)."""
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    floats = _OncePerValue(json.dumps)
-    indented, compact = {}, {}
-    for key, value in body.items():
-        if key in _SECTIONS:
-            indented[key], compact[key] = _arrays(_SECTIONS[key](value, floats), 1)
-        else:
-            compact[key] = json.dumps(value, **_COMPACT)
-    digest = hashlib.sha256(b"{")
-    for i, key in enumerate(sorted(body)):
-        digest.update(f'{"," if i else ""}{_quote(key)}:{compact.pop(key)}'.encode("utf-8"))
-    digest.update(b"}")
-    meta = {**body["meta"], "report_digest": digest.hexdigest(), "timestamp": timestamp}
-    report = {**body, "meta": meta}
-    for key, value in report.items():
-        if key not in indented:
-            # a nested value's stdlib text, moved one level in
-            indented[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
-    return "{\n" + ",\n".join(f"  {_quote(key)}: {indented[key]}" for key in report) + "\n}\n"
+    so a body passed here must keep that shape (the keys of its entries).
+    It is the joined form of ``_report_chunks``, which writes ``--out``."""
+    return "".join(_report_chunks(body, timestamp))

@@ -466,7 +466,9 @@ def _silhouettes(dataset: CandidateDataset, clusterings) -> list[float]:
 
     for start in range(0, n, SILHOUETTE_BLOCK):
         block = X[start : start + SILHOUETTE_BLOCK]
-        D = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        D = block[:, None, :] - X[None, :, :]
+        np.square(D, out=D)  # in place: one (block, n, d) temporary, not two
+        D = np.sqrt(D.sum(axis=2))
         rows = np.arange(start, start + len(block))
         for labels, counts, members, scores in sweep:
             own = labels[rows]

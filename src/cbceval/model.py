@@ -127,7 +127,7 @@ class CandidateDataset:
             elif cid in row_of:
                 shape_error = f"duplicate candidate id {_cut(cid)}"
             elif width != d:
-                shape_error = f"candidate {cid}: expected {d} ratings, got {width}"
+                shape_error = f"candidate {_cut(cid)}: expected {d} ratings, got {width}"
             if shape_error is not None:
                 break
             row_of[cid] = len(row_of)
@@ -143,11 +143,11 @@ class CandidateDataset:
             if columns.size:
                 j = int(columns[0])
                 raise DomainError(
-                    f"candidate {ids[row]}, attribute {schema.names[j]}: "
+                    f"candidate {_cut(ids[row])}, attribute {schema.names[j]}: "
                     f"rating {float(ratings[row, j])} out of range"
                 )
             raise DomainError(
-                f"candidate {ids[row]}: constraints rating "
+                f"candidate {_cut(ids[row])}: constraints rating "
                 f"{float(constraints[row])} out of range"
             )
         if shape_error is not None:
@@ -363,7 +363,9 @@ class Clustering:
             raise DomainError(f"expected {len(self.ids)} labels, got {len(self.labels)}")
         for cid, label in zip(self.ids, self.labels):
             if not 0 <= label < self.k:
-                raise DomainError(f"candidate {cid} assigned to invalid cluster {label}")
+                raise DomainError(
+                    f"candidate {_cut(str(cid))} assigned to invalid cluster {label}"
+                )
 
     @property
     def assignment(self) -> dict[str, int]:
@@ -418,9 +420,11 @@ class MicroClustering:
         ids = set(self.parent.ids)
         for cid, violations in self.violations.items():
             if cid not in ids:
-                raise DomainError(f"violations name {cid}, not a candidate of the parent")
+                raise DomainError(
+                    f"violations name {_cut(str(cid))}, not a candidate of the parent"
+                )
             if not violations:
-                raise DomainError(f"candidate {cid} has an empty violation record")
+                raise DomainError(f"candidate {_cut(str(cid))} has an empty violation record")
 
     @cached_property
     def micro_clusters(self) -> tuple[MicroCluster, ...]:

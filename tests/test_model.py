@@ -94,6 +94,46 @@ def test_dataset_cuts_long_ids_in_errors():
     )
 
 
+LONG_ID = "x" * 5000
+CUT_ID = f"{'x' * 40}... (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "ratings, constraints, message",
+    [
+        ([[5, 5]], [5], "candidate {}: expected 1 ratings, got 2"),
+        ([[11]], [5], "candidate {}, attribute a: rating 11.0 out of range"),
+        ([[5]], [0], "candidate {}: constraints rating 0.0 out of range"),
+    ],
+    ids=["width", "rating", "constraints"],
+)
+def test_dataset_cuts_long_ids_in_row_errors(ratings, constraints, message):
+    schema = AttributeSchema(("a",))
+    with pytest.raises(DomainError) as info:
+        CandidateDataset(schema, [LONG_ID], ratings, constraints)
+    assert str(info.value) == message.format(CUT_ID)
+    assert len(str(info.value)) < 300
+    # an id of 40 characters or fewer reads as before
+    with pytest.raises(DomainError) as info:
+        CandidateDataset(schema, ["x" * 40], ratings, constraints)
+    assert str(info.value) == message.format("x" * 40)
+
+
+def test_clusterings_cut_long_ids_in_errors():
+    fields = dict(k=1, centroids=((0.0,),), sse=0.0, iterations=0, seed=0)
+    for cid, shown in ((LONG_ID, CUT_ID), ("x" * 40, "x" * 40)):
+        with pytest.raises(DomainError) as info:
+            Clustering(ids=(cid,), labels=(1,), **fields)
+        assert str(info.value) == f"candidate {shown} assigned to invalid cluster 1"
+        parent = Clustering(ids=(cid,), labels=(0,), **fields)
+        with pytest.raises(DomainError) as info:
+            MicroClustering(parent, {cid: ()})
+        assert str(info.value) == f"candidate {shown} has an empty violation record"
+        with pytest.raises(DomainError) as info:
+            MicroClustering(parent, {cid + "y": ()})
+        assert len(str(info.value)) < 300
+
+
 def test_dataset_takes_arrays_as_lists():
     schema = AttributeSchema(("a", "b"))
     rows = [[1.0, 2.5], [10.0, 3.0], [4.0, 7.25]]
