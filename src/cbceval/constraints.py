@@ -3,14 +3,16 @@ feasibility, and deadlock identification.
 
 "Deadlock" is formalized as unsatisfiability of the constraint set. Detection
 combines quick sound rules (size arithmetic, direct link conflicts, oversized
-components, global existential counts, an empty feasible set) with exact
-searches. Cannot-link coloring is exact when at most ``EXACT_COMPONENT_LIMIT``
-components are cannot-linked, and packing under size bounds is exact when the
-must-link component count stays at or below that limit; past either limit the
-report carries a "not checked" warning instead.
+components, global existential counts, an empty feasible set) with one packing
+routine, run for the cannot-link coloring and again under the size bounds. A
+first-fit placement that works is a witness however many components there
+are; when it fails, at most ``EXACT_COMPONENT_LIMIT`` multi-row or
+cannot-linked components are searched exactly, and past that limit the report
+carries a "not checked" warning instead of a verdict.
 """
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,7 +27,8 @@ from .model import (
     Violation,
 )
 
-#: Largest component count for which coloring and packing are searched exactly.
+#: Most multi-row or cannot-linked components searched exactly once first-fit
+#: fails; single free rows do not count, they are interchangeable.
 EXACT_COMPONENT_LIMIT = 12
 
 #: UserConstraintSpec fields that cap a cost-like dataset column (candidate
@@ -234,55 +237,61 @@ def feasibility_partition(
     }
 
 
-def _pack_components(
-    sizes: list[int],
-    cl_pairs: list[tuple[int, int]],
-    k: int,
-    min_size: int | None,
-    max_size: int | None,
-) -> list[int] | None:
-    """Exhaustive search for an assignment of components to k clusters that
-    respects lifted cannot-links and size bounds. Labels are canonicalized
-    (first new cluster index only), which prunes the label-permutation
-    blowup. Returns one witness assignment or None."""
-    m = len(sizes)
-    adjacency = [[] for _ in range(m)]
-    for a, b in cl_pairs:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    remaining = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        remaining[i] = remaining[i + 1] + sizes[i]
-    counts = [0] * k
-    labels = [-1] * m
+def _pack(sizes: list[int], pairs, k: int, min_size: int | None, max_size: int | None):
+    """Labels putting components of ``sizes`` into k clusters, no pair of
+    ``pairs`` together and min_size to max_size rows in each; None when no
+    such labels exist; False when the search gives up undecided.
 
-    def deficit() -> int:
-        if not min_size:
-            return 0
-        return sum(min_size - c for c in counts if c < min_size)
+    Single rows in no pair are interchangeable and fill the clusters last:
+    each deficit below min_size, then room under max_size. The other, bound,
+    components go largest first to the lowest cluster that takes them, so
+    the first path is first-fit; the search backtracks over canonical
+    labelings only when at most ``EXACT_COMPONENT_LIMIT`` are bound."""
+    m, total = len(sizes), sum(sizes)
+    low, high = min_size or 0, total if max_size is None else max_size
+    if k * high < total:  # then no packing has room for every row
+        return None
+    partners: dict[int, list[int]] = {}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+    bound = [c for c, size in enumerate(sizes) if size > 1 or c in partners]
+    bound.sort(key=lambda c: -sizes[c])
+    exhaustive = len(bound) <= EXACT_COMPONENT_LIMIT
+    labels, counts = [-1] * m, [0] * k
 
-    def dfs(i: int, used: int) -> bool:
-        if remaining[i] < deficit():
-            return False
-        if i == m:
-            return True
-        limit = min(used + 1, k)
-        for cluster in range(limit):
-            if max_size is not None and counts[cluster] + sizes[i] > max_size:
+    def place(c: int, j: int, sign: int = 1):
+        labels[c] = j if sign > 0 else -1
+        counts[j] += sign * sizes[c]
+
+    path: list[int] = []  # the clusters of bound[:len(path)]
+    start = 0  # the first cluster to try for bound[len(path)]
+    while True:
+        i = len(path)
+        # The rows not yet placed must be able to lift every cluster to low.
+        if sum(low - count for count in counts if count < low) <= total - sum(counts):
+            if i == len(bound):
+                # The free rows take each deficit first, then the room left.
+                turns = chain(
+                    *(repeat(j, max(0, low - counts[j])) for j in range(k)),
+                    *(repeat(j, high - max(low, counts[j])) for j in range(k)),
+                )
+                return [label if label >= 0 else next(turns) for label in labels]
+            c = bound[i]
+            taken = {labels[p] for p in partners.get(c, ())}
+            opened = min(k, k - counts.count(0) + 1)  # empty clusters are alike
+            fit = [
+                j for j in range(start, opened) if j not in taken and counts[j] + sizes[c] <= high
+            ]
+            if fit:
+                place(c, fit[0])
+                path.append(fit[0])
+                start = 0
                 continue
-            if any(labels[j] == cluster for j in adjacency[i]):
-                continue
-            labels[i] = cluster
-            counts[cluster] += sizes[i]
-            if dfs(i + 1, max(used, cluster + 1)):
-                return True
-            counts[cluster] -= sizes[i]
-            labels[i] = -1
-        return False
-
-    if dfs(0, 0):
-        return labels
-    return None
+        if not (exhaustive and path):
+            return None if exhaustive else False
+        start = path.pop() + 1
+        place(bound[len(path)], start - 1, -1)
 
 
 def detect_deadlock(
@@ -383,69 +392,57 @@ def detect_deadlock(
         sized = bool(spec.min_cluster_size or spec.max_cluster_size is not None)
         needs_packing = bool(components.lifted_cannot_link) or sized
         if not causes and needs_packing and k is not None and n > 0:
-            # A component in no cannot-link pair never blocks a coloring, so
-            # coloring the cannot-linked ones alone decides for all m.
-            cl_pairs = list(components.lifted_cannot_link)
-            constrained = sorted({c for pair in cl_pairs for c in pair})
-            index = {c: i for i, c in enumerate(constrained)}
-            sub_pairs = [(index[a], index[b]) for a, b in cl_pairs]
-            if len(constrained) > EXACT_COMPONENT_LIMIT:
-                warnings.append(
-                    f"cannot-link coloring not checked: {len(constrained)} "
-                    f"constrained components exceed the exact limit "
-                    f"{EXACT_COMPONENT_LIMIT}"
-                )
-            elif _pack_components([1] * len(constrained), sub_pairs, k, None, None) is None:
-                if m <= EXACT_COMPONENT_LIMIT:
-                    detail = (
-                        f"the cannot-link graph over {m} must-link "
-                        f"components admits no {k}-coloring"
-                    )
-                    witness = {
-                        "components": [[ids[i] for i in rows] for rows in components.rows],
-                        "cannot_link_components": [list(p) for p in cl_pairs],
-                        "k": k,
-                    }
-                else:
-                    detail = (
-                        f"{len(constrained)} mutually cannot-linked "
-                        f"components admit no {k}-coloring"
-                    )
-                    witness = {
-                        "components": [
-                            [ids[i] for i in components.rows[c]] for c in constrained
-                        ],
-                        "k": k,
-                    }
-                causes.append(DeadlockCause(kind="link-conflict", detail=detail, witness=witness))
-            elif sized and m <= EXACT_COMPONENT_LIMIT and _pack_components(
-                sizes, cl_pairs, k, spec.min_cluster_size, spec.max_cluster_size
-            ) is None:
+            pairs = components.lifted_cannot_link
+            constrained = sorted({c for pair in pairs for c in pair})
+            colored = _pack([1] * m, pairs, k, None, None)
+            packed = None
+            if colored is None:
                 causes.append(
                     DeadlockCause(
-                        kind="size-arithmetic",
+                        kind="link-conflict",
                         detail=(
-                            f"no assignment of the {m} must-link components to "
-                            f"{k} clusters satisfies the size bounds and "
-                            f"cannot-link constraints"
+                            f"{len(constrained)} mutually cannot-linked "
+                            f"components admit no {k}-coloring"
                         ),
                         witness={
-                            "component_sizes": sizes,
-                            "cannot_link_components": [list(p) for p in cl_pairs],
+                            "components": [
+                                [ids[i] for i in components.rows[c]] for c in constrained
+                            ],
                             "k": k,
-                            "min_cluster_size": spec.min_cluster_size,
-                            "max_cluster_size": spec.max_cluster_size,
                         },
                     )
                 )
-            # With only single candidates and no cannot-link, the size
-            # arithmetic above is exact: some partition of n candidates
-            # into k clusters fits the bounds iff k*min <= n <= k*max.
-            if sized and m > EXACT_COMPONENT_LIMIT and (cl_pairs or m < n):
+            elif sized:
+                packed = _pack(sizes, pairs, k, spec.min_cluster_size, spec.max_cluster_size)
+                if packed is None:
+                    causes.append(
+                        DeadlockCause(
+                            kind="size-arithmetic",
+                            detail=(
+                                f"no assignment of the {m} must-link components to "
+                                f"{k} clusters satisfies the size bounds and "
+                                f"cannot-link constraints"
+                            ),
+                            witness={
+                                "component_sizes": sizes,
+                                "cannot_link_components": [list(p) for p in pairs],
+                                "k": k,
+                                "min_cluster_size": spec.min_cluster_size,
+                                "max_cluster_size": spec.max_cluster_size,
+                            },
+                        )
+                    )
+            if colored is False and not packed:  # a packing witness is a coloring too
                 warnings.append(
-                    "size and link constraint interaction not exhaustively "
-                    f"checked: {m} components exceed the exact limit "
-                    f"{EXACT_COMPONENT_LIMIT}"
+                    f"cannot-link coloring not checked: {len(constrained)} constrained "
+                    f"components exceed the exact limit {EXACT_COMPONENT_LIMIT}"
+                )
+            if packed is False:
+                bound = len(set(constrained).union(c for c in range(m) if sizes[c] > 1))
+                warnings.append(
+                    "size and link constraint interaction not exhaustively checked: "
+                    f"{bound} multi-row or cannot-linked components exceed the exact "
+                    f"limit {EXACT_COMPONENT_LIMIT}"
                 )
         if needs_packing and k is None:
             warnings.append("cluster count unknown; size and coloring rules skipped")

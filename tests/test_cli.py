@@ -1,12 +1,16 @@
 import json
+import random
 import re
 
 import pytest
 
+from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.cli import main
-from cbceval.model import DeadlockCause, DeadlockReport
+from cbceval.ingest import serialize_dataset
+from cbceval.kmeans import KMeansConfig
+from cbceval.model import ConstraintSpec, DeadlockCause, DeadlockReport
 
-from helpers import FEASIBLE_AT_6
+from helpers import FEASIBLE_AT_6, random_dataset
 
 
 def run_cli(*argv):
@@ -164,6 +168,32 @@ def test_evaluate_assignment_deadlock_exit(sample_paths, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "deadlock" in err
+
+
+def test_packing_proof_aborts_with_exit_2(tmp_path, capsys):
+    # Six 3-row must-link chains among 25 rows, at most 5 rows a cluster,
+    # k = 5: no cluster takes two chains, so six chains need six clusters.
+    # Every quick rule passes (25 <= 5 * 5, no chain over 5); the packing
+    # search proves the deadlock at bind time instead of the greedy pass
+    # failing (exit 3).
+    dataset = random_dataset(random.Random(25), 25, 2)
+    ids = dataset.ids()
+    chains = [(ids[3 * c + i], ids[3 * c + i + 1]) for c in range(6) for i in range(2)]
+    raw = {"feasibility_threshold": 1, "must_link": chains, "max_cluster_size": 5}
+    result = run_pipeline(
+        dataset, ConstraintSpec(**raw), CBCConfig(kmeans=KMeansConfig(k=5, seed=1))
+    )
+    assert result.aborted
+    assert [c.kind for c in result.deadlock.causes] == ["size-arithmetic"]
+    assert result.deadlock.causes[0].detail.startswith("no assignment of the 13 must-link")
+    data, spec = tmp_path / "chains.csv", tmp_path / "chains.json"
+    data.write_text(serialize_dataset(dataset), encoding="utf-8")
+    spec.write_text(json.dumps(raw), encoding="utf-8")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(spec), "--k", "5", "--seed", "1"
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["deadlock"]["causes"][0]["kind"] == "size-arithmetic"
 
 
 @pytest.mark.parametrize(

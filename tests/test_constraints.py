@@ -210,12 +210,8 @@ def test_deadlock_coloring_rule(sample_dataset):
         "causes": [
             {
                 "kind": "link-conflict",
-                "detail": "the cannot-link graph over 10 must-link components admits no 2-coloring",
-                "witness": {
-                    "components": [[cid] for cid in sample_dataset.ids()],
-                    "cannot_link_components": [[0, 1], [0, 2], [1, 2]],
-                    "k": 2,
-                },
+                "detail": "3 mutually cannot-linked components admit no 2-coloring",
+                "witness": {"components": [[cid] for cid in ids], "k": 2},
             }
         ],
         "warnings": [],
@@ -375,13 +371,14 @@ def test_size_only_spec_unsatisfiable_without_warning():
     assert [c.kind for c in report.causes] == ["size-arithmetic"]
 
 
-def test_size_spec_with_must_link_keeps_warning():
+def test_size_spec_with_must_link_is_decided_by_first_fit():
+    # 19 components: first-fit places the 2-row one and the 18 single rows
+    # fill the four clusters up to 5, a witness without a search.
     dataset = twenty_candidates()
     ids = dataset.ids()
     spec = spec_at(1, must_link=[(ids[0], ids[1])], min_cluster_size=5, max_cluster_size=5)
     report = detect_deadlock(spec, dataset, 4)
-    assert not report.deadlocked
-    assert any(w.startswith(SIZE_WARNING) for w in report.warnings)
+    assert not report.deadlocked and report.warnings == ()
 
 
 def test_coloring_beyond_limit_checks_cannot_linked_components():
@@ -400,13 +397,39 @@ def test_coloring_beyond_limit_checks_cannot_linked_components():
     assert report.warnings == ()
 
 
-def test_coloring_beyond_limit_warns_when_too_many_are_cannot_linked():
+def test_coloring_beyond_limit_decided_by_first_fit():
+    # 15 cannot-linked components in a chain: first-fit 2-colors it, and
+    # the 5 free rows top the clusters up to at most 10.
     dataset = twenty_candidates()
     ids = dataset.ids()
     chain = [(ids[i], ids[i + 1]) for i in range(14)]
     report = detect_deadlock(spec_at(1, cannot_link=chain, max_cluster_size=10), dataset, 2)
+    assert not report.deadlocked and report.warnings == ()
+
+
+def test_coloring_warns_when_first_fit_fails_beyond_limit():
+    # A triangle plus a chain: 15 constrained components with no 2-coloring,
+    # too many for the exact search, so the coloring stays undecided.
+    dataset = twenty_candidates()
+    ids = dataset.ids()
+    links = [(ids[0], ids[1]), (ids[1], ids[2]), (ids[0], ids[2])]
+    links += [(ids[i], ids[i + 1]) for i in range(2, 14)]
+    report = detect_deadlock(spec_at(1, cannot_link=links), dataset, 2)
     assert not report.deadlocked
     assert report.warnings == (
         "cannot-link coloring not checked: 15 constrained components exceed the exact limit 12",
-        f"{SIZE_WARNING}: 20 components exceed the exact limit 12",
+    )
+
+
+def test_packing_warns_when_first_fit_fails_beyond_limit():
+    # Thirteen 2-row components, at most 13 rows a cluster and k = 2: no
+    # cluster takes seven of them, so no assignment exists. First-fit puts six
+    # in each and has no room for the last, and 13 is past the limit.
+    dataset = random_dataset(random.Random(26), 26, 2)
+    ids = dataset.ids()
+    pairs = [(ids[2 * i], ids[2 * i + 1]) for i in range(13)]
+    report = detect_deadlock(spec_at(1, must_link=pairs, max_cluster_size=13), dataset, 2)
+    assert not report.deadlocked
+    assert report.warnings == (
+        f"{SIZE_WARNING}: 13 multi-row or cannot-linked components exceed the exact limit 12",
     )
