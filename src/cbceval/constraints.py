@@ -4,11 +4,12 @@ feasibility, and deadlock identification.
 "Deadlock" is formalized as unsatisfiability of the constraint set. Detection
 combines quick sound rules (size arithmetic, direct link conflicts, oversized
 components, global existential counts, an empty feasible set) with one packing
-routine, run for the cannot-link coloring and again under the size bounds. A
-first-fit placement that works is a witness however many components there
-are; when it fails, at most ``EXACT_COMPONENT_LIMIT`` multi-row or
-cannot-linked components are searched exactly, and past that limit the report
-carries a "not checked" warning instead of a verdict.
+routine, run under the size bounds and, when that finds no packing, for the
+cannot-link coloring alone. A first-fit placement that works is a witness
+however many components there are; when it fails, at most
+``EXACT_COMPONENT_LIMIT`` multi-row or cannot-linked components are searched
+exactly, and past that limit the report carries a "not checked" warning
+instead of a verdict.
 """
 
 from dataclasses import dataclass
@@ -180,44 +181,30 @@ def _failed_checks(
     return checks
 
 
-def _row_violations(
-    checks, row: int, ratings: np.ndarray, constraints: np.ndarray, tau: float
-) -> tuple[Violation, ...]:
-    """Violation records of one row of ``checks``, observed values taken
-    from the same row of the columns ``checks`` were computed on."""
-    violations = []
-    for rule, column, failed in checks:
-        if not failed[row]:
-            continue
-        if rule is None:
-            observed = float(constraints[row])
-            violations.append(
-                Violation(
-                    rule="feasibility_threshold",
-                    attribute="constraints",
-                    op=">=",
-                    required=tau,
-                    observed=observed,
-                    message=f"constraints_rating {observed:g} < {tau:g}",
-                )
-            )
-            continue
-        value = float(ratings[row, column])
-        violations.append(
-            Violation(
-                rule=rule.origin or "existential",
-                attribute=rule.attribute,
-                op=rule.op,
-                required=rule.threshold,
-                observed=value,
-                message=f"{rule.attribute} {value:g} violates {rule.op} {rule.threshold:g}",
-            )
-        )
-    return tuple(violations)
-
-
 def _infeasible_mask(checks) -> np.ndarray:
     return np.logical_or.reduce([failed for _, _, failed in checks])
+
+
+def _violation(rule: ExistentialRule | None, observed: float, tau: float) -> Violation:
+    """The record of failing ``rule`` (the feasibility threshold ``tau`` when
+    None) at the value ``observed``."""
+    if rule is None:
+        return Violation(
+            rule="feasibility_threshold",
+            attribute="constraints",
+            op=">=",
+            required=tau,
+            observed=observed,
+            message=f"constraints_rating {observed:g} < {tau:g}",
+        )
+    return Violation(
+        rule=rule.origin or "existential",
+        attribute=rule.attribute,
+        op=rule.op,
+        required=rule.threshold,
+        observed=observed,
+        message=f"{rule.attribute} {observed:g} violates {rule.op} {rule.threshold:g}",
+    )
 
 
 def feasibility_partition(
@@ -226,15 +213,22 @@ def feasibility_partition(
     """Each infeasible candidate's id -> its violations, in dataset order. A
     candidate is feasible, and absent, iff its constraints rating reaches the
     threshold and every per-candidate rule passes; an infeasible row gets a
-    record for every check it fails."""
+    record for every check it fails, in check order.
+
+    The map is built one check at a time, and the rows that fail a check at
+    the same observed value share one frozen ``Violation``."""
     ratings, constraints = dataset.ratings, dataset.constraints_ratings
     checks = _failed_checks(spec, dataset.schema, ratings, constraints)
+    failures = {i: [] for i in np.flatnonzero(_infeasible_mask(checks)).tolist()}
+    for rule, column, failed in checks:
+        rows = np.flatnonzero(failed)
+        observed = constraints[rows] if rule is None else ratings[rows, column]
+        values, shared = np.unique(observed, return_inverse=True)
+        records = [_violation(rule, v, spec.feasibility_threshold) for v in values.tolist()]
+        for row, j in zip(rows.tolist(), shared.tolist()):
+            failures[row].append(records[j])
     ids = dataset.ids()
-    tau = spec.feasibility_threshold
-    return {
-        ids[i]: _row_violations(checks, i, ratings, constraints, tau)
-        for i in np.flatnonzero(_infeasible_mask(checks)).tolist()
-    }
+    return {ids[i]: tuple(found) for i, found in failures.items()}
 
 
 def _pack(sizes: list[int], pairs, k: int, min_size: int | None, max_size: int | None):
@@ -394,8 +388,10 @@ def detect_deadlock(
         if not causes and needs_packing and k is not None and n > 0:
             pairs = components.lifted_cannot_link
             constrained = sorted({c for pair in pairs for c in pair})
-            colored = _pack([1] * m, pairs, k, None, None)
-            packed = None
+            bounds = (spec.min_cluster_size, spec.max_cluster_size)
+            packed = _pack(sizes, pairs, k, *bounds) if sized else None
+            # A packing is also a coloring, so the coloring runs only without one.
+            colored = packed or _pack([1] * m, pairs, k, None, None)
             if colored is None:
                 causes.append(
                     DeadlockCause(
@@ -412,32 +408,30 @@ def detect_deadlock(
                         },
                     )
                 )
-            elif sized:
-                packed = _pack(sizes, pairs, k, spec.min_cluster_size, spec.max_cluster_size)
-                if packed is None:
-                    causes.append(
-                        DeadlockCause(
-                            kind="size-arithmetic",
-                            detail=(
-                                f"no assignment of the {m} must-link components to "
-                                f"{k} clusters satisfies the size bounds and "
-                                f"cannot-link constraints"
-                            ),
-                            witness={
-                                "component_sizes": sizes,
-                                "cannot_link_components": [list(p) for p in pairs],
-                                "k": k,
-                                "min_cluster_size": spec.min_cluster_size,
-                                "max_cluster_size": spec.max_cluster_size,
-                            },
-                        )
+            elif sized and packed is None:
+                causes.append(
+                    DeadlockCause(
+                        kind="size-arithmetic",
+                        detail=(
+                            f"no assignment of the {m} must-link components to "
+                            f"{k} clusters satisfies the size bounds and "
+                            f"cannot-link constraints"
+                        ),
+                        witness={
+                            "component_sizes": sizes,
+                            "cannot_link_components": [list(p) for p in pairs],
+                            "k": k,
+                            "min_cluster_size": spec.min_cluster_size,
+                            "max_cluster_size": spec.max_cluster_size,
+                        },
                     )
-            if colored is False and not packed:  # a packing witness is a coloring too
+                )
+            if colored is False:
                 warnings.append(
                     f"cannot-link coloring not checked: {len(constrained)} constrained "
                     f"components exceed the exact limit {EXACT_COMPONENT_LIMIT}"
                 )
-            if packed is False:
+            if packed is False and colored is not None:
                 bound = len(set(constrained).union(c for c in range(m) if sizes[c] > 1))
                 warnings.append(
                     "size and link constraint interaction not exhaustively checked: "

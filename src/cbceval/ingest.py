@@ -124,17 +124,17 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
     so centroid vectors are reproducible from the file alone. Ratings lie on
     the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
 
-    Each check runs once over all records, and every rating cell goes
-    through one ``float`` pass into an n x (columns - 1) array. On any
-    failure :func:`_parse_rows` parses the records again one at a time, to
-    raise the error of the earliest bad record.
+    The bulk path checks only what needs the text: the cell count of every
+    record, then one ``float`` pass of every rating cell into an
+    n x (columns - 1) array. Ids (empty, duplicate) and the rating range are
+    left to :class:`CandidateDataset`, which checks every dataset. On any
+    failure, the constructor's included, :func:`_parse_rows` parses the
+    records again one at a time, to raise the located error of the earliest
+    bad record.
     """
     table = _read_table(csv_text)
     records, width = table.records, len(table.header)
     if set(map(len, records)) - {width}:
-        return _parse_rows(table)
-    ids = list(map(str.strip, map(itemgetter(0), records)))
-    if not all(ids) or len(set(ids)) < len(ids):
         return _parse_rows(table)
     # float() skips the same surrounding whitespace as str.strip().
     cells = chain.from_iterable(map(itemgetter(slice(1, None)), records))
@@ -143,11 +143,11 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
     except ValueError:
         return _parse_rows(table)
     values = values.reshape(len(records), width - 1)[:, [col - 1 for col in table.columns]]
-    with np.errstate(invalid="ignore"):  # NaN fails the range check quietly
-        in_range = ((SCALE_MIN <= values) & (values <= SCALE_MAX)).all()
-    if not in_range:
+    ids = map(str.strip, map(itemgetter(0), records))
+    try:
+        return CandidateDataset(table.schema, ids, values[:, :-1], values[:, -1])
+    except DomainError:
         return _parse_rows(table)
-    return CandidateDataset(table.schema, ids, values[:, :-1], values[:, -1])
 
 
 def _parse_rows(table: _Table) -> CandidateDataset:

@@ -135,8 +135,10 @@ class CandidateDataset:
         ratings = np.array(rows[:m], dtype=np.float64, order="C").reshape(m, d)
         constraints = np.array(constraints[:m], dtype=np.float64)
         lo, hi = SCALE_MIN, SCALE_MAX
-        bad_rating = ~((lo <= ratings) & (ratings <= hi))
-        bad_rows = np.flatnonzero(bad_rating.any(axis=1) | ~((lo <= constraints) & (constraints <= hi)))
+        with np.errstate(invalid="ignore"):  # NaN fails the range check quietly
+            bad_rating = ~((lo <= ratings) & (ratings <= hi))
+            bad_constraint = ~((lo <= constraints) & (constraints <= hi))
+        bad_rows = np.flatnonzero(bad_rating.any(axis=1) | bad_constraint)
         if bad_rows.size:
             row = int(bad_rows[0])
             columns = np.flatnonzero(bad_rating[row])

@@ -10,7 +10,7 @@ exact (floats compared by bit pattern).
 import pytest
 
 from cbceval.cbc import CBCConfig, CBCResult, refine_micro_clusters
-from cbceval.constraints import detect_deadlock, effective_rules
+from cbceval.constraints import detect_deadlock, effective_rules, feasibility_partition
 from cbceval.errors import DomainError
 from cbceval import evaluate
 from cbceval.evaluate import rank, round_floats
@@ -263,6 +263,29 @@ def test_feasibility_matches_per_candidate_reference(case):
         else:
             expected_feasible.append(cid)
     assert feasible_and_infeasible(dataset, spec) == (expected_feasible, expected_infeasible)
+
+
+def test_equal_failures_share_one_record():
+    # Rows p0..p2 fail the threshold at constraints rating 3, p3 at 4; p0,
+    # p1 and p4 fail the rule at u = 2, p2 at u = 1.
+    schema = AttributeSchema(("u", "v"))
+    rows = [
+        ("p0", (2.0, 5.0), 3.0),
+        ("p1", (2.0, 6.0), 3.0),
+        ("p2", (1.0, 7.0), 3.0),
+        ("p3", (9.0, 8.0), 4.0),
+        ("p4", (2.0, 9.0), 8.0),
+        ("p5", (9.0, 9.0), 8.0),
+    ]
+    rule = ExistentialRule("u", ">=", 3.0, 1, per_candidate=True)
+    spec = ConstraintSpec(feasibility_threshold=5.0, existential=(rule,))
+    violations = feasibility_partition(dataset_from_rows(schema, rows), spec)
+    assert violations == {
+        cid: reference_violations(ratings, c, schema, spec) for cid, ratings, c in rows[:5]
+    }
+    p0, p1, p2, p3, p4 = (violations[f"p{i}"] for i in range(5))
+    assert p0[0] is p1[0] is p2[0] and p0[0] is not p3[0]
+    assert p0[1] is p1[1] is p4[0] and p0[1] is not p2[1]
 
 
 @PROPERTY

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cbceval import constraints
 from cbceval.constraints import (
     build_link_components,
     detect_deadlock,
@@ -433,3 +434,44 @@ def test_packing_warns_when_first_fit_fails_beyond_limit():
     assert report.warnings == (
         f"{SIZE_WARNING}: 13 multi-row or cannot-linked components exceed the exact limit 12",
     )
+
+
+COLORING_WARNING = "cannot-link coloring not checked"
+LABELS = "labels"
+
+#: (sized, scripted _pack results in call order, cause kinds, warning heads):
+#: the sized packing runs first, and the coloring only when it gives no labels.
+PACK_OUTCOMES = [
+    (True, [LABELS], [], []),
+    (True, [None, None], ["link-conflict"], []),
+    (True, [None, LABELS], ["size-arithmetic"], []),
+    (True, [None, False], ["size-arithmetic"], [COLORING_WARNING]),
+    (True, [False, None], ["link-conflict"], []),
+    (True, [False, LABELS], [], [SIZE_WARNING]),
+    (True, [False, False], [], [COLORING_WARNING, SIZE_WARNING]),
+    (False, [None], ["link-conflict"], []),
+    (False, [LABELS], [], []),
+    (False, [False], [], [COLORING_WARNING]),
+]
+
+
+@pytest.mark.parametrize("sized, script, kinds, warnings", PACK_OUTCOMES)
+def test_deadlock_packs_once_and_colors_only_without_a_packing(
+    monkeypatch, sample_dataset, sized, script, kinds, warnings
+):
+    calls, results = [], iter(script)
+
+    def scripted_pack(sizes, pairs, k, min_size, max_size):
+        calls.append((sizes, min_size, max_size))
+        result = next(results)
+        return [0] * len(sizes) if result == LABELS else result
+
+    monkeypatch.setattr(constraints, "_pack", scripted_pack)
+    bounds = {"max_cluster_size": 8} if sized else {}
+    spec = spec_at(1, must_link=[("T100", "T101")], cannot_link=[("T102", "T103")], **bounds)
+    report = detect_deadlock(spec, sample_dataset, 2)
+    assert [cause.kind for cause in report.causes] == kinds
+    assert [warning.split(":")[0] for warning in report.warnings] == warnings
+    packing, coloring = ([2] + [1] * 8, None, 8), ([1] * 9, None, None)
+    expected = [packing, coloring] if sized else [coloring]
+    assert calls == expected[: len(script)]

@@ -11,6 +11,8 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.cli import main
 from cbceval.evaluate import rank, report_json
@@ -186,3 +188,78 @@ def test_golden_check_deadlock_witness(sample_paths, tmp_path, capsys):
     assert command_sha256(
         capsys, "check", "--data", str(data), "--constraints", str(spec), "--k", "2"
     ) == (2, "91e6719fad648d4c4fe3f0301fa1290b3251f681aee3f8d06112b0adff07008d")
+
+
+def flat_csv(n: int) -> str:
+    """``n`` rows ``rNN,5,9`` under the header ``id,a,constraints``."""
+    return "id,a,constraints\n" + "".join(f"r{i:02d},5,9\n" for i in range(n))
+
+
+def chain(first: int, last: int) -> list[list[str]]:
+    """Pairs joining rows first..last one after another."""
+    return [[f"r{i:02d}", f"r{i + 1:02d}"] for i in range(first, last)]
+
+
+TRIANGLE = [["r00", "r01"], ["r01", "r02"], ["r00", "r02"]]
+NOBODY_ABOVE_NINE = [{"attribute": "a", "op": ">", "threshold": 9, "min_count": 1}]
+
+#: name -> (rows, spec, k, check digest); every case exits 2. Between them
+#: they reach each outcome of the packing and coloring decision.
+PACKING_CASES = {
+    "six 3-row chains past max_cluster_size 5": (
+        25,
+        {"must_link": [p for c in range(0, 18, 3) for p in chain(c, c + 2)], "max_cluster_size": 5},
+        5,
+        "a643bdd2690e14b44641f42d1121abb825a0d688ac0fee41271b2f87a508b84c",
+    ),
+    "cannot-link triangle, k = 2": (
+        10,
+        {"cannot_link": TRIANGLE},
+        2,
+        "fc221cb1987ff4eafb63a2378bd9da59354ec15a3c489c10073a348084a3eef2",
+    ),
+    "thirteen 2-row components: packing not checked": (
+        26,
+        {
+            "must_link": [[f"r{i:02d}", f"r{i + 1:02d}"] for i in range(0, 26, 2)],
+            "max_cluster_size": 13,
+            "existential": NOBODY_ABOVE_NINE,
+        },
+        2,
+        "d24f65f59bc4d0edc92ab6f9f440475ffef3418e929081dc9bb9cca10ed7a292",
+    ),
+    "triangle and a 12-row chain: neither checked": (
+        30,
+        {
+            "cannot_link": TRIANGLE + chain(3, 14),
+            "max_cluster_size": 30,
+            "existential": NOBODY_ABOVE_NINE,
+        },
+        2,
+        "b7d9436e2a8aec0db6970bb3be7081a816ad4485963a0e44b195e0d8b2736b7c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PACKING_CASES))
+def test_golden_check_packing_outcomes(name, tmp_path, capsys):
+    rows, spec, k, digest = PACKING_CASES[name]
+    data, constraints = tmp_path / "data.csv", tmp_path / "spec.json"
+    data.write_text(flat_csv(rows), encoding="utf-8")
+    constraints.write_text(json.dumps(spec), encoding="utf-8")
+    assert command_sha256(
+        capsys, "check", "--data", str(data), "--constraints", str(constraints), "--k", str(k)
+    ) == (2, digest)
+
+
+def test_golden_aborted_report_after_a_packed_chain():
+    # The chain packs under max_cluster_size 10, so the bind-time abort for
+    # the existential rule carries no packing warning.
+    spec = ConstraintSpec(
+        cannot_link=[tuple(pair) for pair in chain(0, 14)],
+        max_cluster_size=10,
+        existential=(ExistentialRule("a", ">", 9.0, 1),),
+    )
+    assert report_sha256(parse_dataset(flat_csv(20)), spec, k=2, seed=0) == (
+        "2536cf2833abca3010e1a3c3e8024650c6c813d7303d75ce90465bc427a884ef"
+    )
