@@ -19,7 +19,7 @@ from .evaluate import _report_chunks, deadlock_to_dict, rank, round_floats
 from .ingest import _as_number, bind_and_validate, parse_constraint_spec, parse_dataset
 from .kmeans import KMeansConfig, _distance_weights, choose_k, run_kmeans, sse, weight_vector
 from .model import ConstraintSpec
-from .oracle import MAX_CANDIDATES, MAX_CLUSTERS, brute_force_feasible_exists, brute_force_min_sse
+from .oracle import brute_force_feasible_exists, brute_force_min_sse
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -161,32 +161,21 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     dataset, spec = _bound_inputs(args)
-    n, k = len(dataset), _fixed_k(args, dataset, spec)
-    if not args.constraints:
-        spec = None
-    if n > MAX_CANDIDATES or k > MAX_CLUSTERS:
-        print(
-            f"capacity exceeded: verify handles n <= {MAX_CANDIDATES}, "
-            f"k <= {MAX_CLUSTERS} (got n={n}, k={k})",
-            file=sys.stderr,
-        )
-        return EXIT_CAPACITY
+    k = _fixed_k(args, dataset, spec)
+    # The oracle runs first, so an input over its capacity exits 4 before the engine runs.
+    oracle_result = brute_force_min_sse(dataset, k, spec)
+    oracle_sse = oracle_result[1] if oracle_result is not None else None
 
     checks: list[tuple[str, bool, str]] = []
-    weights = spec.distance_weights if spec is not None else None
-    # Engine and oracle add up SSE in other orders; n * sum(w) bounds both.
-    slack = 1e-12 * n * float(_distance_weights(dataset, weights).sum())
-
+    weights = spec.distance_weights
     config = KMeansConfig(k=k, seed=args.seed, restarts=args.restarts)
-    engine_status = "ok"
-    if spec is not None and spec.has_assignment_constraints:
+    engine_status = "bind-deadlock"
+    if spec.has_assignment_constraints:
         try:
             clustering = run_pipeline(dataset, spec, CBCConfig(kmeans=config)).clustering
         except AssignmentDeadlockError:
             clustering = None
             engine_status = "assignment-deadlock"
-        if engine_status == "ok" and clustering is None:
-            engine_status = "bind-deadlock"
     else:
         clustering = run_kmeans(dataset, config, weights)
     engine_sse = None
@@ -195,14 +184,13 @@ def _cmd_verify(args) -> int:
         recomputed_ok = abs(sse(dataset, clustering, weights) - engine_sse) <= 1e-9
         checks.append(("sse-recompute", recomputed_ok, f"stored {engine_sse:.12g}"))
 
-    oracle_result = brute_force_min_sse(dataset, k, spec)
-    oracle_sse = oracle_result[1] if oracle_result is not None else None
-
     rows = [
         ("engine SSE", f"{engine_sse:.12g}" if engine_sse is not None else engine_status),
         ("oracle SSE", f"{oracle_sse:.12g}" if oracle_sse is not None else "infeasible"),
     ]
     if engine_sse is not None and oracle_sse is not None:
+        # Engine and oracle add up SSE in other orders; n * sum(w) bounds both.
+        slack = 1e-12 * len(dataset) * float(_distance_weights(dataset, weights).sum())
         checks.append(
             (
                 "engine-not-below-oracle",
@@ -221,7 +209,7 @@ def _cmd_verify(args) -> int:
             )
         )
 
-    if spec is not None:
+    if args.constraints:
         deadlock = detect_deadlock(spec, dataset, k)
         exists, _, reason = brute_force_feasible_exists(spec, dataset, k)
         agree = deadlock.deadlocked == (not exists)

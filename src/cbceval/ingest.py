@@ -364,7 +364,7 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
         if not isinstance(raw, dict):
             raise ParseError("expected an object", locator="distance_weights")
         kwargs["distance_weights"] = {
-            name: _as_number(v, f"distance_weights.{name}") for name, v in raw.items()
+            name: _as_number(v, f"distance_weights.{_cut(name)}") for name, v in raw.items()
         }
     for key in ("k", "min_cluster_size", "max_cluster_size"):
         if key in data:

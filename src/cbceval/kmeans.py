@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .constraints import LinkComponents
-from .errors import AssignmentDeadlockError, DomainError, _shown
+from .errors import AssignmentDeadlockError, DomainError, _cut, _shown
 from .model import AttributeSchema, CandidateDataset, Clustering
 from .rng import SplitMix64, child_seed
 
@@ -67,9 +67,9 @@ def weight_vector(
         if name not in schema.names:
             raise DomainError(f"unknown attribute {_shown(name)} in weights")
         if not math.isfinite(value):
-            raise DomainError(f"weight for {name} is not finite")
+            raise DomainError(f"weight for {_cut(name)} is not finite")
         if value < 0:
-            raise DomainError(f"weight for {name} is negative")
+            raise DomainError(f"weight for {_cut(name)} is negative")
     vec = np.array([float(weights.get(n, 1.0)) for n in schema.names], dtype=np.float64)
     if not np.any(vec > 0):
         raise DomainError("weights need at least one positive entry")

@@ -239,7 +239,7 @@ class UserConstraintSpec:
             _check_fraction(getattr(self, name), name)
         if self.budget_class not in BUDGET_CLASSES:
             raise DomainError(
-                f"budget_class must be one of {BUDGET_CLASSES}, got {self.budget_class!r}"
+                f"budget_class must be one of {BUDGET_CLASSES}, got {_shown(self.budget_class)}"
             )
 
 
@@ -274,7 +274,7 @@ def _normalize_pairs(pairs, label: str) -> tuple[tuple[str, str], ...]:
     for pair in pairs:
         a, b = pair
         if a == b:
-            raise DomainError(f"{label} pair links {a!r} to itself")
+            raise DomainError(f"{label} pair links {_shown(a)} to itself")
         normalized.add((a, b) if a <= b else (b, a))
     return tuple(sorted(normalized))
 
@@ -303,9 +303,8 @@ class ConstraintSpec:
         object.__setattr__(self, "cannot_link", cannot)
         overlap = set(must) & set(cannot)
         if overlap:
-            pair = sorted(overlap)[0]
             raise DomainError(
-                f"pair {pair} appears in both must_link and cannot_link"
+                f"pair {_shown(min(overlap))} appears in both must_link and cannot_link"
             )
         if self.k is not None and self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
@@ -324,7 +323,7 @@ class ConstraintSpec:
             weights = dict(self.distance_weights)
             for name, w in weights.items():
                 if w < 0:
-                    raise DomainError(f"distance weight for {name} is negative")
+                    raise DomainError(f"distance weight for {_cut(str(name))} is negative")
             object.__setattr__(self, "distance_weights", weights)
         object.__setattr__(self, "existential", tuple(self.existential))
 

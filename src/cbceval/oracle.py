@@ -54,7 +54,7 @@ def _guard(n: int, k: int):
         raise DomainError(f"k must be at least 1, got {k}")
 
 
-def _components_for(spec: ConstraintSpec | None, dataset: CandidateDataset) -> list[list[int]]:
+def _components_for(spec: ConstraintSpec, dataset: CandidateDataset) -> list[list[int]]:
     """Must-link components as candidate index lists, ordered by first member.
 
     Independent of the constraints module: a direct merge pass over pairs.
@@ -62,27 +62,24 @@ def _components_for(spec: ConstraintSpec | None, dataset: CandidateDataset) -> l
     index = dataset.row_of
     groups = {i: {i} for i in range(len(dataset))}
     owner = {i: i for i in range(len(dataset))}
-    if spec is not None:
-        for a, b in spec.must_link:
-            if a not in index or b not in index:
-                raise DomainError(f"unknown id in must_link pair ({a}, {b})")
-            ra, rb = owner[index[a]], owner[index[b]]
-            if ra == rb:
-                continue
-            ra, rb = min(ra, rb), max(ra, rb)
-            for member in groups[rb]:
-                owner[member] = ra
-            groups[ra] |= groups.pop(rb)
-        for a, b in spec.cannot_link:
-            if a not in index or b not in index:
-                raise DomainError(f"unknown id in cannot_link pair ({a}, {b})")
+    for a, b in spec.must_link:
+        if a not in index or b not in index:
+            raise DomainError(f"unknown id in must_link pair ({a}, {b})")
+        ra, rb = owner[index[a]], owner[index[b]]
+        if ra == rb:
+            continue
+        ra, rb = min(ra, rb), max(ra, rb)
+        for member in groups[rb]:
+            owner[member] = ra
+        groups[ra] |= groups.pop(rb)
+    for a, b in spec.cannot_link:
+        if a not in index or b not in index:
+            raise DomainError(f"unknown id in cannot_link pair ({a}, {b})")
     return [sorted(groups[root]) for root in sorted(groups)]
 
 
-def _lifted_pairs(spec: ConstraintSpec | None, dataset, components: list[list[int]]) -> set[tuple[int, int]]:
+def _lifted_pairs(spec: ConstraintSpec, dataset, components: list[list[int]]) -> set[tuple[int, int]]:
     pairs = set()
-    if spec is None:
-        return pairs
     comp_of = {i: c for c, comp in enumerate(components) for i in comp}
     for a, b in spec.cannot_link:
         ca, cb = comp_of[dataset.row_of[a]], comp_of[dataset.row_of[b]]
@@ -90,9 +87,7 @@ def _lifted_pairs(spec: ConstraintSpec | None, dataset, components: list[list[in
     return pairs
 
 
-def _sizes_ok(counts: list[int], spec: ConstraintSpec | None) -> bool:
-    if spec is None:
-        return True
+def _sizes_ok(counts: list[int], spec: ConstraintSpec) -> bool:
     if spec.min_cluster_size and any(c < spec.min_cluster_size for c in counts):
         return False
     if spec.max_cluster_size is not None and any(
@@ -107,7 +102,7 @@ def _assignment_valid(
     k: int,
     comp_sizes: list[int],
     cl_pairs: set[tuple[int, int]],
-    spec: ConstraintSpec | None,
+    spec: ConstraintSpec,
 ) -> bool:
     for a, b in cl_pairs:
         if labels[a] == labels[b]:
@@ -127,13 +122,14 @@ def _expand(labels: tuple[int, ...], components: list[list[int]], n: int) -> lis
 
 
 def brute_force_min_sse(
-    dataset: CandidateDataset, k: int, spec: ConstraintSpec | None = None
+    dataset: CandidateDataset, k: int, spec: ConstraintSpec = ConstraintSpec()
 ) -> tuple[Clustering, float] | None:
     """Exhaustive minimum-SSE clustering (weighted by spec.distance_weights).
 
-    Skips assignments violating link or size constraints when a spec is
-    given; global existential and threshold rules do not constrain
-    assignments and are ignored here (see brute_force_feasible_exists).
+    Skips assignments violating link or size constraints; the default empty
+    spec has none, so every assignment counts. Global existential and
+    threshold rules do not constrain assignments and are ignored here (see
+    brute_force_feasible_exists).
     Returns None when every assignment is infeasible. Ties resolve to the
     lexicographically smallest canonical signature.
     """
@@ -142,9 +138,7 @@ def brute_force_min_sse(
     if n == 0:
         raise DomainError("dataset is empty")
     X = dataset.normalized
-    w = weight_vector(
-        dataset.schema, spec.distance_weights if spec is not None else None
-    )
+    w = weight_vector(dataset.schema, spec.distance_weights)
     components = _components_for(spec, dataset)
     cl_pairs = _lifted_pairs(spec, dataset, components)
     comp_sizes = [len(c) for c in components]
@@ -154,9 +148,7 @@ def brute_force_min_sse(
     best_sse = None
     best_labels = None
     for labels in restricted_growth_strings(len(components), k):
-        if spec is not None and not _assignment_valid(
-            labels, k, comp_sizes, cl_pairs, spec
-        ):
+        if not _assignment_valid(labels, k, comp_sizes, cl_pairs, spec):
             continue
         sums = np.zeros((k, X.shape[1]))
         squares = np.zeros((k, X.shape[1]))

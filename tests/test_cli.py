@@ -227,6 +227,17 @@ def test_check_sample(sample_paths, capsys):
     assert payload["causes"] == []
 
 
+def test_check_without_k_skips_the_size_rules(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    spec = tmp_path / "max4.json"
+    spec.write_text('{"max_cluster_size": 4}', encoding="utf-8")
+    code = run_cli("check", "--data", str(data), "--constraints", str(spec))
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["deadlocked"] is False
+    assert payload["warnings"] == ["cluster count unknown; size and coloring rules skipped"]
+
+
 def test_check_conflict(sample_paths, tmp_path, capsys):
     data, _ = sample_paths
     spec = tmp_path / "conflict.json"
@@ -326,7 +337,13 @@ def test_verify_with_constraints_agreement(sample_paths, capsys):
     assert "feasibility" in out
 
 
-def test_verify_capacity_guard(tmp_path, capsys):
+def test_verify_capacity_guard(tmp_path, capsys, monkeypatch):
+    import cbceval.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the engine ran on an input over the oracle's capacity")
+
+    monkeypatch.setattr(cli_module, "run_kmeans", never)
     rows = ["id," + ",".join(f"f{i}" for i in range(3)) + ",constraints"]
     rows += [f"C{i},5,5,5,5" for i in range(13)]
     big = tmp_path / "big.csv"
@@ -335,6 +352,65 @@ def test_verify_capacity_guard(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "capacity" in err.lower()
+
+
+def test_verify_notes_a_greedy_assignment_deadlock(tmp_path, capsys):
+    # The greedy pass ends with a one-row cluster, below min_cluster_size 2,
+    # though the oracle finds an assignment: a note, not a violation. This
+    # is the smallest known case of a greedy exit 3 on a satisfiable spec.
+    data, spec = tmp_path / "five.csv", tmp_path / "min2.json"
+    data.write_text("id,a,b,constraints\nr0,10,1,9\nr1,1,2,9\nr2,1,10,9\nr3,1,2,9\nr4,1,2,9\n", encoding="utf-8")
+    spec.write_text('{"min_cluster_size": 2}', encoding="utf-8")
+    code = run_cli("verify", "--data", str(data), "--constraints", str(spec), "--k", "2", "--seed", "0")
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "engine SSE:   assignment-deadlock\n"
+        "oracle SSE:   1\n"
+        "feasibility:  engine=no-deadlock oracle=feasible agree=yes\n"
+        "note:         greedy assignment found no slot though a solution exists "
+        "(known greedy limitation, not a violation)\n"
+        "PASS feasibility-agreement: engine feasible, oracle feasible (witness found after 4 assignments)\n"
+    )
+
+
+def test_verify_bind_deadlock_and_infeasible_oracle(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    spec = tmp_path / "max2.json"
+    spec.write_text('{"max_cluster_size": 2}', encoding="utf-8")
+    code = run_cli("verify", "--data", str(data), "--constraints", str(spec), "--k", "2")
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[:2] == ["engine SSE:   bind-deadlock", "oracle SSE:   infeasible"]
+
+
+def test_verify_runs_the_constrained_engine_on_links(sample_paths, tmp_path, capsys):
+    data, _ = sample_paths
+    spec = tmp_path / "links.json"
+    spec.write_text(
+        json.dumps({"must_link": [["T100", "T101"], ["T102", "T103"]], "cannot_link": [["T100", "T104"]]}),
+        encoding="utf-8",
+    )
+    code = run_cli("verify", "--data", str(data), "--constraints", str(spec), "--k", "2")
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "engine SSE:   0.868900646678" in out
+    assert "gap:          0.19%" in out
+    assert [line.split(":")[0] for line in out if line.startswith(("PASS", "FAIL"))] == [
+        "PASS sse-recompute",
+        "PASS engine-not-below-oracle",
+        "PASS feasibility-agreement",
+    ]
+
+
+def test_verify_fails_an_engine_beyond_an_infeasible_oracle(sample_paths, capsys, monkeypatch):
+    import cbceval.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "brute_force_min_sse", lambda *a, **kw: None)
+    data, _ = sample_paths
+    code = run_cli("verify", "--data", str(data), "--k", "2")
+    out = capsys.readouterr().out
+    assert code == 5
+    assert "FAIL engine-not-beyond-oracle" in out
 
 
 def test_verify_detects_injected_disagreement(sample_paths, capsys, monkeypatch):
@@ -438,6 +514,21 @@ def test_long_weights_key_is_cut_in_errors(sample_paths, tmp_path, capsys, value
     assert code == 1
     assert "a" * 39 + "... (1000" in err
     assert len(err.encode()) < 300
+
+
+def test_long_attribute_name_is_cut_in_weight_errors(tmp_path, capsys):
+    name = "a" * 100_000
+    data, spec, weights = tmp_path / "long.csv", tmp_path / "spec.json", tmp_path / "weights.json"
+    data.write_text(f"id,{name},constraints\nx,5,5\ny,6,6\n", encoding="utf-8")
+    spec.write_text("{}", encoding="utf-8")
+    weights.write_text(json.dumps({name: -1}), encoding="utf-8")
+    code = run_cli(
+        "evaluate", "--data", str(data), "--constraints", str(spec), "--k", "1",
+        "--weights", str(weights),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {weights}: weight for {'a' * 40}... (100000 characters) is negative\n"
 
 
 # JSON literals Python's json accepts that are not finite floats.

@@ -233,6 +233,10 @@ def without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
 
+LONG = "L" * 100_000
+LONG_CUT = f"{'L' * 40}... (100000 characters)"
+LONG_SHOWN = f"'{'L' * 39}... (100002 characters)"
+
 MALFORMED_SPECS = [
     # an unknown key at each level
     ({"surprise": 1}, "unknown field 'surprise'"),
@@ -325,6 +329,21 @@ MALFORMED_SPECS = [
         "existential[0]: op must be one of ['>=', '<=', '>', '<', '=='], got "
         f"'{'>' * 39}... (1002 characters)",
     ),
+    # a long id or attribute name is cut wherever the model's checks name it
+    (
+        {"distance_weights": {LONG: "x"}},
+        f"distance_weights.{LONG_CUT}: expected a number, got 'x'",
+    ),
+    ({"distance_weights": {LONG: -1}}, f"distance weight for {LONG_CUT} is negative"),
+    ({"must_link": [[LONG, LONG]]}, f"must_link pair links {LONG_SHOWN} to itself"),
+    (
+        {"must_link": [[LONG, "b"]], "cannot_link": [["b", LONG]]},
+        f"pair ('{'L' * 38}... (100009 characters) appears in both must_link and cannot_link",
+    ),
+    (
+        with_user(budget_class=LONG),
+        f"user_spec: budget_class must be one of ('low', 'medium', 'high'), got {LONG_SHOWN}",
+    ),
 ]
 
 
@@ -355,8 +374,24 @@ def test_malformed_spec_error_text(spec, message):
             f"row {'y' * 40}... (41 characters), column {'a' * 40}... (41 characters): "
             "rating 11 out of range [1, 10]",
         ),
+        (
+            "id,a,constraints\nx," + "9" * 200_000 + ",5\n",
+            "malformed CSV: field larger than field limit (131072)",
+        ),
+        ("id,a,constraints,Constraints\n", "header: duplicate 'constraints' column"),
+        ("id,a,,constraints\n", "header: empty attribute name in column 3"),
+        ("id,a,a,constraints\n", "header: duplicate column 'a'"),
     ],
-    ids=["not a number", "duplicate id", "rating out of range", "id and column name"],
+    ids=[
+        "not a number",
+        "duplicate id",
+        "rating out of range",
+        "id and column name",
+        "cell over the field limit",
+        "two constraints columns",
+        "empty attribute name",
+        "duplicate attribute name",
+    ],
 )
 def test_long_csv_cell_is_cut_in_errors(text, message):
     with pytest.raises(ParseError) as info:
