@@ -16,6 +16,10 @@ components at their nearest admissible cluster at once and applies the
 per-component rule only where a run ends. ``tests/helpers.py`` keeps the
 full recompute and the one-component-at-a-time greedy loop as the
 references.
+
+Every per-row distance is summed by ``_coordinate_sum``, which adds whole
+coordinate columns in the order numpy sums one row: numpy's bits without
+its per-row cost on rows of a few coordinates.
 """
 
 import math
@@ -88,20 +92,70 @@ def _distance_weights(dataset: CandidateDataset, weights: Mapping[str, float] | 
     return w
 
 
-def _sq_distances(X: np.ndarray, point: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return ((X - point) ** 2 * w).sum(axis=1)
+def _coordinate_sum(term: Callable[[int], np.ndarray], start: int, stop: int) -> np.ndarray:
+    """``term(start) + ... + term(stop - 1)`` with the bits numpy's pairwise
+    sum gives the items of one contiguous row, ``np.stack(terms, -1).sum(-1)``:
+    below 8 items one by one; up to 128, item c into running sum
+    (c - start) % 8 up to the last multiple of 8, the sums joined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest one
+    by one; above 128, two halves cut at a multiple of 8. Each running sum is
+    built whole before the next, so few arrays are alive at once. numpy
+    starts from 0.0, so only a sum of nothing but -0.0 items differs (0.0
+    there); no distance has one, as a square is at least +0.0 and some
+    weight is positive.
+    """
+    count = stop - start
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _coordinate_sum(term, start, start + half)
+        total += _coordinate_sum(term, start + half, stop)
+        return total
+
+    def run(first: int, end: int, step: int) -> np.ndarray:
+        total = term(first)
+        for c in range(first + step, end, step):
+            total += term(c)
+        return total
+
+    if count < 8:
+        return run(start, stop, 1)
+    full = stop - count % 8
+
+    def pair(lane: int) -> np.ndarray:
+        total = run(start + lane, full, 8)
+        total += run(start + lane + 1, full, 8)
+        return total
+
+    total = pair(0)
+    total += pair(2)
+    right = pair(4)
+    right += pair(6)
+    total += right
+    for c in range(full, stop):
+        total += term(c)
+    return total
 
 
 def distance_matrix(X: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows x centroids matrix of weighted squared distances.
+    """Rows x centroids matrix of weighted squared distances, returned as the
+    transposed view of a centroids x rows array.
 
     Entry (i, j) is bit-identical to ``((X[i] - C[j]) ** 2 * w).sum()``:
-    each is one reduction over the d coordinates of a contiguous row, so a
-    row has the same bits in ``distance_matrix(X[rows], C, w)`` as in the
-    matrix over all of ``X``. ``lloyd`` relies on this to recompute only
-    the rows its bounds cannot settle.
+    ``_coordinate_sum`` adds the d coordinates of each entry in numpy's
+    order for one contiguous row, so a row has the same bits in
+    ``distance_matrix(X[rows], C, w)`` as in the matrix over all of ``X``.
+    ``lloyd`` relies on this to recompute only the rows its bounds cannot
+    settle. A reduction over centroids runs along the long axis.
     """
-    return np.stack([_sq_distances(X, C[j], w) for j in range(len(C))], axis=1)
+    columns = np.ascontiguousarray(X.T)
+
+    def term(c: int) -> np.ndarray:
+        t = columns[c] - C[:, c, None]
+        np.square(t, out=t)
+        t *= w[c]
+        return t
+
+    return _coordinate_sum(term, 0, X.shape[1]).T
 
 
 def group_means(X: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +198,7 @@ def kmeans_pp_init(
     rng = SplitMix64(config.seed)
 
     chosen = [rng.randbelow(n)]
-    d2 = _sq_distances(X, X[chosen[0]], w)
+    d2 = distance_matrix(X, X[chosen], w)[:, 0]
     while len(chosen) < config.k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -158,7 +212,7 @@ def kmeans_pp_init(
             if idx >= n:
                 idx = int(np.flatnonzero(d2 > 0)[-1])
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_distances(X, X[idx], w))
+        d2 = np.minimum(d2, distance_matrix(X, X[[idx]], w)[:, 0])
     return tuple(tuple(float(v) for v in X[i]) for i in chosen)
 
 
@@ -340,7 +394,7 @@ def lloyd(
             empties = np.flatnonzero(occupants == 0)
             if empties.size == 0:
                 break
-            d_own = ((M - C[comp_labels]) ** 2 * w).sum(axis=1)
+            d_own = _coordinate_sum(lambda c: (M[:, c] - C[comp_labels, c]) ** 2 * w[c], 0, len(w))
             d_own[occupants[comp_labels] < 2] = -1.0
             donor = int(np.argmax(d_own))
             if d_own[donor] < 0:
@@ -445,11 +499,12 @@ def _silhouettes(dataset: CandidateDataset, clusterings) -> list[float]:
     """``silhouette`` of each clustering of ``dataset``, from one pass over
     the distance blocks.
 
-    Distances are computed for ``SILHOUETTE_BLOCK`` rows at a time and each
-    block is shared by every clustering, so memory is O(block * n * d) plus
-    one label array per clustering, rather than O(n^2 * d). Each mean runs
-    over a C-contiguous row of its members in dataset order, the same sum a
-    1-D mean takes, so neither the block size nor the batch changes a score.
+    Distances are computed for ``SILHOUETTE_BLOCK`` rows at a time by
+    ``distance_matrix`` and each block is shared by every clustering, so
+    memory is O(block * n) plus one label array per clustering, rather than
+    O(n^2 * d). Each mean runs over a C-contiguous row of its members in
+    dataset order, the same sum a 1-D mean takes, so neither the block size
+    nor the batch changes a score.
     """
     X = dataset.normalized
     n = len(dataset)
@@ -465,15 +520,14 @@ def _silhouettes(dataset: CandidateDataset, clusterings) -> list[float]:
         sweep.append((labels, counts, members, np.zeros(n)))
 
     for start in range(0, n, SILHOUETTE_BLOCK):
-        block = X[start : start + SILHOUETTE_BLOCK]
-        D = block[:, None, :] - X[None, :, :]
-        np.square(D, out=D)  # in place: one (block, n, d) temporary, not two
-        D = np.sqrt(D.sum(axis=2))
-        rows = np.arange(start, start + len(block))
+        # Unweighted: each product with 1.0 is exact. D is block x n.
+        D = distance_matrix(X, X[start : start + SILHOUETTE_BLOCK], np.ones(X.shape[1])).T
+        np.sqrt(D, out=D)
+        rows = np.arange(start, start + len(D))
         for labels, counts, members, scores in sweep:
             own = labels[rows]
-            a = np.zeros(len(block))
-            b = np.full(len(block), np.inf)
+            a = np.zeros(len(rows))
+            b = np.full(len(rows), np.inf)
             for j, same in enumerate(members):
                 # take, not D[:, same]: a fancy index on axis 1 gives a
                 # strided array whose row means differ in the last bit.
@@ -503,7 +557,7 @@ def choose_k(dataset: CandidateDataset, seed: int) -> int:
 
     Every k is clustered first, in order, through ``run_kmeans``; then one
     pass over the ``SILHOUETTE_BLOCK``-row distance blocks scores all the
-    clusterings, so memory is O(block * n * d) plus one label array per k,
+    clusterings, so memory is O(block * n) plus one label array per k,
     and each score has the bits a separate ``silhouette`` call gives."""
     n = len(dataset)
     if n < 3:

@@ -13,7 +13,6 @@ from cbceval.kmeans import (
     MAX_ITERATIONS,
     SILHOUETTE_BLOCK,
     KMeansConfig,
-    distance_matrix,
     kmeans_pp_init,
     weight_vector,
 )
@@ -266,8 +265,10 @@ def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=N
         apart[b].append(a)
 
     for _ in range(MAX_ITERATIONS):
+        # numpy's own reduce over each (component, centroid) row of d terms.
+        D = ((M[:, None, :] - C) ** 2 * w).sum(axis=2)
         if cannot_link or max_size is not None:
-            placed = reference_greedy_place(distance_matrix(M, C, w), sizes, apart, max_size)
+            placed = reference_greedy_place(D, sizes, apart, max_size)
             if -1 in placed:
                 ci = placed.index(-1)
                 rows = (ci,) if links is None else links.rows[ci]
@@ -276,7 +277,7 @@ def reference_lloyd_steps(dataset: CandidateDataset, init, weights=None, links=N
                 )
             comp_labels = np.array(placed)
         else:
-            comp_labels = distance_matrix(M, C, w).argmin(axis=1)
+            comp_labels = D.argmin(axis=1)
         while True:
             occupants = np.bincount(comp_labels, minlength=k)
             empties = np.flatnonzero(occupants == 0)

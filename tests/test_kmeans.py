@@ -364,7 +364,28 @@ def test_distance_weights_scaled_by_powers_of_4_scale_only_the_sse(greedy):
         run(jmax + 1)
 
 
-@pytest.mark.parametrize("d", range(1, 20))
+#: Attribute counts below, at and past numpy's eight running sums and its
+#: 128-item block, which the distance kernel's order must follow.
+SUM_LENGTHS = [*range(1, 20), 64, 127, 128, 129, 136, 257]
+
+
+@pytest.mark.parametrize("d", SUM_LENGTHS)
+def test_coordinate_sum_has_the_bits_of_a_row_sum(d):
+    rng = np.random.default_rng(900 + d)
+    terms = rng.standard_normal((d, 3, 41)) * 10.0 ** rng.integers(-6, 7, (d, 3, 41))
+    expected = np.stack(list(terms), axis=-1).sum(axis=-1)
+    for start in (0, 5):
+        made = []
+
+        def term(c):
+            made.append(c)
+            return terms[c - start].copy()  # the kernel adds into its terms
+
+        assert kmeans._coordinate_sum(term, start, start + d).tobytes() == expected.tobytes()
+        assert sorted(made) == list(range(start, start + d))
+
+
+@pytest.mark.parametrize("d", SUM_LENGTHS)
 def test_distance_matrix_matches_per_row_form(d):
     rng = np.random.default_rng(d)
     X = rng.random((37, d))

@@ -4,11 +4,14 @@
 distance blocks and takes each cluster's means for a whole block at once;
 ``helpers.reference_silhouette`` takes them one row and one 1-D mean at a
 time. Hypothesis draws datasets with duplicate rows, all-identical points
-and singleton clusters, k from 2 to 8 and n around the block edges; every
-score must have the same bits in a batch and in a one-clustering call.
+and singleton clusters, k from 2 to 8, n around the block edges and up to
+17 attributes, so the batched distances are added one by one, in eight
+running sums and with a remainder; every score must have the same bits in
+a batch and in a one-clustering call.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -77,7 +80,7 @@ def drawn_labels(rng: random.Random, n: int, k: int, singletons: int, skew: bool
 @PROPERTY
 @given(
     n=st.sampled_from(SIZES),
-    d=st.integers(1, 9),
+    d=st.integers(1, 17),
     distinct=st.sampled_from((1, 2, 7, 50, 1000)),
     whole=st.booleans(),
     plans=st.lists(
@@ -118,3 +121,18 @@ def test_bad_clusterings_raise_alone_and_in_a_batch(k, labels, message):
         silhouette(dataset, bad)
     with pytest.raises(DomainError, match=message):
         kmeans._silhouettes(dataset, [good, bad])
+
+
+def test_a_sweep_holds_a_few_distance_blocks():
+    """The sweep's memory is a few block x n arrays, not a block x n x d one."""
+    n = 1500
+    rng = random.Random(2)
+    dataset = drawn_dataset(rng, n, 6, 1000, False)
+    clusterings = [labeled(dataset, k, drawn_labels(rng, n, k, 0, False)) for k in range(2, 9)]
+    tracemalloc.start()
+    try:
+        kmeans._silhouettes(dataset, clusterings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * SILHOUETTE_BLOCK * n * 8
