@@ -2,8 +2,9 @@
 
 Stage 0 checks the bound constraint set for deadlocks and aborts on one.
 Stage 1 clusters with ``kmeans.lloyd`` over must-link components (single
-candidates when nothing links them), placing each greedily when cannot-links
-or a maximum size constrain membership. Stage 2 refines each cluster into
+candidates when nothing links them), given as row labels that each stage
+builds from the spec, placing each greedily when cannot-links or a maximum
+size constrain membership. Stage 2 refines each cluster into
 feasible/infeasible micro-clusters, and stage 3 re-checks existential rules
 against the feasible population only, annotating (never aborting) the result.
 """
@@ -12,12 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraints import (
-    LinkComponents,
-    build_link_components,
-    detect_deadlock,
-    feasibility_partition,
-)
+from .constraints import build_link_components, detect_deadlock, feasibility_partition
 from .errors import AssignmentDeadlockError, DomainError
 from .ingest import bind_and_validate
 # ``lloyd`` is bound here by name, so replacing the module attribute
@@ -47,7 +43,7 @@ class StageRecord:
 class CBCResult:
     """Pipeline output. ``micro`` (and with it ``clustering``, its parent) is
     absent when a bind-time deadlock aborted the run; the stage log records
-    the abort."""
+    the abort. ``config`` is the one the run used: its k is the run's k."""
 
     micro: MicroClustering | None
     deadlock: DeadlockReport
@@ -69,18 +65,13 @@ def constrained_assign(
     centroids,
     spec: ConstraintSpec,
     config: KMeansConfig,
-    *,
-    components: LinkComponents | None = None,
 ) -> Clustering:
     """``kmeans.lloyd`` over the spec's must-link components, with
     its cannot-links and max size. A cannot-link pair inside one component is
     rejected up front, and the final partition is checked against
-    min_cluster_size (greedy assignment cannot guarantee it). ``components``
-    is the spec's ``build_link_components`` result when the caller already
-    has it.
+    min_cluster_size (greedy assignment cannot guarantee it).
     """
-    if components is None:
-        components = build_link_components(spec, dataset)
+    components = build_link_components(spec, dataset)
     if components.conflicts:
         a, b = components.conflicts[0]
         raise DomainError(
@@ -123,17 +114,19 @@ def run_pipeline(
 ) -> CBCResult:
     """Run bind check, clustering, refinement, and the post-refinement
     deadlock re-check. A bind-time deadlock aborts with a structured result;
-    an assignment deadlock propagates as an error."""
+    an assignment deadlock propagates as an error. The spec's k, when set,
+    overrides the config's, and the result records the config with the k
+    used."""
     report = bind_and_validate(dataset, spec)
     if not report.ok:
         raise DomainError(f"spec does not bind to dataset: {report.summary()}")
     k = spec.k if spec.k is not None else config.kmeans.k
     if k > len(dataset):
         raise DomainError("k exceeds candidate count")
+    config = replace(config, kmeans=replace(config.kmeans, k=k))
     log = [StageRecord("bind", f"ok, k={k}")]
 
-    components = build_link_components(spec, dataset)
-    deadlock = detect_deadlock(spec, dataset, k, components=components)
+    deadlock = detect_deadlock(spec, dataset, k)
     log.append(
         StageRecord(
             "deadlock",
@@ -148,10 +141,8 @@ def run_pipeline(
     # constrained_assign is plain k-means.
     weights = spec.distance_weights
     clustering = best_of_restarts(
-        replace(config.kmeans, k=k),
-        lambda cfg: constrained_assign(
-            dataset, kmeans_pp_init(dataset, cfg, weights), spec, cfg, components=components
-        ),
+        config.kmeans,
+        lambda cfg: constrained_assign(dataset, kmeans_pp_init(dataset, cfg, weights), spec, cfg),
     )
     log.append(
         StageRecord(

@@ -1,5 +1,6 @@
-"""Constraint semantics: link-component propagation, per-candidate
-feasibility, and deadlock identification.
+"""Constraint semantics: link components, per-candidate feasibility, and
+deadlock identification. A dataset's must-link components are one label
+per row (``LinkComponents``); sizes, row lists and id lists derive from it.
 
 "Deadlock" is formalized as unsatisfiability of the constraint set. Detection
 combines quick sound rules (size arithmetic, direct link conflicts, oversized
@@ -13,6 +14,7 @@ instead of a verdict.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -47,55 +49,73 @@ USER_CAPACITY_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkComponents:
-    """A dataset's must-link components as row-index tuples, listed in order
-    of first member with rows ascending, and the cannot-link relation lifted
-    onto component indices. ``ids`` is the dataset's id tuple; ``conflicts``
-    holds the cannot-link id pairs that fall inside one component."""
+    """A dataset's must-link components and the cannot-link relation lifted
+    onto component indices. ``ids`` is the dataset's id tuple; ``labels`` is
+    a read-only int array of each row's component, components numbered in
+    order of first member; ``conflicts`` holds the cannot-link id pairs that
+    fall inside one component. ``sizes``, ``rows`` and ``components`` derive
+    from ``labels`` on first read."""
 
     ids: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
     lifted_cannot_link: tuple[tuple[int, int], ...]
     conflicts: tuple[tuple[str, str], ...]
 
-    @property
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Each component's row count."""
+        return np.bincount(self.labels)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's rows, ascending."""
+        order = np.argsort(self.labels, kind="stable").tolist()
+        bounds = np.cumsum([0, *self.sizes.tolist()]).tolist()
+        return tuple(tuple(order[start:end]) for start, end in zip(bounds, bounds[1:]))
+
+    @cached_property
     def components(self) -> tuple[tuple[str, ...], ...]:
         """The components as id tuples."""
         return tuple(tuple(self.ids[i] for i in rows) for rows in self.rows)
 
 
 def build_link_components(spec: ConstraintSpec, dataset: CandidateDataset) -> LinkComponents:
-    """Union-find over the rows of must_link pairs; cannot_link re-expressed
-    between components. Rows in no must-link pair are singletons. A
-    cannot-link pair falling inside one component is recorded as a conflict,
-    not raised (deadlock detection owns that verdict)."""
+    """Union-find over the rows of must_link pairs, keeping the smaller root
+    so each root is its component's first row; pointer jumping then points
+    every row at its root. Rows in no must-link pair are singletons.
+    cannot_link is re-expressed between components; a pair falling inside
+    one component is recorded as a conflict, not raised (deadlock detection
+    owns that verdict)."""
     row_of = dataset.row_of
     try:
         must = [(row_of[a], row_of[b]) for a, b in spec.must_link]
-        cannot = [(row_of[a], row_of[b]) for a, b in spec.cannot_link]
+        cannot = np.array([(row_of[a], row_of[b]) for a, b in spec.cannot_link], dtype=np.intp)
     except KeyError as exc:
         raise DomainError(f"unknown id {exc.args[0]} in link constraints") from None
 
-    parent = list(range(len(dataset)))
+    up: dict[int, int] = {}  # row -> a row nearer its root; roots are absent
 
     def find(row: int) -> int:
-        while parent[row] != row:
-            parent[row] = parent[parent[row]]
-            row = parent[row]
+        while row in up:
+            up[row] = up.get(up[row], up[row])
+            row = up[row]
         return row
 
     for a, b in must:
-        parent[find(b)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for row in range(len(parent)):
-        groups.setdefault(find(row), []).append(row)
-    component_of = {root: c for c, root in enumerate(groups)}
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            up[max(ra, rb)] = min(ra, rb)
+    parent = np.arange(len(dataset))
+    parent[list(up)] = list(up.values())
+    while not np.array_equal(jumped := parent[parent], parent):
+        parent = jumped
+    labels = (np.cumsum(parent == np.arange(len(parent))) - 1)[parent]
+    labels.flags.writeable = False
 
-    lifted = set()
-    conflicts = []
-    for pair, (a, b) in zip(spec.cannot_link, cannot):
-        ca, cb = component_of[find(a)], component_of[find(b)]
+    lifted, conflicts = set(), []
+    for pair, (ca, cb) in zip(spec.cannot_link, labels[cannot.reshape(-1, 2)].tolist()):
         if ca == cb:
             conflicts.append(pair)
         else:
@@ -103,7 +123,7 @@ def build_link_components(spec: ConstraintSpec, dataset: CandidateDataset) -> Li
 
     return LinkComponents(
         ids=dataset.ids(),
-        rows=tuple(map(tuple, groups.values())),
+        labels=labels,
         lifted_cannot_link=tuple(sorted(lifted)),
         conflicts=tuple(conflicts),
     )
@@ -296,7 +316,6 @@ def detect_deadlock(
     stage: str = "bind",
     population: list[str] | None = None,
     structural: bool = True,
-    components: LinkComponents | None = None,
 ) -> DeadlockReport:
     """Report every discovered cause of unsatisfiability (or certify none).
 
@@ -304,19 +323,15 @@ def detect_deadlock(
     to some of the dataset's candidates (used for the post-refinement
     re-check, where ``structural`` is off because link and size rules were
     already settled); an id outside the dataset raises DomainError.
-    ``components`` is the spec's ``build_link_components`` result when the
-    caller already has it.
     """
     causes: list[DeadlockCause] = []
     warnings: list[str] = []
     n = len(dataset)
 
     if structural:
-        if components is None:
-            components = build_link_components(spec, dataset)
-        sizes = [len(rows) for rows in components.rows]
+        components = build_link_components(spec, dataset)
+        sizes = components.sizes.tolist()
         m = len(sizes)
-        ids = components.ids
 
         if k is not None and spec.min_cluster_size:
             demand = k * spec.min_cluster_size
@@ -367,21 +382,20 @@ def detect_deadlock(
             )
 
         if spec.max_cluster_size is not None:
-            for rows in components.rows:
-                if len(rows) > spec.max_cluster_size:
-                    causes.append(
-                        DeadlockCause(
-                            kind="size-arithmetic",
-                            detail=(
-                                f"must-link component of size {len(rows)} exceeds "
-                                f"max_cluster_size {spec.max_cluster_size}"
-                            ),
-                            witness={
-                                "component": [ids[i] for i in rows],
-                                "max_cluster_size": spec.max_cluster_size,
-                            },
-                        )
+            for c in np.flatnonzero(components.sizes > spec.max_cluster_size).tolist():
+                causes.append(
+                    DeadlockCause(
+                        kind="size-arithmetic",
+                        detail=(
+                            f"must-link component of size {sizes[c]} exceeds "
+                            f"max_cluster_size {spec.max_cluster_size}"
+                        ),
+                        witness={
+                            "component": list(components.components[c]),
+                            "max_cluster_size": spec.max_cluster_size,
+                        },
                     )
+                )
 
         sized = bool(spec.min_cluster_size or spec.max_cluster_size is not None)
         needs_packing = bool(components.lifted_cannot_link) or sized
@@ -401,9 +415,7 @@ def detect_deadlock(
                             f"components admit no {k}-coloring"
                         ),
                         witness={
-                            "components": [
-                                [ids[i] for i in components.rows[c]] for c in constrained
-                            ],
+                            "components": [list(components.components[c]) for c in constrained],
                             "k": k,
                         },
                     )
@@ -490,7 +502,6 @@ def detect_deadlock(
         )
 
     return DeadlockReport(
-        deadlocked=bool(causes),
         causes=tuple(causes),
         warnings=tuple(warnings),
         stage=stage,

@@ -117,7 +117,7 @@ def rank(
     }
     meta = {
         "seed": kmeans.seed,
-        "k": result.spec.k if result.spec.k is not None else kmeans.k,
+        "k": kmeans.k,
         "config_digest": _digest(round_floats(config_payload)),
         "dataset_digest": hashlib.sha256(
             serialize_dataset(dataset).encode("utf-8")

@@ -305,14 +305,15 @@ def lloyd(
     weighted distance of their means.
 
     ``links`` is the dataset's ``build_link_components`` result (None: every
-    candidate alone, plain k-means); links built on another dataset raise
-    DomainError. Without lifted cannot-links and ``max_size`` each component
-    goes to its nearest centroid. Otherwise a greedy pass (COP-KMeans) takes
-    components in index order to the nearest centroid that breaks no
-    cannot-link with a placed component and no max size; one with none
-    raises AssignmentDeadlockError, even where an exhaustive search may
-    succeed. Equal distances go to the lowest cluster index. SSE is
-    computed once, after the loop.
+    candidate alone, plain k-means), read through its ``labels`` and
+    ``sizes`` as they are; links built on another dataset raise DomainError.
+    Without lifted cannot-links and ``max_size`` each component goes to its
+    nearest centroid. Otherwise a greedy pass (COP-KMeans) takes components
+    in index order to the nearest centroid that breaks no cannot-link with a
+    placed component and no max size; one with none raises
+    AssignmentDeadlockError, even where an exhaustive search may succeed.
+    Equal distances go to the lowest cluster index. SSE is computed once,
+    after the loop.
 
     The greedy pass computes every distance and places the components in
     vectorized segments (``greedy_place``). The nearest-centroid step is
@@ -340,13 +341,11 @@ def lloyd(
     X = dataset.normalized
     w = _distance_weights(dataset, weights)
     C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
-    if links is None or len(links.rows) == len(ids):
+    if links is None or len(links.sizes) == len(ids):
         # Single candidates in dataset order: a one-row mean is the row itself.
         M, sizes, row_comp = X, np.ones(len(X), dtype=np.int64), None
     else:
-        sizes = np.array([len(rows) for rows in links.rows])
-        row_comp = np.empty(len(X), dtype=np.int64)
-        row_comp[[i for rows in links.rows for i in rows]] = np.repeat(np.arange(len(sizes)), sizes)
+        sizes, row_comp = links.sizes, links.labels
         M = group_means(X, row_comp, len(sizes))[0]
     cannot_link = () if links is None else links.lifted_cannot_link
     greedy = bool(cannot_link) or max_size is not None
@@ -376,8 +375,7 @@ def lloyd(
             comp_labels = greedy_place(distance_matrix(M, C, w), sizes, cannot_link, max_size)
             if comp_labels[-1] < 0:
                 ci = int(np.flatnonzero(comp_labels < 0)[0])
-                rows = (ci,) if links is None else links.rows[ci]
-                component = tuple(ids[i] for i in rows)
+                component = (ids[ci],) if links is None else links.components[ci]
                 raise AssignmentDeadlockError(
                     f"no admissible cluster for must-link component "
                     f"{component} at iteration {iterations}; "
@@ -420,7 +418,6 @@ def lloyd(
             break
 
     return Clustering(
-        k=k,
         ids=ids,
         labels=tuple(labels.tolist()),
         centroids=tuple(tuple(float(v) for v in row) for row in C),

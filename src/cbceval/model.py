@@ -340,10 +340,9 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Cluster labels of candidates ``ids`` (dataset order) with the ``k``
-    centroids."""
+    """Cluster labels of candidates ``ids`` (dataset order) with the
+    centroids, one per cluster; ``k`` is their count."""
 
-    k: int
     ids: tuple[str, ...]
     labels: tuple[int, ...]
     centroids: tuple[tuple[float, ...], ...]
@@ -356,10 +355,6 @@ class Clustering:
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
-        if len(self.centroids) != self.k:
-            raise DomainError(
-                f"expected {self.k} centroids, got {len(self.centroids)}"
-            )
         if len(self.labels) != len(self.ids):
             raise DomainError(f"expected {len(self.ids)} labels, got {len(self.labels)}")
         for cid, label in zip(self.ids, self.labels):
@@ -367,6 +362,10 @@ class Clustering:
                 raise DomainError(
                     f"candidate {_cut(str(cid))} assigned to invalid cluster {label}"
                 )
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
     @property
     def assignment(self) -> dict[str, int]:
@@ -469,9 +468,9 @@ class DeadlockCause:
 
 @dataclass(frozen=True)
 class DeadlockReport:
-    """Proof object: causes of unsatisfiability, or certification none were found."""
+    """Proof object: causes of unsatisfiability, or certification none were
+    found; ``deadlocked`` is whether there are causes."""
 
-    deadlocked: bool
     causes: tuple[DeadlockCause, ...] = ()
     warnings: tuple[str, ...] = ()
     stage: str = "bind"
@@ -479,5 +478,7 @@ class DeadlockReport:
     def __post_init__(self):
         object.__setattr__(self, "causes", tuple(self.causes))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        if self.deadlocked != bool(self.causes):
-            raise DomainError("deadlocked must be true iff causes is non-empty")
+
+    @property
+    def deadlocked(self) -> bool:
+        return bool(self.causes)

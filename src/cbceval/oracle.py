@@ -181,7 +181,6 @@ def brute_force_min_sse(
             centroids.append(tuple(0.0 for _ in range(X.shape[1])))
     best_sse = max(best_sse, 0.0)
     clustering = Clustering(
-        k=k,
         ids=dataset.ids(),
         labels=point_labels,
         centroids=tuple(centroids),

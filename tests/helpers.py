@@ -72,6 +72,35 @@ def component_index(components) -> dict[str, int]:
     return {cid: c for c, members in enumerate(components.components) for cid in members}
 
 
+def reference_link_components(spec: ConstraintSpec, dataset: CandidateDataset):
+    """Union-find with a parent entry per row, then every row grouped under
+    its root: the per-row form that ``build_link_components`` must agree
+    with. Returns (rows, lifted_cannot_link, conflicts) as it defines them."""
+    row_of = dataset.row_of
+    parent = list(range(len(dataset)))
+
+    def find(row: int) -> int:
+        while parent[row] != row:
+            parent[row] = parent[parent[row]]
+            row = parent[row]
+        return row
+
+    for a, b in spec.must_link:
+        parent[find(row_of[b])] = find(row_of[a])
+    groups: dict[int, list[int]] = {}
+    for row in range(len(parent)):
+        groups.setdefault(find(row), []).append(row)
+    component_of = {root: c for c, root in enumerate(groups)}
+    lifted, conflicts = set(), []
+    for a, b in spec.cannot_link:
+        ca, cb = component_of[find(row_of[a])], component_of[find(row_of[b])]
+        if ca == cb:
+            conflicts.append((a, b))
+        else:
+            lifted.add((min(ca, cb), max(ca, cb)))
+    return tuple(map(tuple, groups.values())), tuple(sorted(lifted)), tuple(conflicts)
+
+
 def random_dataset(rng: random.Random, n: int, d: int = 3) -> CandidateDataset:
     schema = AttributeSchema(tuple(f"f{i}" for i in range(d)))
     return dataset_from_rows(

@@ -188,6 +188,16 @@ def test_lloyd_rejects_links_from_another_dataset(sample_dataset):
     assert labels[0] == labels[1] and labels[2] != labels[3]
 
 
+@pytest.mark.parametrize("cannot_link", [(), [("T102", "T103")]])
+def test_lloyd_reads_links_without_building_rows(sample_dataset, cannot_link):
+    # Plain and greedy passes alike take the components' labels and sizes.
+    spec = spec_at(must_link=[("T100", "T101")], cannot_link=cannot_link)
+    links = build_link_components(spec, sample_dataset)
+    config = KMeansConfig(k=3, seed=0)
+    lloyd(sample_dataset, kmeans_pp_init(sample_dataset, config), config, links=links)
+    assert "rows" not in vars(links)
+
+
 def test_refine_all_feasible_mirrors_parents(sample_dataset):
     clustering = run_kmeans(sample_dataset, KMeansConfig(k=3, seed=42))
     micro = refine_micro_clusters(clustering, sample_dataset, spec_at(1))
@@ -295,6 +305,19 @@ def test_pipeline_spec_k_wins_over_config(sample_dataset):
     assert result.clustering.k == 2
 
 
+def test_pipeline_records_the_config_it_used(sample_dataset):
+    # Spec k=2 overrides config k=3, so both runs are one run: same recorded
+    # config, same report body, config_digest included.
+    from cbceval.evaluate import rank
+
+    bodies = []
+    for k in (3, 2):
+        result = run_pipeline(sample_dataset, spec_at(k=2), CBCConfig(KMeansConfig(k=k, seed=1)))
+        assert result.config == CBCConfig(KMeansConfig(k=2, seed=1))
+        bodies.append(rank(result, sample_dataset))
+    assert bodies[0] == bodies[1]
+
+
 def test_pipeline_rejects_unbound_spec(sample_dataset):
     spec = spec_at(must_link=[("T100", "T999")])
     with pytest.raises(DomainError, match="unknown id T999"):
@@ -348,22 +371,10 @@ def test_pipeline_fuzz_constraint_satisfaction():
     assert successes > 50
 
 
-def test_pipeline_builds_link_components_once(sample_dataset, monkeypatch):
-    # The deadlock check and every restart share one set of components.
-    from cbceval import cbc, constraints
-
-    calls = []
-    original = constraints.build_link_components
-
-    def counted(spec, dataset):
-        calls.append(1)
-        return original(spec, dataset)
-
-    monkeypatch.setattr(constraints, "build_link_components", counted)
-    monkeypatch.setattr(cbc, "build_link_components", counted)
+def test_pipeline_keeps_links_across_restarts(sample_dataset):
+    # The deadlock check and every restart each build the spec's components.
     spec = spec_at(must_link=[("T100", "T101")], cannot_link=[("T102", "T103")])
     config = CBCConfig(kmeans=KMeansConfig(k=3, seed=5, restarts=4))
     result = run_pipeline(sample_dataset, spec, config)
     assert not result.aborted
-    assert len(calls) == 1
     assert assignment_satisfies(result.clustering.assignment, spec, 3) == []

@@ -417,7 +417,6 @@ def test_verify_detects_injected_disagreement(sample_paths, capsys, monkeypatch)
     import cbceval.cli as cli_module
 
     fake = DeadlockReport(
-        deadlocked=True,
         causes=(DeadlockCause(kind="empty-feasible-set", detail="injected fault"),),
     )
     monkeypatch.setattr(cli_module, "detect_deadlock", lambda *a, **kw: fake)

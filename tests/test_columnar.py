@@ -295,7 +295,6 @@ def test_refine_and_recheck_match_reference(case, data):
     k = data.draw(st.integers(1, 4))
     labels = [data.draw(st.integers(0, k - 1)) for _ in range(len(dataset))]
     clustering = Clustering(
-        k=k,
         ids=dataset.ids(),
         labels=labels,
         centroids=tuple((0.0,) * len(dataset.schema.names) for _ in range(k)),
@@ -339,7 +338,6 @@ def test_refine_and_recheck_match_reference(case, data):
 
 def rank_one_cluster(dataset, spec, weights):
     clustering = Clustering(
-        k=1,
         ids=dataset.ids(),
         labels=[0] * len(dataset),
         centroids=((0.0,) * len(dataset.schema.names),),
@@ -349,7 +347,7 @@ def rank_one_cluster(dataset, spec, weights):
     )
     micro = refine_micro_clusters(clustering, dataset, spec)
     result = CBCResult(
-        micro, DeadlockReport(deadlocked=False), (), spec, CBCConfig(KMeansConfig(k=1, seed=0))
+        micro, DeadlockReport(), (), spec, CBCConfig(KMeansConfig(k=1, seed=0))
     )
     return micro, rank(result, dataset, weights)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -29,8 +30,14 @@ from helpers import (
     feasible_and_infeasible,
     random_constraint_spec,
     random_dataset,
+    reference_link_components,
     take_rows,
 )
+
+try:
+    from hypothesis import HealthCheck, given, settings, strategies as st
+except ImportError:  # only the properties need Hypothesis
+    st = None
 
 
 def spec_at(tau=6, **kwargs):
@@ -65,6 +72,48 @@ def test_components_lifted_cannot_link(sample_dataset):
 def test_components_reject_unknown_ids(sample_dataset):
     with pytest.raises(DomainError, match="unknown id"):
         build_link_components(spec_at(must_link=[("T100", "T999")]), sample_dataset)
+
+
+if st is not None:
+
+    @st.composite
+    def linked_specs(draw):
+        """(dataset, spec): 0, 1, a few or 200+ rows, listed in id order or
+        reversed; random must-links, and past 200 rows one must-link chain of
+        200+ of them, which a reversed listing joins root under root; then
+        cannot-links wherever they fall, inside components or across."""
+        n = draw(st.one_of(st.integers(0, 1), st.integers(2, 24), st.integers(201, 240)))
+        names = [f"r{i:03d}" for i in range(n)]
+        ids = names[::-1] if draw(st.booleans()) else names
+        dataset = dataset_from_rows(AttributeSchema(("a",)), ((cid, (5.0,), 9.0) for cid in ids))
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+        must = {(names[a], names[b]) for a, b in draw(st.lists(ends, max_size=n)) if a < b}
+        if n > 200:
+            must |= {(names[i], names[i + 1]) for i in range(draw(st.integers(200, n - 1)))}
+        pairs = draw(st.lists(ends, max_size=min(n, 8)))
+        cannot = {(names[a], names[b]) for a, b in pairs if a < b}
+        return dataset, spec_at(must_link=must, cannot_link=cannot - must)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=linked_specs())
+    def test_components_match_the_per_row_union_find(case):
+        dataset, spec = case
+        rows, lifted, conflicts = reference_link_components(spec, dataset)
+        links = build_link_components(spec, dataset)
+        component_of = {row: c for c, members in enumerate(rows) for row in members}
+        assert links.labels.tolist() == [component_of[i] for i in range(len(dataset))]
+        assert not links.labels.flags.writeable
+        assert links.rows == rows
+        assert links.components == tuple(tuple(dataset.ids()[i] for i in r) for r in rows)
+        assert links.sizes.tolist() == [len(r) for r in rows]
+        assert links.lifted_cannot_link == lifted
+        assert links.conflicts == conflicts
 
 
 def test_must_link_path_witness():
@@ -342,6 +391,33 @@ def test_deadlock_agrees_with_oracle_randomized():
                 assert witness[a] == witness[b]
             for a, b in spec.cannot_link:
                 assert witness[a] != witness[b]
+
+
+def test_user_spec_bridge_agrees_with_oracle():
+    # Columns named after the user record's cost and capacity fields, some in
+    # upper case, gate candidates and demand a satisfying one on both sides.
+    rng = random.Random(1931)
+    fields = constraints.USER_COST_FIELDS + constraints.USER_CAPACITY_FIELDS
+    optional = {f.name for f in dataclasses.fields(UserConstraintSpec) if f.default is None}
+    for _ in range(300):
+        columns = rng.sample(fields, rng.randint(1, 3))
+        overrides = {}
+        for name in columns:
+            fraction = name.endswith("confidence")
+            overrides[name] = rng.random() if fraction else float(rng.randint(1, 10))
+            if name in optional and rng.random() < 0.2:
+                overrides[name] = None
+        overrides["parallel_instances"] = min(
+            overrides.get("parallel_instances", 1), overrides.get("max_instances", 100)
+        )
+        schema = AttributeSchema(tuple(c.upper() if rng.random() < 0.3 else c for c in columns))
+        base = random_dataset(rng, rng.randint(2, 7), len(columns))
+        dataset = CandidateDataset(schema, base.ids(), base.ratings, base.constraints_ratings)
+        spec = random_constraint_spec(rng, dataset, tau=float(rng.randint(1, 6)))
+        spec = dataclasses.replace(spec, user_spec=user_spec_fixture(**overrides))
+        k = rng.randint(1, 3)
+        exists, _, reason = brute_force_feasible_exists(spec, dataset, k)
+        assert detect_deadlock(spec, dataset, k).deadlocked == (not exists), reason
 
 
 SIZE_WARNING = "size and link constraint interaction not exhaustively checked"

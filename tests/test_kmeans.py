@@ -577,7 +577,6 @@ def test_silhouette_all_identical_points_is_zero():
     from cbceval.model import Clustering
 
     clustering = Clustering(
-        k=2,
         ids=dataset.ids(),
         labels=[i % 2 for i in range(4)],
         centroids=((0.444, 0.444), (0.444, 0.444)),
@@ -606,7 +605,6 @@ def test_silhouette_matches_independent_formula(sample_dataset):
         for j in (0, 1)
     )
     clustering = Clustering(
-        k=2,
         ids=sample_dataset.ids(),
         labels=OPTIMAL_K2_SIGNATURE,
         centroids=centroids,

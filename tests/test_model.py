@@ -120,7 +120,7 @@ def test_dataset_cuts_long_ids_in_row_errors(ratings, constraints, message):
 
 
 def test_clusterings_cut_long_ids_in_errors():
-    fields = dict(k=1, centroids=((0.0,),), sse=0.0, iterations=0, seed=0)
+    fields = dict(centroids=((0.0,),), sse=0.0, iterations=0, seed=0)
     for cid, shown in ((LONG_ID, CUT_ID), ("x" * 40, "x" * 40)):
         with pytest.raises(DomainError) as info:
             Clustering(ids=(cid,), labels=(1,), **fields)
@@ -151,9 +151,10 @@ def test_dataset_takes_arrays_as_lists():
 def test_clustering_labels_follow_ids():
     schema = AttributeSchema(("a",))
     dataset = CandidateDataset(schema, ["x", "y"], [(1,), (10,)], [5, 5])
-    fields = dict(k=2, centroids=((0.0,), (1.0,)), sse=0.0, iterations=1, seed=0)
+    fields = dict(centroids=((0.0,), (1.0,)), sse=0.0, iterations=1, seed=0)
     clustering = Clustering(ids=dataset.ids(), labels=[1, 0], **fields)
     assert clustering.labels == (1, 0)
+    assert clustering.k == 2
     assert clustering.assignment == {"x": 1, "y": 0}
     assert clustering == Clustering(ids=("x", "y"), labels=(1, 0), **fields)
     assert hash(clustering) == hash(Clustering(ids=("x", "y"), labels=(1, 0), **fields))
@@ -165,11 +166,13 @@ def test_clustering_labels_follow_ids():
         Clustering(ids=dataset.ids(), labels=[0], **fields)
     with pytest.raises(DomainError, match="candidate y assigned to invalid cluster 2"):
         Clustering(ids=dataset.ids(), labels=[0, 2], **fields)
+    with pytest.raises(DomainError, match="k must be at least 1, got 0"):
+        Clustering(ids=(), labels=(), **{**fields, "centroids": ()})
 
 
 def test_micro_clustering_is_its_violations_map():
     parent = Clustering(
-        k=1, ids=("x", "y"), labels=(0, 0), centroids=((0.0,),), sse=0.0, iterations=0, seed=0
+        ids=("x", "y"), labels=(0, 0), centroids=((0.0,),), sse=0.0, iterations=0, seed=0
     )
     violation = Violation("feasibility_threshold", "constraints", ">=", 6.0, 3.0, "3 < 6")
     micro = MicroClustering(parent, {"y": (violation,)})
@@ -236,11 +239,9 @@ def test_existential_rule_comparators():
 
 def test_deadlock_report_consistency():
     cause = DeadlockCause(kind="link-conflict", detail="x")
-    DeadlockReport(deadlocked=True, causes=(cause,))
-    with pytest.raises(DomainError):
-        DeadlockReport(deadlocked=True, causes=())
-    with pytest.raises(DomainError):
-        DeadlockReport(deadlocked=False, causes=(cause,))
+    assert DeadlockReport(causes=(cause,)).deadlocked
+    assert not DeadlockReport(causes=()).deadlocked
+    assert not DeadlockReport(warnings=("w",)).deadlocked
 
 
 def test_dataset_pickles_and_copies_with_its_columnar_form():

@@ -57,7 +57,6 @@ def ranked(dataset, spec, weights, *, aborted=False, seed=0):
     micro = None
     if not aborted:
         clustering = Clustering(
-            k=k,
             ids=dataset.ids(),
             labels=[i % k for i in range(len(dataset))],
             centroids=((0.0,) * len(dataset.schema.names),) * k,

@@ -38,7 +38,6 @@ SIZES = (SILHOUETTE_BLOCK - 1, SILHOUETTE_BLOCK, SILHOUETTE_BLOCK + 1, 2 * SILHO
 
 def labeled(dataset: CandidateDataset, k: int, labels) -> Clustering:
     return Clustering(
-        k=k,
         ids=dataset.ids(),
         labels=labels,
         centroids=((0.0,) * len(dataset.schema.names),) * k,
