@@ -1,13 +1,17 @@
-"""Brute-force reference implementations backing tests and `verify`.
+"""Exact reference implementations backing tests and `verify`.
 
-Partitions are enumerated as restricted growth strings (canonical set-
-partition form), which sidesteps the k! label blowup. Capacity is guarded so
-exhaustive runs stay fast. Constraint checks here are written independently
-of the constraints module on purpose: the two sides cross-validate each
-other.
+Every constraint the oracle applies is a property of one cluster: once
+must-links merge candidates into components, a block of components is
+valid or not on its own, by the cannot-link pairs inside it and by its size.
+So one exact search over the subsets of components, the subset dynamic
+program of set partitioning (Björklund, Husfeldt & Koivisto, SIAM J.
+Comput. 2009), finds the minimum-SSE partition and, with it, whether any
+valid one exists. Capacity is guarded so the search stays fast. Constraint
+checks here are written independently of the constraints module on
+purpose: the two sides cross-validate each other.
 """
 
-from typing import Iterator
+import math
 
 import numpy as np
 
@@ -18,30 +22,6 @@ from .model import CandidateDataset, Clustering, ConstraintSpec
 
 MAX_CANDIDATES = 12
 MAX_CLUSTERS = 4
-
-
-def restricted_growth_strings(n: int, kmax: int) -> Iterator[tuple[int, ...]]:
-    """All canonical label strings over n items using at most kmax labels.
-
-    a[0] = 0 and a[i] <= max(a[0..i-1]) + 1, so each set partition appears
-    exactly once, in lexicographic order.
-    """
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    b = [0] * n  # b[i] = max(a[0..i-1])
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i > 0 and a[i] >= min(b[i] + 1, kmax - 1):
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, n):
-            b[j] = max(b[j - 1], a[j - 1])
-            a[j] = 0
 
 
 def _guard(n: int, k: int):
@@ -87,91 +67,116 @@ def _lifted_pairs(spec: ConstraintSpec, dataset, components: list[list[int]]) ->
     return pairs
 
 
-def _sizes_ok(counts: list[int], spec: ConstraintSpec) -> bool:
-    if spec.min_cluster_size and any(c < spec.min_cluster_size for c in counts):
-        return False
-    if spec.max_cluster_size is not None and any(
-        c > spec.max_cluster_size for c in counts
-    ):
-        return False
-    return True
+def _best_partition(
+    dataset: CandidateDataset, k: int, spec: ConstraintSpec
+) -> tuple[int, list[int] | None, float]:
+    """The least-SSE split of the must-link components into at most k valid
+    blocks, exactly k when min_cluster_size is set (an empty cluster is below
+    it): (component count, each row's label or None if no split is valid,
+    SSE). Labels are numbered in order of each block's first member.
 
+    Component i is bit i of a block's mask. Blocks are placed in label order,
+    each holding the lowest component not yet placed, and each set of placed
+    components keeps its least running sum, of equal sums the first found,
+    extending the sets in ascending mask order. So a tie goes to the fewest
+    blocks allowed, then to the first optimal block in submask order: the
+    largest last block as a mask, and so back to the first.
+    """
+    X = dataset.normalized
+    w = weight_vector(dataset.schema, spec.distance_weights)
+    components = _components_for(spec, dataset)
+    m, size = len(components), 1 << len(components)
+    # Row `mask` of each table extends row `mask - 2**j` by component j, its
+    # highest bit, so a block's sums add its components in ascending order
+    # starting from zero.
+    counts = np.zeros(size, dtype=np.int64)
+    sums = np.zeros((size, X.shape[1]))
+    squares = np.zeros((size, X.shape[1]))
+    for j, comp in enumerate(components):
+        low, high = slice(0, 1 << j), slice(1 << j, 2 << j)
+        counts[high] = counts[low] + len(comp)
+        sums[high] = sums[low] + X[comp].sum(axis=0)
+        squares[high] = squares[low] + (X[comp] ** 2).sum(axis=0)
+    masks = np.arange(size)
+    valid = masks > 0
+    for a, b in _lifted_pairs(spec, dataset, components):
+        valid &= (masks >> a) & (masks >> b) & 1 == 0
+    if spec.min_cluster_size:
+        valid &= counts >= spec.min_cluster_size
+    if spec.max_cluster_size is not None:
+        valid &= counts <= spec.max_cluster_size
+    # Each attribute's scatter, sum(x**2) - sum(x)**2 / count, is taken
+    # before its weight: it is at most count, so the weighted term stays
+    # within n * sum(w), and no weighted totals cancel. Each row is summed as
+    # numpy sums one row, so a block costs the bits it costs alone.
+    cost = np.full(size, math.inf)
+    scatter = w * (squares[1:] - sums[1:] ** 2 / counts[1:, None])
+    cost[1:] = np.where(valid[1:], scatter.sum(axis=1), math.inf)
+    cost = cost.tolist()
 
-def _assignment_valid(
-    labels: tuple[int, ...],
-    k: int,
-    comp_sizes: list[int],
-    cl_pairs: set[tuple[int, int]],
-    spec: ConstraintSpec,
-) -> bool:
-    for a, b in cl_pairs:
-        if labels[a] == labels[b]:
-            return False
-    counts = [0] * k
-    for comp, label in enumerate(labels):
-        counts[label] += comp_sizes[comp]
-    return _sizes_ok(counts, spec)
+    # best[t][placed] is the least SSE of t blocks covering `placed`, summed
+    # in label order from 0.0. Rounding a sum is monotone in each term, so
+    # extending each placed set's least sum reaches every least sum.
+    full = size - 1
+    best = [[math.inf] * size for _ in range(k + 1)]
+    came = [[0] * size for _ in range(k + 1)]
+    best[0][0] = 0.0
+    for t in range(k):
+        here, there, via = best[t], best[t + 1], came[t + 1]
+        for placed, total in enumerate(here):
+            if total == math.inf or placed == full:
+                continue
+            free = full ^ placed
+            low = free & -free
+            rest = sub = free ^ low
+            while True:
+                block = sub | low
+                value = total + cost[block]
+                if value < there[placed | block]:
+                    there[placed | block] = value
+                    via[placed | block] = block
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
 
-
-def _expand(labels: tuple[int, ...], components: list[list[int]], n: int) -> list[int]:
-    out = [0] * n
-    for comp, label in enumerate(labels):
-        for i in components[comp]:
-            out[i] = label
-    return out
+    t = k if spec.min_cluster_size else min(range(1, k + 1), key=lambda j: best[j][full])
+    if best[t][full] == math.inf:
+        return m, None, math.inf
+    labels = [0] * len(dataset)
+    placed = full
+    for label in range(t - 1, -1, -1):
+        block = came[label + 1][placed]
+        placed ^= block
+        for c, comp in enumerate(components):
+            if block >> c & 1:
+                for i in comp:
+                    labels[i] = label
+    return m, labels, best[t][full]
 
 
 def brute_force_min_sse(
     dataset: CandidateDataset, k: int, spec: ConstraintSpec = ConstraintSpec()
 ) -> tuple[Clustering, float] | None:
-    """Exhaustive minimum-SSE clustering (weighted by spec.distance_weights).
+    """Exact minimum-SSE clustering (weighted by spec.distance_weights).
 
-    Skips assignments violating link or size constraints; the default empty
-    spec has none, so every assignment counts. Global existential and
-    threshold rules do not constrain assignments and are ignored here (see
+    Only assignments meeting the link and size constraints count; the
+    default empty spec has none. Global existential and threshold rules do
+    not constrain assignments and are ignored here (see
     brute_force_feasible_exists).
-    Returns None when every assignment is infeasible. Ties resolve to the
-    lexicographically smallest canonical signature.
+    Returns None when every assignment is infeasible. The SSE is the least,
+    over valid partitions, of the cluster scatters summed in label order.
+    Ties resolve to the first optimal block in submask order (see
+    _best_partition).
     """
     n = len(dataset)
     _guard(n, k)
     if n == 0:
         raise DomainError("dataset is empty")
-    X = dataset.normalized
-    w = weight_vector(dataset.schema, spec.distance_weights)
-    components = _components_for(spec, dataset)
-    cl_pairs = _lifted_pairs(spec, dataset, components)
-    comp_sizes = [len(c) for c in components]
-    comp_sums = [X[comp].sum(axis=0) for comp in components]
-    comp_squares = [(X[comp] ** 2).sum(axis=0) for comp in components]
-
-    best_sse = None
-    best_labels = None
-    for labels in restricted_growth_strings(len(components), k):
-        if not _assignment_valid(labels, k, comp_sizes, cl_pairs, spec):
-            continue
-        sums = np.zeros((k, X.shape[1]))
-        squares = np.zeros((k, X.shape[1]))
-        counts = [0] * k
-        for comp, label in enumerate(labels):
-            sums[label] += comp_sums[comp]
-            squares[label] += comp_squares[comp]
-            counts[label] += comp_sizes[comp]
-        # Each attribute's scatter, sum(x**2) - sum(x)**2 / count, is taken
-        # before its weight: it is at most count, so the weighted term stays
-        # within n * sum(w), and no weighted totals cancel.
-        sse_value = 0.0
-        for j in range(k):
-            if counts[j]:
-                sse_value += float((w * (squares[j] - sums[j] ** 2 / counts[j])).sum())
-        if best_sse is None or sse_value < best_sse:
-            best_sse = sse_value
-            best_labels = labels
-
-    if best_labels is None:
+    _, point_labels, best_sse = _best_partition(dataset, k, spec)
+    if point_labels is None:
         return None
 
-    point_labels = _expand(best_labels, components, n)
+    X = dataset.normalized
     centroids = []
     for j in range(k):
         members = [i for i in range(n) if point_labels[i] == j]
@@ -226,13 +231,13 @@ def _rule_satisfied(value: float, op: str, threshold: float) -> bool:
 def brute_force_feasible_exists(
     spec: ConstraintSpec, dataset: CandidateDataset, k: int
 ) -> tuple[bool, dict[str, int] | None, str]:
-    """Decide spec satisfiability exhaustively: global rules must hold and
-    some assignment must satisfy all link and size constraints.
+    """Decide spec satisfiability exactly: global rules must hold and some
+    assignment must satisfy all link and size constraints.
 
-    Returns (exists, witness assignment or None, reason).
+    Returns (exists, witness assignment or None, reason). The witness is the
+    partition brute_force_min_sse returns, labelled by first member.
     """
-    n = len(dataset)
-    _guard(n, k)
+    _guard(len(dataset), k)
 
     rows = dataset.ratings.tolist()
     lowered = {name.lower(): i for i, name in enumerate(dataset.schema.names)}
@@ -275,15 +280,8 @@ def brute_force_feasible_exists(
             f"{spec.feasibility_threshold:g}",
         )
 
-    components = _components_for(spec, dataset)
-    cl_pairs = _lifted_pairs(spec, dataset, components)
-    comp_sizes = [len(c) for c in components]
-
-    checked = 0
-    for labels in restricted_growth_strings(len(components), k):
-        checked += 1
-        if _assignment_valid(labels, k, comp_sizes, cl_pairs, spec):
-            point_labels = _expand(labels, components, n)
-            witness = {cid: point_labels[i] for i, cid in enumerate(dataset.ids())}
-            return (True, witness, f"witness found after {checked} assignments")
-    return (False, None, f"exhausted {checked} assignments without a witness")
+    m, labels, _ = _best_partition(dataset, k, spec)
+    if labels is None:
+        return (False, None, f"no assignment of {m} components meets the link and size constraints")
+    witness = dict(zip(dataset.ids(), labels))
+    return (True, witness, f"witness found by exact search over {m} components")

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import random
+from typing import Iterator
 
 import numpy as np
 
 from cbceval.constraints import build_link_components, feasibility_partition
-from cbceval.errors import AssignmentDeadlockError
+from cbceval.errors import AssignmentDeadlockError, DomainError
 from cbceval.kmeans import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
@@ -19,9 +20,11 @@ from cbceval.kmeans import (
 from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
+    Clustering,
     ConstraintSpec,
     ExistentialRule,
 )
+from cbceval.oracle import _components_for, _guard, _lifted_pairs
 
 SAMPLE_ROWS = {
     "T100": ((2, 2, 4, 2, 3, 5), 6),
@@ -205,6 +208,149 @@ def assignment_satisfies(assignment: dict, spec: ConstraintSpec, k: int) -> list
             if c > spec.max_cluster_size:
                 problems.append(f"cluster {j} above max size: {c}")
     return problems
+
+
+def restricted_growth_strings(n: int, kmax: int) -> Iterator[tuple[int, ...]]:
+    """All canonical label strings over n items using at most kmax labels.
+
+    a[0] = 0 and a[i] <= max(a[0..i-1]) + 1, so each set partition appears
+    exactly once, in lexicographic order.
+    """
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    b = [0] * n  # b[i] = max(a[0..i-1])
+    while True:
+        yield tuple(a)
+        i = n - 1
+        while i > 0 and a[i] >= min(b[i] + 1, kmax - 1):
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, n):
+            b[j] = max(b[j - 1], a[j - 1])
+            a[j] = 0
+
+
+def _sizes_ok(counts: list[int], spec: ConstraintSpec) -> bool:
+    if spec.min_cluster_size and any(c < spec.min_cluster_size for c in counts):
+        return False
+    if spec.max_cluster_size is not None and any(
+        c > spec.max_cluster_size for c in counts
+    ):
+        return False
+    return True
+
+
+def _assignment_valid(
+    labels: tuple[int, ...],
+    k: int,
+    comp_sizes: list[int],
+    cl_pairs: set[tuple[int, int]],
+    spec: ConstraintSpec,
+) -> bool:
+    for a, b in cl_pairs:
+        if labels[a] == labels[b]:
+            return False
+    counts = [0] * k
+    for comp, label in enumerate(labels):
+        counts[label] += comp_sizes[comp]
+    return _sizes_ok(counts, spec)
+
+
+def _expand(labels: tuple[int, ...], components: list[list[int]], n: int) -> list[int]:
+    out = [0] * n
+    for comp, label in enumerate(labels):
+        for i in components[comp]:
+            out[i] = label
+    return out
+
+
+def reference_min_sse(
+    dataset: CandidateDataset, k: int, spec: ConstraintSpec = ConstraintSpec()
+) -> tuple[Clustering, float] | None:
+    """Every set partition of the must-link components, as a restricted
+    growth string, checked and scored one by one: the enumeration that
+    ``oracle.brute_force_min_sse`` must equal in verdict and SSE bits.
+
+    Returns None when every assignment is infeasible. Ties resolve to the
+    lexicographically smallest canonical signature.
+    """
+    n = len(dataset)
+    _guard(n, k)
+    if n == 0:
+        raise DomainError("dataset is empty")
+    X = dataset.normalized
+    w = weight_vector(dataset.schema, spec.distance_weights)
+    components = _components_for(spec, dataset)
+    cl_pairs = _lifted_pairs(spec, dataset, components)
+    comp_sizes = [len(c) for c in components]
+    comp_sums = [X[comp].sum(axis=0) for comp in components]
+    comp_squares = [(X[comp] ** 2).sum(axis=0) for comp in components]
+
+    best_sse = None
+    best_labels = None
+    for labels in restricted_growth_strings(len(components), k):
+        if not _assignment_valid(labels, k, comp_sizes, cl_pairs, spec):
+            continue
+        sums = np.zeros((k, X.shape[1]))
+        squares = np.zeros((k, X.shape[1]))
+        counts = [0] * k
+        for comp, label in enumerate(labels):
+            sums[label] += comp_sums[comp]
+            squares[label] += comp_squares[comp]
+            counts[label] += comp_sizes[comp]
+        # Each attribute's scatter, sum(x**2) - sum(x)**2 / count, is taken
+        # before its weight: it is at most count, so the weighted term stays
+        # within n * sum(w), and no weighted totals cancel.
+        sse_value = 0.0
+        for j in range(k):
+            if counts[j]:
+                sse_value += float((w * (squares[j] - sums[j] ** 2 / counts[j])).sum())
+        if best_sse is None or sse_value < best_sse:
+            best_sse = sse_value
+            best_labels = labels
+
+    if best_labels is None:
+        return None
+
+    point_labels = _expand(best_labels, components, n)
+    centroids = []
+    for j in range(k):
+        members = [i for i in range(n) if point_labels[i] == j]
+        if members:
+            centroids.append(tuple(float(v) for v in X[members].mean(axis=0)))
+        else:
+            centroids.append(tuple(0.0 for _ in range(X.shape[1])))
+    best_sse = max(best_sse, 0.0)
+    clustering = Clustering(
+        ids=dataset.ids(),
+        labels=point_labels,
+        centroids=tuple(centroids),
+        sse=best_sse,
+        iterations=0,
+        seed=0,
+    )
+    return clustering, best_sse
+
+
+def reference_witness(spec: ConstraintSpec, dataset: CandidateDataset, k: int) -> dict[str, int] | None:
+    """The first restricted growth string that meets every link and size
+    constraint, as an id -> label map, or None: the enumeration whose
+    verdict ``oracle.brute_force_feasible_exists`` must equal once the
+    global rules hold."""
+    n = len(dataset)
+    _guard(n, k)
+    components = _components_for(spec, dataset)
+    cl_pairs = _lifted_pairs(spec, dataset, components)
+    comp_sizes = [len(c) for c in components]
+    for labels in restricted_growth_strings(len(components), k):
+        if _assignment_valid(labels, k, comp_sizes, cl_pairs, spec):
+            point_labels = _expand(labels, components, n)
+            return {cid: point_labels[i] for i, cid in enumerate(dataset.ids())}
+    return None
 
 
 def partition_signature(labels) -> tuple[int, ...]:

@@ -9,6 +9,8 @@ import re
 import sys
 import time
 
+import pytest
+
 from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.cli import main as cli_main
 from cbceval.errors import AssignmentDeadlockError
@@ -139,6 +141,25 @@ def test_criterion_5_constraint_satisfaction_fuzzing():
         ok,
         f"{runs} runs, {successes} successes, {violations} violations, {elapsed:.1f}s",
     )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_no_assignment_deadlock_on_an_oracle_feasible_spec():
+    # Criterion 5's runs again: the oracle decides each run that exits 3 on
+    # an assignment deadlock. The greedy assignment has no minimum-size
+    # repair, so it deadlocks on specs the oracle satisfies.
+    rng = random.Random(55)
+    feasible_deadlocks = 0
+    for _ in range(1000):
+        dataset = random_dataset(rng, rng.randint(4, 12), rng.randint(1, 4))
+        spec = random_constraint_spec(rng, dataset, tau=1.0)
+        k = rng.randint(2, min(4, len(dataset)))
+        config = CBCConfig(kmeans=KMeansConfig(k=k, seed=rng.randrange(2**32)))
+        try:
+            run_pipeline(dataset, spec, config)
+        except AssignmentDeadlockError:
+            feasible_deadlocks += brute_force_feasible_exists(spec, dataset, k)[0]
+    assert feasible_deadlocks == 0, f"{feasible_deadlocks} of 1000 runs exit 3 on a feasible spec"
 
 
 def test_criterion_6_baseline_reduction():

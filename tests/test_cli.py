@@ -369,7 +369,7 @@ def test_verify_notes_a_greedy_assignment_deadlock(tmp_path, capsys):
         "feasibility:  engine=no-deadlock oracle=feasible agree=yes\n"
         "note:         greedy assignment found no slot though a solution exists "
         "(known greedy limitation, not a violation)\n"
-        "PASS feasibility-agreement: engine feasible, oracle feasible (witness found after 4 assignments)\n"
+        "PASS feasibility-agreement: engine feasible, oracle feasible (witness found by exact search over 5 components)\n"
     )
 
 

@@ -1,18 +1,28 @@
+import dataclasses
 import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from cbceval.errors import CapacityError
 from cbceval.model import AttributeSchema, ConstraintSpec
-from cbceval.oracle import (
-    brute_force_feasible_exists,
-    brute_force_min_sse,
-    restricted_growth_strings,
-)
+from cbceval.kmeans import weight_vector
+from cbceval.oracle import _components_for, brute_force_feasible_exists, brute_force_min_sse
 
-from helpers import SAMPLE_ROWS, dataset_from_rows, partition_signature, random_dataset, take_rows
+from helpers import (
+    SAMPLE_ROWS,
+    assignment_satisfies,
+    dataset_from_rows,
+    partition_signature,
+    random_constraint_spec,
+    random_dataset,
+    reference_min_sse,
+    reference_witness,
+    restricted_growth_strings,
+    take_rows,
+)
 
 # Pinned exhaustive optima for the bundled sample (recomputed below).
 OPTIMAL_K2_SSE = 0.7376543209876534
@@ -64,7 +74,7 @@ def test_pigeonhole_infeasible(sample_dataset):
     assert brute_force_min_sse(sub, 3, spec) is None
     exists, witness, reason = brute_force_feasible_exists(spec, sub, 3)
     assert not exists and witness is None
-    assert "exhausted" in reason
+    assert reason == "no assignment of 4 components meets the link and size constraints"
 
 
 def test_capacity_guard(sample_dataset):
@@ -139,12 +149,12 @@ def test_must_link_components_collapse_enumeration(sample_dataset):
     assert len(labels) == 1
 
 
-def test_empty_spec_witness_is_all_in_one_cluster(sample_dataset):
-    exists, witness, _ = brute_force_feasible_exists(
-        ConstraintSpec(feasibility_threshold=6), sample_dataset, 3
-    )
+def test_empty_spec_witness_satisfies_the_spec(sample_dataset):
+    spec = ConstraintSpec(feasibility_threshold=6)
+    exists, witness, reason = brute_force_feasible_exists(spec, sample_dataset, 3)
     assert exists
-    assert set(witness.values()) == {0}
+    assert assignment_satisfies(witness, spec, 3) == []
+    assert reason == "witness found by exact search over 10 components"
 
 
 def test_min_size_arithmetic_infeasible(sample_dataset):
@@ -197,3 +207,54 @@ def test_optimum_under_a_huge_weight_on_a_constant_attribute(sample_dataset):
     assert without > 0.5
     assert optimum == pytest.approx(without, abs=1e-12)
     assert clustering.sse == optimum
+
+
+def _enumeration_sse(dataset, labels, spec):
+    """A partition's SSE as the enumeration scores it: each cluster's
+    component sums added in component order, the clusters in label order."""
+    X = dataset.normalized
+    w = weight_vector(dataset.schema, spec.distance_weights)
+    components = _components_for(spec, dataset)
+    total = 0.0
+    for label in dict.fromkeys(labels):
+        sums, squares, count = np.zeros(X.shape[1]), np.zeros(X.shape[1]), 0
+        for comp in components:
+            if labels[comp[0]] == label:
+                sums += X[comp].sum(axis=0)
+                squares += (X[comp] ** 2).sum(axis=0)
+                count += len(comp)
+        total += float((w * (squares - sums**2 / count)).sum())
+    return max(total, 0.0)
+
+
+def test_exact_search_matches_enumeration():
+    # Links, size bounds and, in a fifth of the specs, a cannot-link pair
+    # inside a must-link component. The verdicts and the SSE bits equal the
+    # enumeration's; the partitions too, except on exact ties.
+    rng = random.Random(2009)
+    feasible = 0
+    for case in range(400):
+        dataset = random_dataset(rng, rng.randint(1, 8), rng.randint(1, 3))
+        spec = random_constraint_spec(rng, dataset, tau=1.0)
+        if len(dataset) >= 3 and rng.random() < 0.2:
+            a, b, c = rng.sample(dataset.ids(), 3)
+            spec = dataclasses.replace(spec, must_link=[(a, b), (b, c)], cannot_link=[(a, c)])
+        k = rng.randint(1, 4)
+        expected = reference_min_sse(dataset, k, spec)
+        result = brute_force_min_sse(dataset, k, spec)
+        exists, witness, _ = brute_force_feasible_exists(spec, dataset, k)
+        assert (result is None) == (expected is None) == (not exists), case
+        assert (reference_witness(spec, dataset, k) is None) == (not exists), case
+        if expected is None:
+            continue
+        feasible += 1
+        (clustering, optimum), (reference, reference_optimum) = result, expected
+        assert repr(optimum) == repr(reference_optimum) == repr(clustering.sse), case
+        # The witness is that partition, labelled in order of first member.
+        labels = [witness[cid] for cid in dataset.ids()]
+        assert labels == list(clustering.labels) == list(partition_signature(labels)), case
+        assert assignment_satisfies(witness, spec, k) == [], case
+        if partition_signature(clustering.labels) != partition_signature(reference.labels):
+            # An exact tie: the other partition scores the same bits.
+            assert _enumeration_sse(dataset, clustering.labels, spec) == optimum, case
+    assert feasible > 200
