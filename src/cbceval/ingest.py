@@ -28,6 +28,7 @@ from .model import (
     SCALE_MAX,
     SCALE_MIN,
     UserConstraintSpec,
+    _first_invalid,
 )
 
 # The spec format is declared by the dataclasses: their fields, in order.
@@ -124,74 +125,57 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
     so centroid vectors are reproducible from the file alone. Ratings lie on
     the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
 
-    The bulk path checks only what needs the text: the cell count of every
-    record, then one ``float`` pass of every rating cell into an
-    n x (columns - 1) array. Ids (empty, duplicate) and the rating range are
-    left to :class:`CandidateDataset`, which checks every dataset. On any
-    failure, the constructor's included, :func:`_parse_rows` parses the
-    records again one at a time, to raise the located error of the earliest
-    bad record.
+    The parser checks only what needs the text: each record's cell count,
+    and one ``float`` pass of the rating cells in which a cell that is not a
+    number reads as NaN. :class:`CandidateDataset` makes the one validity
+    pass over ids and ranges. Only on a failure does the parser ask that
+    pass for the earliest bad row and column, to name them in its error.
     """
     table = _read_table(csv_text)
     records, width = table.records, len(table.header)
-    if set(map(len, records)) - {width}:
-        return _parse_rows(table)
+    # Records from the first with a wrong cell count on are not read.
+    wrong = list(map(width.__ne__, map(len, records)))
+    n = wrong.index(True) if True in wrong else len(records)
+    rows = records[:n]
+    ids = list(map(str.strip, map(itemgetter(0), rows)))
     # float() skips the same surrounding whitespace as str.strip().
-    cells = chain.from_iterable(map(itemgetter(slice(1, None)), records))
+    cells = chain.from_iterable(map(itemgetter(slice(1, None)), rows))
     try:
         values = np.fromiter(map(float, cells), dtype=np.float64)
     except ValueError:
-        return _parse_rows(table)
-    values = values.reshape(len(records), width - 1)[:, [col - 1 for col in table.columns]]
-    ids = map(str.strip, map(itemgetter(0), records))
+        values = np.array([_float_or_nan(cell) for row in rows for cell in row[1:]])
+    values = values.reshape(n, width - 1)[:, [col - 1 for col in table.columns]]
+    ratings, constraints = values[:, :-1], values[:, -1]
+    if n == len(records):
+        try:
+            return CandidateDataset(table.schema, ids, ratings, constraints)
+        except DomainError:
+            pass
+    fault = _first_invalid(table.schema, ids, ratings, constraints)
+    if fault is None:
+        got = len(records[n])
+        raise ParseError(f"expected {width} cells, got {got}", f"row {table.numbers[n]}")
+    row, column, _ = fault
+    if column is None:  # stripped ids can only be empty or repeated
+        message = f"duplicate id {_cut(ids[row])}" if ids[row] else "empty id"
+        raise ParseError(message, locator=f"row {table.numbers[row]}")
+    col = table.columns[column]
+    raw = rows[row][col].strip()
+    locator = f"row {_cut(ids[row])}, column {_cut(table.header[col])}"
     try:
-        return CandidateDataset(table.schema, ids, values[:, :-1], values[:, -1])
-    except DomainError:
-        return _parse_rows(table)
+        float(raw)
+    except ValueError:
+        raise ParseError(f"not a number: {_shown(raw)}", locator=locator) from None
+    raise ParseError(
+        f"rating {_cut(raw)} out of range [{SCALE_MIN:g}, {SCALE_MAX:g}]", locator=locator
+    )
 
 
-def _parse_rows(table: _Table) -> CandidateDataset:
-    """Parse ``table``'s records one at a time, raising the error of the
-    first bad record."""
-    header = table.header
-    ids, ratings, constraints = [], [], []
-    seen_ids = set()
-    for line_no, row in zip(table.numbers, table.records):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(cells)}",
-                locator=f"row {line_no}",
-            )
-        cid = cells[0]
-        if not cid:
-            raise ParseError("empty id", locator=f"row {line_no}")
-        if cid in seen_ids:
-            raise ParseError(f"duplicate id {_cut(cid)}", locator=f"row {line_no}")
-        seen_ids.add(cid)
-
-        def _cell(col: int) -> float:
-            raw = cells[col]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"not a number: {_shown(raw)}",
-                    locator=f"row {_cut(cid)}, column {_cut(header[col])}",
-                ) from None
-            if not SCALE_MIN <= value <= SCALE_MAX:
-                raise ParseError(
-                    f"rating {_cut(raw)} out of range [{SCALE_MIN:g}, {SCALE_MAX:g}]",
-                    locator=f"row {_cut(cid)}, column {_cut(header[col])}",
-                )
-            return value
-
-        ids.append(cid)
-        *values, constraints_rating = map(_cell, table.columns)
-        ratings.append(values)
-        constraints.append(constraints_rating)
-
-    return CandidateDataset(table.schema, ids, ratings, constraints)
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 class _OncePerValue(dict):

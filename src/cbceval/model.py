@@ -9,7 +9,7 @@ beyond rating normalization and micro-cluster grouping.
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from types import MappingProxyType
 from typing import Mapping
 
@@ -89,6 +89,52 @@ class AttributeSchema:
             raise DomainError(f"unknown attribute {name!r}") from None
 
 
+def _first_invalid(schema: AttributeSchema, ids: list, ratings, constraints):
+    """The earliest invalid row of a dataset's columns as ``(row, column,
+    message)``, or None. Each check runs over all rows at once; within a row
+    the id comes first (a non-empty string, then CSV-safe, then unique),
+    then the width, then each rating in schema order, then the constraints
+    rating. ``column`` is the rating's index (``d`` for the constraints
+    rating), None for an id or width fault."""
+    n, d = len(ids), len(schema.names)
+    strings = list(map(isinstance, ids, repeat(str)))
+    m = strings.index(False) if False in strings else n
+    # Later checks read only the ids before the first that is not a string:
+    # a fault in that row comes before any fault in a later one.
+    text = ids[:m]
+    stripped = list(map(str.strip, text))
+    blank = stripped.index("") if "" in stripped else m
+    # Each check's first row, appended in the check order: min() keeps the
+    # first of equal rows.
+    faults = [(blank, None, "candidate id must be a non-empty string")] if blank < n else []
+    if text != stripped or "\r" in "".join(text):
+        row = list(map(_survives_csv, text)).index(False)
+        faults.append((row, None, f"candidate id {_shown(text[row])} {_NOT_CSV_TEXT}"))
+    if len(set(text)) < m:
+        # The first row whose id has an earlier row.
+        first_row = dict(zip(reversed(text), reversed(range(m))))
+        row = list(map(operator.ne, map(first_row.__getitem__, text), count())).index(True)
+        faults.append((row, None, f"duplicate candidate id {_cut(text[row])}"))
+    # Every row of an n x d array holds d ratings: only lists are measured.
+    w = m
+    if not (isinstance(ratings, np.ndarray) and ratings.shape[1:] == (d,)):
+        wrong = list(map(d.__ne__, map(len, ratings[:m])))
+        if True in wrong:
+            w = wrong.index(True)
+            got = f"expected {d} ratings, got {len(ratings[w])}"
+            faults.append((w, None, f"candidate {_cut(text[w])}: {got}"))
+    rated = np.asarray(ratings[:w], dtype=np.float64).reshape(w, d)
+    values = np.column_stack((rated, np.asarray(constraints[:w], dtype=np.float64)))
+    with np.errstate(invalid="ignore"):  # NaN fails the range check quietly
+        bad = ~((SCALE_MIN <= values) & (values <= SCALE_MAX))
+    if bad.any():
+        row, column = divmod(int(bad.argmax()), d + 1)
+        label = f", attribute {schema.names[column]}: " if column < d else ": constraints "
+        message = f"{label}rating {float(values[row, column])} out of range"
+        faults.append((row, column, f"candidate {_cut(text[row])}{message}"))
+    return min(faults, key=operator.itemgetter(0), default=None)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class CandidateDataset:
     """Ordered candidates over a shared schema. Order is the determinism anchor.
@@ -112,57 +158,20 @@ class CandidateDataset:
         ids, rows, constraints = list(ids), _sequence(ratings), _sequence(constraints_ratings)
         if not len(ids) == len(rows) == len(constraints):
             raise DomainError("ids, ratings and constraints ratings differ in length")
-        d = len(schema.names)
-        # Every row of an n x d array holds d ratings: only lists are measured.
-        widths = repeat(d) if isinstance(rows, np.ndarray) and rows.shape[1:] == (d,) else map(len, rows)
-        # Rows before the first bad id or wrong-length row are range checked
-        # first, so the error raised is the one for the earliest row.
-        row_of: dict[str, int] = {}
-        shape_error = None
-        for cid, width in zip(ids, widths):
-            if not isinstance(cid, str) or not cid.strip():
-                shape_error = "candidate id must be a non-empty string"
-            elif not _survives_csv(cid):
-                shape_error = f"candidate id {_shown(cid)} {_NOT_CSV_TEXT}"
-            elif cid in row_of:
-                shape_error = f"duplicate candidate id {_cut(cid)}"
-            elif width != d:
-                shape_error = f"candidate {_cut(cid)}: expected {d} ratings, got {width}"
-            if shape_error is not None:
-                break
-            row_of[cid] = len(row_of)
-        m = len(row_of)
-        ratings = np.array(rows[:m], dtype=np.float64, order="C").reshape(m, d)
-        constraints = np.array(constraints[:m], dtype=np.float64)
-        lo, hi = SCALE_MIN, SCALE_MAX
-        with np.errstate(invalid="ignore"):  # NaN fails the range check quietly
-            bad_rating = ~((lo <= ratings) & (ratings <= hi))
-            bad_constraint = ~((lo <= constraints) & (constraints <= hi))
-        bad_rows = np.flatnonzero(bad_rating.any(axis=1) | bad_constraint)
-        if bad_rows.size:
-            row = int(bad_rows[0])
-            columns = np.flatnonzero(bad_rating[row])
-            if columns.size:
-                j = int(columns[0])
-                raise DomainError(
-                    f"candidate {_cut(ids[row])}, attribute {schema.names[j]}: "
-                    f"rating {float(ratings[row, j])} out of range"
-                )
-            raise DomainError(
-                f"candidate {_cut(ids[row])}: constraints rating "
-                f"{float(constraints[row])} out of range"
-            )
-        if shape_error is not None:
-            raise DomainError(shape_error)
-        normalized = (ratings - lo) / (hi - lo)
+        fault = _first_invalid(schema, ids, rows, constraints)
+        if fault is not None:
+            raise DomainError(fault[2])
+        ratings = np.array(rows, dtype=np.float64, order="C").reshape(len(ids), len(schema.names))
+        constraints = np.array(constraints, dtype=np.float64)
+        normalized = (ratings - SCALE_MIN) / (SCALE_MAX - SCALE_MIN)
         for array in (ratings, normalized, constraints):
             array.flags.writeable = False
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "_ids", tuple(row_of))
+        object.__setattr__(self, "_ids", tuple(ids))
         object.__setattr__(self, "ratings", ratings)
         object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "constraints_ratings", constraints)
-        object.__setattr__(self, "row_of", MappingProxyType(row_of))
+        object.__setattr__(self, "row_of", MappingProxyType(dict(zip(ids, count()))))
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled; pickle and copy rebuild the columns.

@@ -8,7 +8,8 @@ from typing import Iterator
 import numpy as np
 
 from cbceval.constraints import build_link_components, feasibility_partition
-from cbceval.errors import AssignmentDeadlockError, DomainError
+from cbceval.errors import AssignmentDeadlockError, DomainError, ParseError, _cut, _shown
+from cbceval.ingest import _Table
 from cbceval.kmeans import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
@@ -18,6 +19,8 @@ from cbceval.kmeans import (
     weight_vector,
 )
 from cbceval.model import (
+    SCALE_MAX,
+    SCALE_MIN,
     AttributeSchema,
     CandidateDataset,
     Clustering,
@@ -513,3 +516,47 @@ def reference_report_json(body: dict, timestamp: str) -> str:
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     meta = {**body["meta"], "report_digest": digest, "timestamp": timestamp}
     return json.dumps({**body, "meta": meta}, indent=2) + "\n"
+
+
+def _parse_rows(table: _Table) -> CandidateDataset:
+    """Parse ``table``'s records one at a time, raising the error of the
+    first bad record."""
+    header = table.header
+    ids, ratings, constraints = [], [], []
+    seen_ids = set()
+    for line_no, row in zip(table.numbers, table.records):
+        cells = [cell.strip() for cell in row]
+        if len(cells) != len(header):
+            raise ParseError(
+                f"expected {len(header)} cells, got {len(cells)}",
+                locator=f"row {line_no}",
+            )
+        cid = cells[0]
+        if not cid:
+            raise ParseError("empty id", locator=f"row {line_no}")
+        if cid in seen_ids:
+            raise ParseError(f"duplicate id {_cut(cid)}", locator=f"row {line_no}")
+        seen_ids.add(cid)
+
+        def _cell(col: int) -> float:
+            raw = cells[col]
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ParseError(
+                    f"not a number: {_shown(raw)}",
+                    locator=f"row {_cut(cid)}, column {_cut(header[col])}",
+                ) from None
+            if not SCALE_MIN <= value <= SCALE_MAX:
+                raise ParseError(
+                    f"rating {_cut(raw)} out of range [{SCALE_MIN:g}, {SCALE_MAX:g}]",
+                    locator=f"row {_cut(cid)}, column {_cut(header[col])}",
+                )
+            return value
+
+        ids.append(cid)
+        *values, constraints_rating = map(_cell, table.columns)
+        ratings.append(values)
+        constraints.append(constraints_rating)
+
+    return CandidateDataset(table.schema, ids, ratings, constraints)

@@ -7,6 +7,8 @@ scores. Hypothesis draws datasets, specs and weights; every comparison is
 exact (floats compared by bit pattern).
 """
 
+import math
+
 import pytest
 
 from cbceval.cbc import CBCConfig, CBCResult, refine_micro_clusters
@@ -63,6 +65,13 @@ def reference_dataset_error(schema, rows):
     """The message the row-by-row validation raises first, or None."""
     seen = set()
     for cid, ratings, constraints_rating in rows:
+        if not isinstance(cid, str) or not cid.strip():
+            return "candidate id must be a non-empty string"
+        if cid != cid.strip() or "\r" in cid:
+            return (
+                f"candidate id {cid!r} must not start or end with whitespace "
+                "or hold a carriage return"
+            )
         if cid in seen:
             return f"duplicate candidate id {cid}"
         seen.add(cid)
@@ -225,13 +234,28 @@ def test_columnar_form_matches_rows_and_is_read_only(case):
         dataset.row_of["new"] = 0
 
 
-@PROPERTY
+# Mostly on the scale and of the schema's width, so that later rows and whole
+# datasets are reached.
+RATING = st.sampled_from((0, 0, 0, 0, 1, 2)).flatmap(
+    lambda kind: (
+        st.floats(SCALE_MIN, SCALE_MAX),
+        st.floats(-2.0, 12.0, allow_nan=False),
+        st.just(math.nan),
+    )[kind]
+)
+RATINGS = st.sampled_from((2, 2, 2, 2, 1, 3)).flatmap(
+    lambda width: st.lists(RATING, min_size=width, max_size=width)
+)
+
+
+@settings(PROPERTY, max_examples=300)
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(("p", "q", "r", "s")),
-            st.lists(st.floats(-2.0, 12.0, allow_nan=False), min_size=1, max_size=3),
-            st.floats(-2.0, 12.0, allow_nan=False),
+            # Good ids and duplicates mostly; blank, CSV-unsafe and non-string ids too.
+            st.sampled_from(("p", "q", "r", "s") * 6 + ("", "  ", " p", "q\r", 7)),
+            RATINGS,
+            RATING,
         ),
         max_size=6,
     )

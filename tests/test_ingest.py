@@ -8,7 +8,6 @@ from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.errors import DomainError, ParseError
 from cbceval.evaluate import rank
 from cbceval.ingest import (
-    _parse_rows,
     _read_table,
     bind_and_validate,
     constraint_spec_to_dict,
@@ -19,7 +18,7 @@ from cbceval.ingest import (
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 
-from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, dataset_from_rows, random_dataset
+from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, _parse_rows, dataset_from_rows, random_dataset
 
 try:
     from hypothesis import HealthCheck, given, settings, strategies as st
@@ -405,8 +404,28 @@ def test_long_csv_cell_is_cut_in_errors(text, message):
         ("id,a,constraints\n\n\nx,5\n", "row 4: expected 3 cells, got 2"),
         ("id,a,constraints\nx,5,5\n\n \nx,6,6\n", "row 5: duplicate id x"),
         ("\n,\nid,a,constraints\nx,5,5\n\ny\n", "row 6: expected 3 cells, got 1"),
+        # Within a row the id comes first, then each attribute column in
+        # header order, then the constraints column.
+        ("id,a,b,constraints\nx,11,q,5\n", "row x, column a: rating 11 out of range [1, 10]"),
+        ("id,a,b,constraints\nx,q,11,5\n", "row x, column a: not a number: 'q'"),
+        ("id,a,constraints\nx,11,5\nx,5\n", "row x, column a: rating 11 out of range [1, 10]"),
+        ("id,a,constraints\nx,5,5\nx,q,5\n", "row 3: duplicate id x"),
+        ("id,a,constraints\n,q,5\n", "row 2: empty id"),
+        ("id,constraints,a\nx,q,11\n", "row x, column a: rating 11 out of range [1, 10]"),
+        ("id,a,constraints\nx,5,5\ny,5,q\nz,5\n", "row y, column constraints: not a number: 'q'"),
     ],
-    ids=["short record", "duplicate id", "blank records before the header"],
+    ids=[
+        "short record",
+        "duplicate id",
+        "blank records before the header",
+        "range before a later column",
+        "not a number before a later column",
+        "range before a later short record",
+        "duplicate id before its cells",
+        "empty id before its cells",
+        "attributes before the constraints column",
+        "constraints cell before a later short record",
+    ],
 )
 def test_row_numbers_count_blank_records(text, message):
     with pytest.raises(ParseError) as info:
