@@ -105,7 +105,7 @@ def refine_micro_clusters(
     """Split each parent cluster into its feasible and infeasible members
     (empty sides omitted), each in dataset order. Parent assignments are
     never touched."""
-    clustering.label_array(dataset)  # rejects a clustering of other rows or order
+    clustering.check_rows(dataset)
     return MicroClustering(clustering, feasibility_partition(dataset, spec))
 
 

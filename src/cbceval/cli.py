@@ -130,7 +130,7 @@ def _cmd_cluster(args) -> int:
             "sse": clustering.sse,
             "attributes": list(dataset.schema.names),
             "assignment": clustering.assignment,
-            "centroids": [list(c) for c in clustering.centroids],
+            "centroids": clustering.centroids.tolist(),
         },
         args.out,
     )

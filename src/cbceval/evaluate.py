@@ -131,7 +131,7 @@ def rank(
     if result.micro is None:
         return body
 
-    result.clustering.label_array(dataset)  # rejects a result for other rows or order
+    result.clustering.check_rows(dataset)
     X = dataset.normalized
     means = _weighted_means(X, dataset.schema, weights)
     exact = means.tolist()

@@ -419,8 +419,8 @@ def lloyd(
 
     return Clustering(
         ids=ids,
-        labels=tuple(labels.tolist()),
-        centroids=tuple(tuple(float(v) for v in row) for row in C),
+        labels=labels,
+        centroids=C,
         sse=float(((X - C[labels]) ** 2 * w).sum()),
         iterations=iterations,
         seed=config.seed,
@@ -474,8 +474,8 @@ def sse(
 ) -> float:
     """Recompute the sum of squared weighted distances to assigned centroids."""
     w = _distance_weights(dataset, weights)
-    C = np.array(clustering.centroids, dtype=np.float64)
-    return float(((dataset.normalized - C[clustering.label_array(dataset)]) ** 2 * w).sum())
+    clustering.check_rows(dataset)
+    return float(((dataset.normalized - clustering.centroids[clustering.labels]) ** 2 * w).sum())
 
 
 SILHOUETTE_BLOCK = 256
@@ -509,12 +509,12 @@ def _silhouettes(dataset: CandidateDataset, clusterings) -> list[float]:
     for clustering in clusterings:
         if clustering.k < 2:
             raise DomainError("silhouette needs at least 2 clusters")
-        labels = clustering.label_array(dataset)
-        counts = np.bincount(labels, minlength=clustering.k)
+        clustering.check_rows(dataset)
+        counts = np.bincount(clustering.labels, minlength=clustering.k)
         if np.any(counts == 0):
             raise DomainError("silhouette needs every cluster non-empty")
-        members = [np.flatnonzero(labels == j) for j in range(clustering.k)]
-        sweep.append((labels, counts, members, np.zeros(n)))
+        members = [np.flatnonzero(clustering.labels == j) for j in range(clustering.k)]
+        sweep.append((clustering.labels, counts, members, np.zeros(n)))
 
     for start in range(0, n, SILHOUETTE_BLOCK):
         # Unweighted: each product with 1.0 is exact. D is block x n.

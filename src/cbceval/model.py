@@ -347,30 +347,36 @@ class ConstraintSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Cluster labels of candidates ``ids`` (dataset order) with the
-    centroids, one per cluster; ``k`` is their count."""
+    """Cluster labels of candidates ``ids`` (dataset order), a read-only int64
+    array, with the centroids as a read-only k x d float64 array; ``k`` is their count."""
 
     ids: tuple[str, ...]
-    labels: tuple[int, ...]
-    centroids: tuple[tuple[float, ...], ...]
+    labels: np.ndarray
+    centroids: np.ndarray
     sse: float
     iterations: int
     seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.k < 1:
-            raise DomainError(f"k must be at least 1, got {self.k}")
-        if len(self.labels) != len(self.ids):
-            raise DomainError(f"expected {len(self.ids)} labels, got {len(self.labels)}")
-        for cid, label in zip(self.ids, self.labels):
-            if not 0 <= label < self.k:
-                raise DomainError(
-                    f"candidate {_cut(str(cid))} assigned to invalid cluster {label}"
-                )
+        labels, centroids = np.asarray(self.labels), np.array(self.centroids, dtype=np.float64)
+        if len(centroids) < 1:
+            raise DomainError(f"k must be at least 1, got {len(centroids)}")
+        if len(labels) != len(self.ids):
+            raise DomainError(f"expected {len(self.ids)} labels, got {len(labels)}")
+        # numpy's common type may turn an int into text, so judge each label as given.
+        if labels.dtype.kind not in "iu":
+            given = np.array(self.labels, dtype=object)
+            labels = np.where(list(map(isinstance, given, repeat((int, np.integer)))), given, -1)
+        bad = np.flatnonzero((labels < 0) | (labels >= len(centroids)))
+        if bad.size:
+            cid, label = _cut(str(self.ids[bad[0]])), np.array(self.labels, dtype=object)[bad[0]]
+            raise DomainError(f"candidate {cid} assigned to invalid cluster {_shown(label)}")
+        object.__setattr__(self, "labels", labels.astype(np.int64))  # a copy no caller can change
+        object.__setattr__(self, "centroids", centroids)
+        self.labels.flags.writeable = centroids.flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -379,13 +385,12 @@ class Clustering:
     @property
     def assignment(self) -> dict[str, int]:
         """Candidate id -> cluster label, in dataset order."""
-        return dict(zip(self.ids, self.labels))
+        return dict(zip(self.ids, self.labels.tolist()))
 
-    def label_array(self, dataset: CandidateDataset) -> np.ndarray:
-        """The labels as an int64 array over ``dataset``'s rows."""
+    def check_rows(self, dataset: CandidateDataset) -> None:
+        """Reject a clustering of other rows than ``dataset``'s, or in another order."""
         if self.ids != dataset.ids():
             raise DomainError("clustering does not cover the dataset's candidates in order")
-        return np.array(self.labels, dtype=np.int64)
 
 
 FEASIBLE = "feasible"
@@ -440,7 +445,7 @@ class MicroClustering:
         """Each parent cluster split into a feasible and an infeasible side
         (empty sides omitted), members in dataset order; computed once."""
         sides = [([], []) for _ in range(self.parent.k)]
-        for cid, label in zip(self.parent.ids, self.parent.labels):
+        for cid, label in zip(self.parent.ids, self.parent.labels.tolist()):
             sides[label][cid in self.violations].append(cid)
         return tuple(
             MicroCluster(parent=j, label=(FEASIBLE, INFEASIBLE)[side], members=tuple(members))

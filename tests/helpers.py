@@ -376,8 +376,8 @@ def pinned_values(clustering, dataset: CandidateDataset) -> tuple:
     The signature follows ``dataset``'s row order."""
     assert clustering.ids == dataset.ids()
     return (
-        _digest(partition_signature(clustering.labels)),
-        _digest(clustering.centroids),
+        _digest(partition_signature(clustering.labels.tolist())),
+        _digest(tuple(map(tuple, clustering.centroids.tolist()))),
         repr(clustering.sse),
         clustering.iterations,
     )
@@ -389,7 +389,7 @@ def reference_silhouette(dataset: CandidateDataset, clustering) -> float:
     ``kmeans.silhouette`` must equal bit for bit."""
     k = clustering.k
     X = dataset.normalized
-    labels = clustering.label_array(dataset)
+    labels = clustering.labels
     counts = np.bincount(labels, minlength=k)
     members = [np.flatnonzero(labels == j) for j in range(k)]
 

@@ -153,21 +153,65 @@ def test_clustering_labels_follow_ids():
     dataset = CandidateDataset(schema, ["x", "y"], [(1,), (10,)], [5, 5])
     fields = dict(centroids=((0.0,), (1.0,)), sse=0.0, iterations=1, seed=0)
     clustering = Clustering(ids=dataset.ids(), labels=[1, 0], **fields)
-    assert clustering.labels == (1, 0)
+    assert clustering.ids == ("x", "y")
+    assert clustering.labels.dtype == np.int64
+    assert clustering.labels.tolist() == [1, 0]
+    assert clustering.centroids.dtype == np.float64
+    assert clustering.centroids.tolist() == [[0.0], [1.0]]
+    assert (clustering.sse, clustering.iterations, clustering.seed) == (0.0, 1, 0)
     assert clustering.k == 2
     assert clustering.assignment == {"x": 1, "y": 0}
-    assert clustering == Clustering(ids=("x", "y"), labels=(1, 0), **fields)
-    assert hash(clustering) == hash(Clustering(ids=("x", "y"), labels=(1, 0), **fields))
-    assert clustering.label_array(dataset).tolist() == [1, 0]
+    clustering.check_rows(dataset)
     reordered = CandidateDataset(schema, ["y", "x"], [(10,), (1,)], [5, 5])
     with pytest.raises(DomainError, match="does not cover"):
-        clustering.label_array(reordered)
+        clustering.check_rows(reordered)
     with pytest.raises(DomainError, match="expected 2 labels, got 1"):
         Clustering(ids=dataset.ids(), labels=[0], **fields)
     with pytest.raises(DomainError, match="candidate y assigned to invalid cluster 2"):
         Clustering(ids=dataset.ids(), labels=[0, 2], **fields)
+    with pytest.raises(DomainError, match="candidate y assigned to invalid cluster 2"):
+        Clustering(ids=dataset.ids(), labels=np.array([0, 2]), **fields)
     with pytest.raises(DomainError, match="k must be at least 1, got 0"):
         Clustering(ids=(), labels=(), **{**fields, "centroids": ()})
+    # A label must be an integer: a fraction is not cut to one, and a text
+    # is not read as a number. The first such candidate is named.
+    for labels, message in (
+        ((1.5, 0), "candidate x assigned to invalid cluster 1.5"),
+        ((0, 1.5), "candidate y assigned to invalid cluster 1.5"),
+        ((0, "1"), "candidate y assigned to invalid cluster '1'"),
+        (("a", 0), "candidate x assigned to invalid cluster 'a'"),
+        ((0, None), "candidate y assigned to invalid cluster None"),
+        ((5, 0.5), "candidate x assigned to invalid cluster 5"),
+    ):
+        with pytest.raises(DomainError) as info:
+            Clustering(ids=dataset.ids(), labels=labels, **fields)
+        assert str(info.value) == message
+    # The error names the label as given, however long.
+    with pytest.raises(DomainError) as info:
+        Clustering(ids=dataset.ids(), labels=(0, "z" * 1000), **fields)
+    assert len(str(info.value)) < 300
+
+
+def test_clustering_holds_read_only_copies():
+    labels, centroids = np.array([1, 0, 1]), np.array([[0.0, 0.5], [1.0, 0.25]])
+    clustering = Clustering(
+        ids=("x", "y", "z"), labels=labels, centroids=centroids, sse=0.0, iterations=1, seed=0
+    )
+    labels[0], centroids[0, 0] = 0, 9.0
+    assert clustering.labels.tolist() == [1, 0, 1]
+    assert clustering.centroids.tolist() == [[0.0, 0.5], [1.0, 0.25]]
+    for array in (clustering.labels, clustering.centroids):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert [type(label) for label in clustering.assignment.values()] == [int, int, int]
+    # Labels of any integer type are stored as int64.
+    narrow = Clustering(
+        ids=("x", "y", "z"), labels=labels.astype(np.uint8), centroids=centroids, sse=0.0,
+        iterations=1, seed=0,
+    )
+    assert narrow.labels.dtype == np.int64
+    assert narrow.labels.tolist() == [0, 0, 1]
 
 
 def test_micro_clustering_is_its_violations_map():
