@@ -235,20 +235,38 @@ def feasibility_partition(
     threshold and every per-candidate rule passes; an infeasible row gets a
     record for every check it fails, in check order.
 
-    The map is built one check at a time, and the rows that fail a check at
-    the same observed value share one frozen ``Violation``."""
+    The map is built one check at a time: the rows that fail a check at the
+    same observed value share one frozen ``Violation``, and the rows with
+    the same failure pattern (the same records) share one tuple."""
     ratings, constraints = dataset.ratings, dataset.constraints_ratings
     checks = _failed_checks(spec, dataset.schema, ratings, constraints)
-    failures = {i: [] for i in np.flatnonzero(_infeasible_mask(checks)).tolist()}
+    infeasible = np.flatnonzero(_infeasible_mask(checks))
+    # Each infeasible row's record index per check (-1: passed), folded one
+    # check at a time into a dense pattern code; rows with equal codes fail
+    # alike.
+    code = np.zeros(len(infeasible), dtype=np.int64)
+    indexed = []
     for rule, column, failed in checks:
-        rows = np.flatnonzero(failed)
+        at = np.flatnonzero(failed[infeasible])
+        rows = infeasible[at]
         observed = constraints[rows] if rule is None else ratings[rows, column]
         values, shared = np.unique(observed, return_inverse=True)
         records = [_violation(rule, v, spec.feasibility_threshold) for v in values.tolist()]
-        for row, j in zip(rows.tolist(), shared.tolist()):
-            failures[row].append(records[j])
+        index = np.full(len(code), -1, dtype=np.int64)
+        index[at] = shared
+        keys, code = np.unique(code * (len(records) + 1) + index + 1, return_inverse=True)
+        indexed.append((records, index))
+    # One tuple per code, built from any one row that has it.
+    some_row = np.empty(len(keys), dtype=np.intp)
+    some_row[code] = np.arange(len(code))
+    found = [[] for _ in some_row]
+    for records, index in indexed:
+        for pattern, j in zip(found, index[some_row].tolist()):
+            if j >= 0:
+                pattern.append(records[j])
+    patterns = [tuple(pattern) for pattern in found]
     ids = dataset.ids()
-    return {ids[i]: tuple(found) for i, found in failures.items()}
+    return {ids[i]: patterns[c] for i, c in zip(infeasible.tolist(), code.tolist())}
 
 
 def _pack(sizes: list[int], pairs, k: int, min_size: int | None, max_size: int | None):

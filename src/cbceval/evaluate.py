@@ -9,7 +9,9 @@ timestamp and writes the text. ``meta`` and ``deadlock`` go through
 ``json.dumps``; the three bulk sections (``micro_clusters``, ``ranking``,
 ``excluded``) are written from fixed per-entry templates, because the
 stdlib's indented encoder is pure Python and took most of a large report's
-time. The templates give the same bytes as ``json.dumps(body, indent=2)``,
+time. The excluded candidates of one failure pattern share one
+``violations`` list in the body, and the writer formats each list once.
+The templates give the same bytes as ``json.dumps(body, indent=2)``,
 and the digest hashes the same text as the sorted compact dump; the tests
 keep the stdlib form as the reference and compare byte for byte.
 ``evaluate --out`` writes the text in chunks (``_report_chunks``) after a
@@ -97,7 +99,9 @@ def rank(
     descending, ties by ascending id) and ``excluded`` (infeasible candidates
     as ``{id, violations}``, in dataset order). A bind-aborted result yields
     ``meta`` and ``deadlock`` only. The body is a fresh copy: it shares no
-    mutable object with ``result``.
+    mutable object with ``result``. Within the body, the entries whose
+    violations are one tuple of ``result`` (one failure pattern, see
+    ``feasibility_partition``) share one list of records.
     """
     kmeans = result.config.kmeans
     config_payload = {
@@ -149,6 +153,16 @@ def rank(
                 record[key] = rounded[record[key]]
         return record
 
+    # One list per violations tuple, keyed by the tuple's identity: the rows
+    # of one failure pattern share the tuple (``feasibility_partition``), and
+    # ``violations`` keeps every key's tuple alive.
+    lists: dict[int, list] = {}
+
+    def violation_list(found: tuple) -> list:
+        if id(found) not in lists:
+            lists[id(found)] = [violation_dict(v) for v in found]
+        return lists[id(found)]
+
     body["micro_clusters"] = [
         {
             "parent": mc.parent,
@@ -168,7 +182,7 @@ def rank(
         for i, values in zip(ranked, per_attribute)
     ]
     body["excluded"] = [
-        {"id": cid, "violations": [violation_dict(v) for v in violations[cid]]}
+        {"id": cid, "violations": violation_list(violations[cid])}
         for cid in ids if cid in violations
     ]
     return body
@@ -268,9 +282,18 @@ def _ranking(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
 
 
 def _excluded(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
+    """Each distinct ``violations`` list is written once, keyed by its
+    identity: ``rank`` gives the entries of one failure pattern one list,
+    and ``section`` keeps every list alive while it is read, so no key is
+    reused. Equal lists that are distinct objects are each written."""
+    arrays: dict[int, tuple[str, str]] = {}
     for entry in section:
-        violations = [_VIOLATION.write(_texts(v.values(), floats)) for v in entry["violations"]]
-        indented, compact = _arrays(violations, 3)
+        violations = entry["violations"]
+        if id(violations) not in arrays:
+            arrays[id(violations)] = _arrays(
+                [_VIOLATION.write(_texts(v.values(), floats)) for v in violations], 3
+            )
+        indented, compact = arrays[id(violations)]
         cid = _quote(entry["id"])
         yield _EXCLUDED.write((cid, indented), (cid, compact))
 

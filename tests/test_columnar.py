@@ -286,12 +286,17 @@ def test_feasibility_matches_per_candidate_reference(case):
             expected_infeasible.append((cid, violations))
         else:
             expected_feasible.append(cid)
-    assert feasible_and_infeasible(dataset, spec) == (expected_feasible, expected_infeasible)
+    feasible, infeasible = feasible_and_infeasible(dataset, spec)
+    assert (feasible, infeasible) == (expected_feasible, expected_infeasible)
+    # Rows that fail alike share one tuple: as many objects as distinct tuples.
+    found = [violations for _, violations in infeasible]
+    assert len({id(v) for v in found}) == len(set(found))
 
 
 def test_equal_failures_share_one_record():
     # Rows p0..p2 fail the threshold at constraints rating 3, p3 at 4; p0,
-    # p1 and p4 fail the rule at u = 2, p2 at u = 1.
+    # p1 and p4 fail the rule at u = 2, p2 at u = 1. So p0 and p1 fail
+    # alike, and share one tuple.
     schema = AttributeSchema(("u", "v"))
     rows = [
         ("p0", (2.0, 5.0), 3.0),
@@ -310,6 +315,7 @@ def test_equal_failures_share_one_record():
     p0, p1, p2, p3, p4 = (violations[f"p{i}"] for i in range(5))
     assert p0[0] is p1[0] is p2[0] and p0[0] is not p3[0]
     assert p0[1] is p1[1] is p4[0] and p0[1] is not p2[1]
+    assert p0 is p1 and len({id(p) for p in (p0, p2, p3, p4)}) == 4
 
 
 @PROPERTY

@@ -13,6 +13,7 @@ from cbceval.model import (
     AttributeSchema,
     CandidateDataset,
     ConstraintSpec,
+    ExistentialRule,
     MicroClustering,
     SCALE_MIN,
 )
@@ -220,6 +221,27 @@ def test_report_body_shares_nothing_with_the_result(sample_dataset, sample_spec)
     assert repr(result.micro.violations) == violations
     assert repr(result.deadlock) == deadlock
     assert report_json(rank(result, sample_dataset), timestamp="t") == text
+
+
+def test_rank_shares_one_violations_list_per_failure_pattern():
+    rng = random.Random(12)
+    dataset = random_dataset(rng, 300, 3)
+    rule = ExistentialRule("f0", ">=", 3.0, 1, per_candidate=True)
+    spec = ConstraintSpec(feasibility_threshold=4, existential=(rule,))
+    result = pipeline_result(dataset, spec, k=4, seed=9)
+    body = rank(result, dataset)
+    violations = result.micro.violations
+    lists = {}
+    for entry in body["excluded"]:
+        shared = lists.setdefault(id(violations[entry["id"]]), entry["violations"])
+        assert shared is entry["violations"]
+    assert len({id(shared) for shared in lists.values()}) == len(lists) < len(body["excluded"])
+    # The shared lists and their records are the body's own.
+    records = {id(vars(v)) for found in violations.values() for v in found}
+    assert not records & {id(r) for shared in lists.values() for r in shared}
+    text = report_json(body, timestamp="t")
+    next(iter(lists.values()))[0]["message"] = "changed"
+    assert report_json(rank(result, dataset), timestamp="t") == text
 
 
 def test_aborted_report_body_shares_nothing_with_the_result(sample_dataset):

@@ -429,6 +429,9 @@ def test_group_means_have_the_bits_of_one_mean_per_group(d):
     for j in range(len(sizes)):
         assert means[j].tobytes() == X[labels == j].mean(axis=0).tobytes()
     assert np.isnan(means[-1]).all()
+    # lloyd passes a column-major view; the sums do not change.
+    columns = np.ascontiguousarray(X.T).T
+    assert group_means(columns, labels, len(sizes) + 1)[0].tobytes() == means.tobytes()
 
 
 def lloyd_case(seed, n, d, k, distinct, grid=False, coincide=False, far=False, zeros=0, links=0):

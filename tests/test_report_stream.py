@@ -88,6 +88,29 @@ def test_out_and_stdout_are_report_json(
         assert min(len(bodies[0][key]) for key in ("ranking", "excluded")) > evaluate._BATCH
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_excluded_writes_each_violations_list_once(
+    shared, large_inputs, tmp_path, monkeypatch
+):
+    bodies = []
+    monkeypatch.setattr(cli, "rank", lambda *a, **kw: bodies.append(evaluate.rank(*a, **kw)) or bodies[-1])
+    assert cli.main(evaluate_argv(large_inputs, "--out", str(tmp_path / "report.json"))) == 0
+    body = bodies[0]
+    if not shared:
+        # equal lists as distinct objects, as a body built elsewhere may hold
+        body["excluded"] = [
+            {**entry, "violations": [dict(v) for v in entry["violations"]]}
+            for entry in body["excluded"]
+        ]
+    lists = {id(entry["violations"]): entry["violations"] for entry in body["excluded"]}
+    assert (len(lists) < len(body["excluded"])) is shared
+    calls = []
+    write = evaluate._VIOLATION.write
+    monkeypatch.setattr(evaluate._VIOLATION, "write", lambda *texts: calls.append(1) or write(*texts))
+    assert evaluate.report_json(body, timestamp=TIMESTAMP) == reference_report_json(body, TIMESTAMP)
+    assert len(calls) == sum(map(len, lists.values()))
+
+
 @pytest.mark.parametrize("batch", [1, 2, 3, 4])
 def test_chunk_boundaries_do_not_change_the_text(batch, sample_dataset, sample_spec, monkeypatch):
     # The sample's sections hold 4 to 6 entries: batches of 1 to 4 end
