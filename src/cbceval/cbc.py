@@ -1,24 +1,26 @@
 """The three-stage constraint-based clustering pipeline.
 
 Stage 0 checks the bound constraint set for deadlocks and aborts on one.
-Stage 1 clusters with ``kmeans.lloyd`` over must-link components (single
-candidates when nothing links them), given as row labels that each stage
-builds from the spec, placing each greedily when cannot-links or a maximum
-size constrain membership. Stage 2 refines each cluster into
-feasible/infeasible micro-clusters, and stage 3 re-checks existential rules
-against the feasible population only, annotating (never aborting) the result.
+Stage 1 clusters with ``kmeans.lloyd_stack``, every restart in one stack,
+over must-link components (single candidates when nothing links them),
+given as row labels that each stage builds from the spec, placing each
+greedily when cannot-links or a maximum size constrain membership. Stage 2
+refines each cluster into feasible/infeasible micro-clusters, and stage 3
+re-checks existential rules against the feasible population only,
+annotating (never aborting) the result.
 """
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .constraints import build_link_components, detect_deadlock, feasibility_partition
 from .errors import AssignmentDeadlockError, DomainError
 from .ingest import bind_and_validate
-# ``lloyd`` is bound here by name, so replacing the module attribute
-# ``kmeans.lloyd`` (to count plain k-means runs) never sees this module's calls.
-from .kmeans import KMeansConfig, best_of_restarts, kmeans_pp_init, lloyd
+# ``lloyd_stack`` is bound here by name, so replacing the module attribute
+# ``kmeans.lloyd_stack`` (to see plain k-means runs) never sees this module's calls.
+from .kmeans import KMeansConfig, best_of_restarts, lloyd_stack, restart_inits
 from .model import (
     CandidateDataset,
     Clustering,
@@ -60,16 +62,17 @@ class CBCResult:
         return self.micro is None
 
 
-def constrained_assign(
+def _constrained_runs(
     dataset: CandidateDataset,
-    centroids,
+    inits,
     spec: ConstraintSpec,
     config: KMeansConfig,
-) -> Clustering:
-    """``kmeans.lloyd`` over the spec's must-link components, with
-    its cannot-links and max size. A cannot-link pair inside one component is
-    rejected up front, and the final partition is checked against
-    min_cluster_size (greedy assignment cannot guarantee it).
+) -> Iterator[Clustering | AssignmentDeadlockError]:
+    """``kmeans.lloyd_stack`` from each of ``inits`` over the spec's
+    must-link components, with its cannot-links and max size. A cannot-link
+    pair inside one component is rejected up front, and each final partition
+    is checked against min_cluster_size (greedy assignment cannot guarantee
+    it): a run below it ends in an AssignmentDeadlockError.
     """
     components = build_link_components(spec, dataset)
     if components.conflicts:
@@ -78,25 +81,41 @@ def constrained_assign(
             f"cannot_link pair ({a}, {b}) inside one must-link component; "
             f"run detect_deadlock first"
         )
-    clustering = lloyd(
+    outcomes = lloyd_stack(
         dataset,
-        centroids,
+        inits,
         config,
         spec.distance_weights,
         components,
         spec.max_cluster_size,
     )
+    return (_sized(outcome, spec.min_cluster_size) for outcome in outcomes)
 
-    if spec.min_cluster_size:
-        member_counts = np.bincount(clustering.labels, minlength=clustering.k)
-        if np.any(member_counts < spec.min_cluster_size):
-            small = int(np.flatnonzero(member_counts < spec.min_cluster_size)[0])
-            raise AssignmentDeadlockError(
-                f"cluster {small} ended with {int(member_counts[small])} members, "
-                f"below min_cluster_size {spec.min_cluster_size}; greedy "
-                f"assignment cannot guarantee minimum sizes",
-            )
-    return clustering
+
+def _sized(outcome, min_size: int | None):
+    """``outcome``, or the error of a clustering with a cluster below ``min_size``."""
+    if not min_size or isinstance(outcome, AssignmentDeadlockError):
+        return outcome
+    member_counts = np.bincount(outcome.labels, minlength=outcome.k)
+    if not np.any(member_counts < min_size):
+        return outcome
+    small = int(np.flatnonzero(member_counts < min_size)[0])
+    return AssignmentDeadlockError(
+        f"cluster {small} ended with {int(member_counts[small])} members, "
+        f"below min_cluster_size {min_size}; greedy "
+        f"assignment cannot guarantee minimum sizes",
+    )
+
+
+def constrained_assign(
+    dataset: CandidateDataset,
+    centroids,
+    spec: ConstraintSpec,
+    config: KMeansConfig,
+) -> Clustering:
+    """``_constrained_runs`` as a stack of one, from ``centroids``; a
+    deadlocked run raises its AssignmentDeadlockError."""
+    return best_of_restarts(_constrained_runs(dataset, [centroids], spec, config))
 
 
 def refine_micro_clusters(
@@ -138,12 +157,9 @@ def run_pipeline(
         return CBCResult(None, deadlock, tuple(log), spec, config)
 
     # With no assignment constraints every component is a single row, so
-    # constrained_assign is plain k-means.
-    weights = spec.distance_weights
-    clustering = best_of_restarts(
-        config.kmeans,
-        lambda cfg: constrained_assign(dataset, kmeans_pp_init(dataset, cfg, weights), spec, cfg),
-    )
+    # _constrained_runs is plain k-means.
+    inits = restart_inits(dataset, config.kmeans, spec.distance_weights)
+    clustering = best_of_restarts(_constrained_runs(dataset, inits, spec, config.kmeans))
     log.append(
         StageRecord(
             "cluster", f"k={k} sse={clustering.sse:.6g} iterations={clustering.iterations}"

@@ -258,27 +258,39 @@ _EXCLUDED = _Object(("id", "violations"), 2)
 
 
 def _micro_clusters(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
+    # A member's keys are in sorted order, so both forms take its texts as they are.
     for mc in section:
         if mc["label"] == FEASIBLE:
-            members = [
-                _SCORED_MEMBER.write(_texts((m["id"], m["score"]), floats))
-                for m in mc["members"]
-            ]
+            indented, compact = _SCORED_MEMBER.indented, _SCORED_MEMBER.compact
+            texts = ((_quote(m["id"]), floats[m["score"]]) for m in mc["members"])
         else:
-            members = [_MEMBER.write((_quote(m["id"]),)) for m in mc["members"]]
+            indented, compact = _MEMBER.indented, _MEMBER.compact
+            texts = (_quote(m["id"]) for m in mc["members"])
+        members = [(indented % t, compact % t) for t in texts]
         head = _texts((mc["parent"], mc["label"]), floats)
         indented, compact = _arrays(members, 3)
         yield _MICRO_CLUSTER.write((*head, indented), (*head, compact))
 
 
 def _ranking(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:
+    """Each entry from one template per form, its ``per_attribute`` object
+    written inline: the texts of id, score and the attribute values fill the
+    indented form in that order and the compact form in sorted-key order."""
     if not section:
         return
-    attributes = _Object(tuple(section[0]["per_attribute"]), 3)
+    names = tuple(section[0]["per_attribute"])
+    attributes = _Object(names, 3)
+    indented = _RANKED.indented % ("%s", "%s", attributes.indented)
+    # sorted keys: id, per_attribute, score
+    compact = _RANKED.compact % ("%s", attributes.compact, "%s")
+    compact_order = itemgetter(0, *(2 + i for i in sorted(range(len(names)), key=names.__getitem__)), 1)
     for entry in section:
-        indented, compact = attributes.write(_texts(entry["per_attribute"].values(), floats))
-        head = _texts((entry["id"], entry["score"]), floats)
-        yield _RANKED.write((*head, indented), (*head, compact))
+        texts = (
+            _quote(entry["id"]),
+            floats[entry["score"]],
+            *map(floats.__getitem__, entry["per_attribute"].values()),
+        )
+        yield indented % texts, compact % compact_order(texts)
 
 
 def _excluded(section: list, floats: _OncePerValue) -> Iterator[tuple[str, str]]:

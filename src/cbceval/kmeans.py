@@ -1,12 +1,15 @@
 """Seeded, deterministic k-means in normalized attribute space: one Lloyd
-loop, ``lloyd``, serves plain clustering and, given must-link components,
-cannot-links or a maximum size, constrained clustering. ``choose_k`` picks
-the cluster count by silhouette when none is given.
+loop, ``lloyd_stack``, serves plain clustering and, given must-link
+components, cannot-links or a maximum size, constrained clustering. It moves
+a stack of runs (every restart of one call) over the shared rows at once;
+``lloyd`` is a stack of one and ``best_of_restarts`` the one reducer of a
+stack's outcomes. ``choose_k`` picks the cluster count by silhouette when
+none is given.
 
 Distance is weighted squared Euclidean on min-max-normalized ratings.
 Tie-breaking is always by lowest index and all randomness comes from the
 package's portable generator, so identical inputs reproduce identical
-clusterings bit for bit.
+clusterings bit for bit, and a run gives the same bits in a stack as alone.
 
 Nearest-centroid Lloyd skips the distances it can rule out with Hamerly's
 bounds (SDM 2010) and takes every centroid from one grouped reduction,
@@ -24,7 +27,8 @@ its per-row cost on rows of a few coordinates.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from itertools import islice
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -41,6 +45,9 @@ CONVERGENCE_TOL = 1e-9
 #: Relative float-safety margin of Lloyd's pruning test: a component keeps
 #: its label only when its bounds are apart by more than this share.
 BOUND_MARGIN = 1e-9
+#: ``lloyd_stack`` advances at most this many (run, row) entries together,
+#: at least one run, so its memory stays linear in n whatever the restarts.
+STACK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -136,21 +143,34 @@ def _coordinate_sum(term: Callable[[int], np.ndarray], start: int, stop: int) ->
     return total
 
 
-def distance_matrix(X: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
+def distance_matrix(X: np.ndarray, C: np.ndarray, w: np.ndarray, runs=None) -> np.ndarray:
     """Rows x centroids matrix of weighted squared distances, returned as the
-    transposed view of a centroids x rows array.
+    transposed view of a centroids x rows array. With ``runs``, ``C`` is a
+    stack of R centroid sets (R x k x d) and ``runs`` their R row counts:
+    the rows of ``X`` come in R consecutive segments, each measured against
+    its own set.
 
     Entry (i, j) is bit-identical to ``((X[i] - C[j]) ** 2 * w).sum()``:
     ``_coordinate_sum`` adds the d coordinates of each entry in numpy's
     order for one contiguous row, so a row has the same bits in
     ``distance_matrix(X[rows], C, w)`` as in the matrix over all of ``X``.
-    ``lloyd`` relies on this to recompute only the rows its bounds cannot
-    settle. A reduction over centroids runs along the long axis.
+    ``lloyd_stack`` relies on this to recompute only the rows its bounds
+    cannot settle, for all its runs at once. A reduction over centroids runs
+    along the long axis.
     """
     columns = np.ascontiguousarray(X.T)
+    if runs is None:
+        C, runs = C[None], [len(X)]
+    by_coordinate = C.T
 
     def term(c: int) -> np.ndarray:
-        t = columns[c] - C[:, c, None]
+        # One set broadcasts; a stack repeats each set's coordinate over its
+        # segment rather than gathering a centroid per row.
+        if len(runs) == 1:
+            t = columns[c] - by_coordinate[c]
+        else:
+            t = np.repeat(by_coordinate[c], runs, axis=1)
+            np.subtract(columns[c], t, out=t)
         np.square(t, out=t)
         t *= w[c]
         return t
@@ -293,6 +313,235 @@ def greedy_place(D: np.ndarray, sizes, cannot_link, max_size: int | None) -> np.
     return placed
 
 
+def lloyd_stack(
+    dataset: CandidateDataset,
+    inits,
+    config: KMeansConfig,
+    weights: Mapping[str, float] | None = None,
+    links: LinkComponents | None = None,
+    max_size: int | None = None,
+) -> Iterator[Clustering | AssignmentDeadlockError]:
+    """The Lloyd loop, over must-link components placed whole by the
+    weighted distance of their means, run from each of ``inits`` (each a
+    ``config.k`` x d array of centroids). Yields each run's outcome in
+    ``inits`` order: its Clustering, recording ``config.seed``, or the
+    AssignmentDeadlockError that ended it.
+
+    ``links`` is the dataset's ``build_link_components`` result (None: every
+    candidate alone, plain k-means), read through its ``labels`` and
+    ``sizes`` as they are; links built on another dataset raise DomainError.
+    Without lifted cannot-links and ``max_size`` each component goes to its
+    nearest centroid. Otherwise a greedy pass (COP-KMeans) takes components
+    in index order to the nearest centroid that breaks no cannot-link with a
+    placed component and no max size; one with none deadlocks the run, even
+    where an exhaustive search may succeed. Equal distances go to the lowest
+    cluster index. SSE is computed once, after the loop.
+
+    The runs advance together as a stack over the shared rows, each with its
+    own centroids, labels and bounds as one row of (run, component) arrays,
+    so an iteration costs one set of numpy calls however many runs are in
+    it. A run leaves the stack as soon as it converges, reaches
+    ``MAX_ITERATIONS`` or deadlocks. A stack holds at most ``STACK_ENTRIES``
+    (run, row) entries, at least one run; further runs go into further
+    stacks, in order. ``inits`` is read and the outcomes are yielded one
+    stack at a time, so memory stays linear in n however many runs there
+    are.
+
+    The greedy pass computes every distance and places the components in
+    vectorized segments (``greedy_place``), one run at a time. The
+    nearest-centroid step is pruned instead (Hamerly, SDM 2010): each
+    component keeps an upper bound on its weighted distance
+    ``sqrt(sum(w * (m - c) ** 2))`` to its own centroid and a lower bound on
+    the distance to every other one, moved by each centroid's weighted shift
+    after an update. A component keeps its label while
+    ``upper * (1 + BOUND_MARGIN)`` is below ``(1 - BOUND_MARGIN)`` times the
+    larger of its lower bound and half the distance from its centroid to the
+    nearest other one; the margin absorbs float rounding, so a kept label is
+    the strict nearest one. Every other component is recomputed: all of them
+    at iteration 1, and each donor of an empty-cluster repair at the
+    iteration after. The stale (run, component) pairs of all runs are
+    recomputed in one ``distance_matrix`` pass, each run's centroids
+    repeated over its contiguous segment of them, and the nearest centroid
+    is the lowest index at the least distance, found from the centroids x
+    pairs matrix without an argmin across its rows. Each run's centroids
+    come from one ``group_means`` call over the stack, its clusters offset
+    to their own groups. Labels, centroids, SSE and iteration count are
+    those of recomputing every distance, one run at a time.
+    """
+    ids = dataset.ids()
+    k = config.k
+    X = dataset.normalized
+    n, d = X.shape
+    inits = iter(inits)
+
+    def next_stack() -> list:
+        stack = list(islice(inits, max(1, STACK_ENTRIES // max(n, 1))))
+        for init in stack:
+            if len(init) != k:
+                raise DomainError(f"init has {len(init)} centroids but config.k is {k}")
+        return stack
+
+    # The first stack is read before the checks, so inits made on demand
+    # (``restart_inits``) report their own faults first.
+    stack = next_stack()
+    if k > len(ids):
+        raise DomainError("k exceeds candidate count")
+    if links is not None and links.ids != ids:
+        raise DomainError("links were built on another dataset")
+    # ``group_means`` sums column by column; contiguous columns spare
+    # ``np.bincount`` a strided copy per call, with the same bits.
+    columns = np.ascontiguousarray(X.T)
+    w = _distance_weights(dataset, weights)
+    # The coordinates of each component's mean, one row per coordinate.
+    if links is None or len(links.sizes) == n:
+        # Single candidates in dataset order: a one-row mean is the row itself.
+        component_columns, sizes, row_comp = columns, np.ones(n, dtype=np.int64), None
+    else:
+        sizes, row_comp = links.sizes, links.labels
+        component_columns = np.ascontiguousarray(group_means(columns.T, row_comp, len(sizes))[0].T)
+    m = len(sizes)
+    cannot_link = () if links is None else links.lifted_cannot_link
+    greedy = bool(cannot_link) or max_size is not None
+    diagonal = np.arange(k)
+    while stack:
+        C = np.array(stack, dtype=np.float64).reshape(-1, k, d)
+        # Each run's position in the stack, and one copy of the rows (and
+        # component means) per run: the runs left in the stack read its
+        # first blocks.
+        outcomes: list = [None] * len(C)
+        run = np.arange(len(C))
+        copies = len(C)
+        stacked = columns if copies == 1 else np.tile(columns, copies)
+        if row_comp is None:
+            stacked_components = stacked
+        else:
+            stacked_components = component_columns if copies == 1 else np.tile(component_columns, copies)
+        # Each component's cluster as a slot of the stack, r * k + j for
+        # cluster j of the run in position r, so every run's clusters are
+        # groups of one reduction. Hamerly bounds on the weighted distance
+        # sqrt(sum(w * (m - c) ** 2)): ``upper`` from each component mean to
+        # its own centroid, ``lower`` to every other one. An infinite upper
+        # bound forces a recompute.
+        slot = np.repeat(k * np.arange(len(C)), m).reshape(-1, m)
+        upper = np.full(slot.shape, np.inf)
+        lower = np.zeros(slot.shape)
+
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            base = k * np.arange(len(C))
+            if greedy:
+                segments = np.full(len(C), m)
+                stale_columns = stacked_components[:, : len(C) * m]
+            else:
+                # A component nearer its centroid than half that centroid's
+                # gap to the next one is nearest to it (infinite gap when
+                # k = 1).
+                gaps = np.sqrt(((C[:, :, None, :] - C[:, None, :, :]) ** 2 * w).sum(axis=3))
+                gaps[:, diagonal, diagonal] = np.inf
+                half = 0.5 * gaps.min(axis=2)
+                bound = np.maximum(lower, half.reshape(-1)[slot])
+                stale = ~(upper * (1 + BOUND_MARGIN) < bound * (1 - BOUND_MARGIN))
+                # Flat index r * m + i: each run's stale components are one
+                # contiguous segment, ``segments[r]`` long.
+                flat = np.flatnonzero(stale)
+                segments = np.count_nonzero(stale, axis=1)
+                stale_columns = stacked_components.take(flat, axis=1)
+            D = distance_matrix(stale_columns.T, C, w, segments).T
+            dead = np.zeros(len(C), dtype=bool)
+            if greedy:
+                # A deadlocked run keeps its last labels until it leaves.
+                for r in range(len(C)):
+                    placed = greedy_place(D[:, r * m : (r + 1) * m].T, sizes, cannot_link, max_size)
+                    if placed[-1] >= 0:
+                        slot[r] = placed + base[r]
+                        continue
+                    ci = int(np.flatnonzero(placed < 0)[0])
+                    component = (ids[ci],) if links is None else links.components[ci]
+                    outcomes[run[r]] = AssignmentDeadlockError(
+                        f"no admissible cluster for must-link component "
+                        f"{component} at iteration {iterations}; "
+                        f"greedy order found no slot (an exhaustive search may "
+                        f"still succeed at small n)",
+                        component=component,
+                    )
+                    dead[r] = True
+            else:
+                # The nearest centroid, the lowest index at the least
+                # distance, and the distance to the next one.
+                best = D.min(axis=0)
+                near = np.full(len(flat), k - 1)
+                for j in range(k - 2, -1, -1):
+                    np.putmask(near, D[j] == best, j)
+                upper.reshape(-1)[flat] = np.sqrt(best)
+                D[near, np.arange(len(flat))] = np.inf
+                lower.reshape(-1)[flat] = np.sqrt(D.min(axis=0))
+                slot.reshape(-1)[flat] = near + np.repeat(base, segments)
+            # Reseed each empty cluster with the component farthest from its
+            # own centroid, never a cluster's sole one (any placed component
+            # fits a max size alone). Ties go to the lowest index, empties
+            # fill lowest first. A donor's bounds no longer describe its
+            # label.
+            occupied = np.bincount(slot.reshape(-1), minlength=k * len(C)).reshape(-1, k)
+            for r in np.flatnonzero((occupied == 0).any(axis=1)):
+                labels, centroids = slot[r] - base[r], C[r]
+                while True:
+                    occupants = np.bincount(labels, minlength=k)
+                    empties = np.flatnonzero(occupants == 0)
+                    if empties.size == 0:
+                        break
+                    d_own = _coordinate_sum(
+                        lambda c: (component_columns[c] - centroids[labels, c]) ** 2 * w[c], 0, d
+                    )
+                    d_own[occupants[labels] < 2] = -1.0
+                    donor = int(np.argmax(d_own))
+                    if d_own[donor] < 0:
+                        break
+                    labels[donor] = int(empties[0])
+                    upper[r, donor] = np.inf
+                slot[r] = labels + base[r]
+
+            row_slot = slot if row_comp is None else slot.take(row_comp, axis=1)
+            means, members = group_means(stacked[:, : len(C) * n].T, row_slot.reshape(-1), k * len(C))
+            new_C = np.where(members.reshape(-1, k, 1) > 0, means.reshape(-1, k, d), C)
+            if not greedy:
+                # Each bound moves by at most the weighted shift of its
+                # centroid; a lower bound by the largest shift among the other
+                # centroids.
+                shift = np.sqrt(((new_C - C) ** 2 * w).sum(axis=2))
+                upper += shift.reshape(-1)[slot]
+                others = np.zeros_like(shift)
+                if k > 1:
+                    ranked = np.sort(shift, axis=1)
+                    others[:] = ranked[:, -1:]
+                    others[np.arange(len(C)), shift.argmax(axis=1)] = ranked[:, -2]
+                lower -= others.reshape(-1)[slot]
+            movement = np.sqrt(((new_C - C) ** 2).sum(axis=2)).max(axis=1)
+            C = new_C
+            done = dead | (movement <= CONVERGENCE_TOL)
+            if iterations == MAX_ITERATIONS:
+                done[:] = True
+            if not done.any():
+                continue
+            for r in np.flatnonzero(done & ~dead):
+                labels = row_slot[r] - base[r]
+                outcomes[run[r]] = Clustering(
+                    ids=ids,
+                    labels=labels,
+                    centroids=C[r],
+                    sse=float(((X - C[r][labels]) ** 2 * w).sum()),
+                    iterations=iterations,
+                    seed=config.seed,
+                )
+            if done.all():
+                break
+            # The runs left move up to the first positions, their slots with
+            # them.
+            kept = np.flatnonzero(~done)
+            C, run, upper, lower = C[kept], run[kept], upper[kept], lower[kept]
+            slot = slot[kept] - (base[kept] - base[: len(kept)])[:, None]
+        yield from outcomes
+        stack = next_stack()
+
+
 def lloyd(
     dataset: CandidateDataset,
     init,
@@ -301,159 +550,40 @@ def lloyd(
     links: LinkComponents | None = None,
     max_size: int | None = None,
 ) -> Clustering:
-    """The Lloyd loop, over must-link components placed whole by the
-    weighted distance of their means.
-
-    ``links`` is the dataset's ``build_link_components`` result (None: every
-    candidate alone, plain k-means), read through its ``labels`` and
-    ``sizes`` as they are; links built on another dataset raise DomainError.
-    Without lifted cannot-links and ``max_size`` each component goes to its
-    nearest centroid. Otherwise a greedy pass (COP-KMeans) takes components
-    in index order to the nearest centroid that breaks no cannot-link with a
-    placed component and no max size; one with none raises
-    AssignmentDeadlockError, even where an exhaustive search may succeed.
-    Equal distances go to the lowest cluster index. SSE is computed once,
-    after the loop.
-
-    The greedy pass computes every distance and places the components in
-    vectorized segments (``greedy_place``). The nearest-centroid step is
-    pruned instead: each component keeps an upper bound on its weighted
-    distance ``sqrt(sum(w * (m - c) ** 2))`` to its own centroid and a lower
-    bound on the distance to every other one, moved by each centroid's
-    weighted shift after an update. A component keeps its
-    label while ``upper * (1 + BOUND_MARGIN)`` is below ``(1 - BOUND_MARGIN)``
-    times the larger of its lower bound and half the distance from its
-    centroid to the nearest other one; the margin absorbs float rounding,
-    so a kept label is the strict nearest one. Every other component is
-    recomputed with ``distance_matrix`` and the same lowest-index argmin:
-    all of them at iteration 1, and each donor of an empty-cluster repair at
-    the iteration after. Labels, centroids, SSE and iteration count are
-    those of recomputing every distance.
-    """
-    ids = dataset.ids()
-    k = len(init)
-    if k != config.k:
-        raise DomainError(f"init has {k} centroids but config.k is {config.k}")
-    if k > len(ids):
-        raise DomainError("k exceeds candidate count")
-    if links is not None and links.ids != ids:
-        raise DomainError("links were built on another dataset")
-    X = dataset.normalized
-    # ``group_means`` sums column by column; a contiguous copy of each column
-    # spares ``np.bincount`` a strided copy per call, with the same bits.
-    columns = np.ascontiguousarray(X.T).T
-    w = _distance_weights(dataset, weights)
-    C = np.array(init, dtype=np.float64).reshape(k, X.shape[1])
-    if links is None or len(links.sizes) == len(ids):
-        # Single candidates in dataset order: a one-row mean is the row itself.
-        M, sizes, row_comp = X, np.ones(len(X), dtype=np.int64), None
-    else:
-        sizes, row_comp = links.sizes, links.labels
-        M = group_means(columns, row_comp, len(sizes))[0]
-    cannot_link = () if links is None else links.lifted_cannot_link
-    greedy = bool(cannot_link) or max_size is not None
-    # Hamerly bounds on the weighted distance sqrt(sum(w * (m - c) ** 2)):
-    # ``upper`` from each component mean to its own centroid, ``lower`` to
-    # every other one. An infinite upper bound forces a full recompute.
-    comp_labels = np.zeros(len(M), dtype=np.int64)
-    upper = np.full(len(M), np.inf)
-    lower = np.zeros(len(M))
-
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        if not greedy:
-            # A component nearer its centroid than half that centroid's gap
-            # to the next one is nearest to it (infinite gap when k = 1).
-            gaps = np.sqrt(((C[:, None, :] - C) ** 2 * w).sum(axis=2))
-            np.fill_diagonal(gaps, np.inf)
-            bound = np.maximum(lower, 0.5 * gaps.min(axis=1)[comp_labels])
-            stale = np.flatnonzero(~(upper * (1 + BOUND_MARGIN) < bound * (1 - BOUND_MARGIN)))
-            D = distance_matrix(M[stale], C, w)
-            near = D.argmin(axis=1)
-            at = np.arange(len(stale))
-            comp_labels[stale] = near
-            upper[stale] = np.sqrt(D[at, near])
-            D[at, near] = np.inf
-            lower[stale] = np.sqrt(D.min(axis=1))
-        else:
-            comp_labels = greedy_place(distance_matrix(M, C, w), sizes, cannot_link, max_size)
-            if comp_labels[-1] < 0:
-                ci = int(np.flatnonzero(comp_labels < 0)[0])
-                component = (ids[ci],) if links is None else links.components[ci]
-                raise AssignmentDeadlockError(
-                    f"no admissible cluster for must-link component "
-                    f"{component} at iteration {iterations}; "
-                    f"greedy order found no slot (an exhaustive search may "
-                    f"still succeed at small n)",
-                    component=component,
-                )
-        # Reseed each empty cluster with the component farthest from its own
-        # centroid, never a cluster's sole one (any placed component fits a
-        # max size alone). Ties go to the lowest index, empties fill lowest
-        # first. A donor's bounds no longer describe its label.
-        while True:
-            occupants = np.bincount(comp_labels, minlength=k)
-            empties = np.flatnonzero(occupants == 0)
-            if empties.size == 0:
-                break
-            d_own = _coordinate_sum(lambda c: (M[:, c] - C[comp_labels, c]) ** 2 * w[c], 0, len(w))
-            d_own[occupants[comp_labels] < 2] = -1.0
-            donor = int(np.argmax(d_own))
-            if d_own[donor] < 0:
-                break
-            comp_labels[donor] = int(empties[0])
-            upper[donor] = np.inf
-
-        labels = comp_labels if row_comp is None else comp_labels[row_comp]
-        means, members = group_means(columns, labels, k)
-        new_C = np.where(members[:, None] > 0, means, C)
-        if not greedy:
-            # Each bound moves by at most the weighted shift of its centroid;
-            # a lower bound by the largest shift among the other centroids.
-            shift = np.sqrt(((new_C - C) ** 2 * w).sum(axis=1))
-            upper += shift[comp_labels]
-            ranked = np.argsort(shift)
-            others = np.full(k, shift[ranked[-1]])
-            others[ranked[-1]] = shift[ranked[-2]] if k > 1 else 0.0
-            lower -= others[comp_labels]
-        movement = float(np.sqrt(((new_C - C) ** 2).sum(axis=1)).max())
-        C = new_C
-        if movement <= CONVERGENCE_TOL:
-            break
-
-    return Clustering(
-        ids=ids,
-        labels=labels,
-        centroids=C,
-        sse=float(((X - C[labels]) ** 2 * w).sum()),
-        iterations=iterations,
-        seed=config.seed,
-    )
+    """One Lloyd run from ``init``: ``lloyd_stack`` as a stack of one. A
+    deadlocked run raises its AssignmentDeadlockError."""
+    return best_of_restarts(lloyd_stack(dataset, [init], config, weights, links, max_size))
 
 
-def best_of_restarts(
-    config: KMeansConfig, attempt: Callable[[KMeansConfig], Clustering]
-) -> Clustering:
-    """Best of ``config.restarts`` attempts, restart r > 0 at ``child_seed(seed, r)``.
+def restart_inits(
+    dataset: CandidateDataset,
+    config: KMeansConfig,
+    weights: Mapping[str, float] | None = None,
+) -> Iterator[tuple[tuple[float, ...], ...]]:
+    """The k-means++ init of each of ``config.restarts`` runs, restart
+    r > 0 seeded at ``child_seed(seed, r)``, made as it is read."""
+    for r in range(config.restarts):
+        seed = config.seed if r == 0 else child_seed(config.seed, r)
+        yield kmeans_pp_init(dataset, replace(config, seed=seed, restarts=1), weights)
 
-    Results reduce by (SSE, restart index), so the selected run never depends
-    on execution order. Restarts that raise AssignmentDeadlockError are
-    skipped; if all do, the first error is raised. The record carries the
-    base seed."""
+
+def best_of_restarts(outcomes) -> Clustering:
+    """The best of ``lloyd_stack`` outcomes, read in restart order: the
+    lowest (SSE, restart index), so the selected run never depends on
+    execution order. Deadlocked runs (an AssignmentDeadlockError in place of
+    a clustering) are skipped; if all are, the first error is raised. Only
+    the best clustering so far is kept."""
     best: Clustering | None = None
     first_error: AssignmentDeadlockError | None = None
-    for r in range(config.restarts):
-        seed_r = config.seed if r == 0 else child_seed(config.seed, r)
-        try:
-            clustering = attempt(replace(config, seed=seed_r, restarts=1))
-        except AssignmentDeadlockError as exc:
+    for outcome in outcomes:
+        if isinstance(outcome, AssignmentDeadlockError):
             if first_error is None:
-                first_error = exc
-            continue
-        if best is None or clustering.sse < best.sse:
-            best = clustering
+                first_error = outcome
+        elif best is None or outcome.sse < best.sse:
+            best = outcome
     if best is None:
         raise first_error
-    return replace(best, seed=config.seed)
+    return best
 
 
 def run_kmeans(
@@ -461,13 +591,11 @@ def run_kmeans(
     config: KMeansConfig,
     weights: Mapping[str, float] | None = None,
 ) -> Clustering:
-    """Best-of-restarts plain k-means from k-means++ seeds."""
-    # ``lloyd`` is looked up per restart, so wrapping the module attribute
-    # sees every call.
-    return best_of_restarts(
-        config,
-        lambda cfg: lloyd(dataset, kmeans_pp_init(dataset, cfg, weights), cfg, weights),
-    )
+    """Best-of-restarts plain k-means from k-means++ seeds, every restart in
+    one ``lloyd_stack`` call."""
+    # ``lloyd_stack`` is looked up at call time, so wrapping the module
+    # attribute sees the call and every init.
+    return best_of_restarts(lloyd_stack(dataset, restart_inits(dataset, config, weights), config, weights))
 
 
 def sse(
@@ -481,7 +609,7 @@ def sse(
     return float(((dataset.normalized - clustering.centroids[clustering.labels]) ** 2 * w).sum())
 
 
-SILHOUETTE_BLOCK = 256
+SILHOUETTE_BLOCK = 64
 
 
 def silhouette(dataset: CandidateDataset, clustering: Clustering) -> float:
@@ -555,10 +683,11 @@ def choose_k(dataset: CandidateDataset, seed: int) -> int:
     candidates, else the swept k maximizing silhouette over seeded
     best-of-restarts unweighted runs; ties go to the smallest k.
 
-    Every k is clustered first, in order, through ``run_kmeans``; then one
-    pass over the ``SILHOUETTE_BLOCK``-row distance blocks scores all the
-    clusterings, so memory is O(block * n) plus one label array per k,
-    and each score has the bits a separate ``silhouette`` call gives."""
+    Every k is clustered first, in order, through ``run_kmeans``, its
+    restarts as one stack; then one pass over the ``SILHOUETTE_BLOCK``-row
+    distance blocks scores all the clusterings, so memory is O(block * n)
+    plus one label array per k, and each score has the bits a separate
+    ``silhouette`` call gives."""
     n = len(dataset)
     if n < 3:
         return 1

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cbceval.kmeans import (
     sse,
     weight_vector,
 )
-from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
+from cbceval.model import AttributeSchema, CandidateDataset, Clustering, ConstraintSpec
 from cbceval.oracle import brute_force_min_sse
 from cbceval.rng import SplitMix64, child_seed
 
@@ -181,24 +182,24 @@ def test_run_kmeans_restarts_pinned():
     assert clustering.seed == 51
 
 
-def test_run_kmeans_calls_module_lloyd_per_restart(sample_dataset, monkeypatch):
-    # Wrapping kmeans.lloyd must see every restart (the traced benchmark
-    # pass counts Lloyd calls this way).
+def test_run_kmeans_stacks_every_restart_in_one_call(sample_dataset, monkeypatch):
+    # Wrapping kmeans.lloyd_stack sees one call carrying every restart's init.
     calls = []
-    original = kmeans.lloyd
+    original = kmeans.lloyd_stack
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(dataset, inits, *args):
+        calls.append(list(inits))
+        return original(dataset, calls[-1], *args)
 
-    monkeypatch.setattr(kmeans, "lloyd", counted)
-    run_kmeans(sample_dataset, KMeansConfig(k=3, seed=42, restarts=3))
-    assert len(calls) == 3
-    # The pipeline's assignment binds lloyd by name, so the wrapper counts
-    # plain k-means runs only.
+    monkeypatch.setattr(kmeans, "lloyd_stack", counted)
+    config = KMeansConfig(k=3, seed=42, restarts=3)
+    run_kmeans(sample_dataset, config)
+    assert calls == [list(kmeans.restart_inits(sample_dataset, config))]
+    # The pipeline's assignment binds lloyd_stack by name, so the wrapper
+    # sees plain k-means runs only.
     spec = ConstraintSpec(must_link=[("T100", "T101")], feasibility_threshold=6)
     run_pipeline(sample_dataset, spec, CBCConfig(KMeansConfig(k=3, seed=42, restarts=2)))
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_golden_run_on_sample(sample_dataset):
@@ -566,11 +567,164 @@ def test_lloyd_recomputes_only_the_rows_its_bounds_cannot_settle(monkeypatch):
     dataset, config, init = lloyd_instance(42, 1500, 8, 8)
     rows = []
     full = kmeans.distance_matrix
-    monkeypatch.setattr(kmeans, "distance_matrix", lambda X, C, w: rows.append(len(X)) or full(X, C, w))
+    monkeypatch.setattr(
+        kmeans, "distance_matrix", lambda X, C, w, runs=None: rows.append(len(X)) or full(X, C, w, runs)
+    )
     clustering = lloyd(dataset, init, config)
     assert len(rows) == clustering.iterations
     assert rows[0] == len(dataset)
     assert sum(rows[1:]) < 0.5 * len(dataset) * (len(rows) - 1)
+
+
+def run_bits(outcome):
+    """A stack outcome at the bit level: the clustering's labels, centroids,
+    SSE and iteration count, or the deadlock's message and component."""
+    if isinstance(outcome, AssignmentDeadlockError):
+        return str(outcome), outcome.component
+    return (
+        outcome.labels.tobytes(),
+        outcome.centroids.tobytes(),
+        outcome.sse.hex(),
+        outcome.iterations,
+        outcome.seed,
+    )
+
+
+def assert_stack_matches_single_runs(dataset, inits, weights=None, links=None, max_size=None):
+    """``lloyd_stack`` over ``inits`` gives each run the outcome of its own
+    one-run call."""
+    config = KMeansConfig(k=len(inits[0]), seed=0)
+    stacked = list(kmeans.lloyd_stack(dataset, inits, config, weights, links, max_size))
+    alone = [next(kmeans.lloyd_stack(dataset, [init], config, weights, links, max_size)) for init in inits]
+    assert list(map(run_bits, stacked)) == list(map(run_bits, alone))
+    return stacked
+
+
+def stack_inits(seed, dataset, init, runs):
+    """``init`` and ``runs - 1`` more, each centroid drawn from the rows and
+    from ``init``'s own, so the runs differ but share its ties, coincident
+    centroids and far (empty-cluster) centroids."""
+    rng = random.Random(seed)
+    pool = [tuple(row) for row in dataset.normalized.tolist()] + list(init)
+    return [init] + [tuple(rng.choice(pool) for _ in init) for _ in range(runs - 1)]
+
+
+@pytest.mark.parametrize("case", list(LLOYD_CASES))
+def test_a_stack_gives_each_run_its_single_run_outcome(case):
+    dataset, init, weights, links = lloyd_case(**LLOYD_CASES[case])
+    inits = stack_inits(LLOYD_CASES[case]["seed"], dataset, init, 5)
+    stacked = assert_stack_matches_single_runs(dataset, inits, weights, links)
+    if case == "empty-cluster repair":
+        assert len({run.iterations for run in stacked}) > 1
+
+
+@pytest.mark.parametrize("args", GREEDY_LLOYD_CASES)
+def test_a_greedy_stack_gives_each_run_its_single_run_outcome(args):
+    dataset, spec, config, init = pinned_instance(*args)
+    links = build_link_components(spec, dataset)
+    inits = [init, *kmeans.restart_inits(dataset, replace(config, restarts=4))]
+    assert_stack_matches_single_runs(dataset, inits, None, links, spec.max_cluster_size)
+
+
+def test_a_deadlock_ends_only_its_own_run():
+    dataset, spec, config, init = pinned_instance(21, 240, 6, 6, 40, 20, 41)
+    links = build_link_components(spec, dataset)
+    inits = [init, *kmeans.restart_inits(dataset, replace(config, restarts=5))]
+    stacked = assert_stack_matches_single_runs(dataset, inits, None, links, spec.max_cluster_size)
+    deadlocked = [isinstance(run, AssignmentDeadlockError) for run in stacked]
+    assert deadlocked == [True, True, True, False, False, True]
+    # The reducer skips the deadlocked runs, and raises the first error when
+    # every run deadlocks.
+    best = kmeans.best_of_restarts(stacked)
+    assert best.sse == min(run.sse for run in stacked if not isinstance(run, AssignmentDeadlockError))
+    with pytest.raises(AssignmentDeadlockError) as first:
+        kmeans.best_of_restarts([stacked[1], stacked[0]])
+    assert first.value is stacked[1]
+
+
+def test_lloyd_stack_reports_faults_in_the_single_run_order():
+    # Restart inits are made on demand, so the seeding's own check comes
+    # first; a given init's size is checked before k against n.
+    empty = CandidateDataset(AttributeSchema(("a",)), [], np.zeros((0, 1)), [])
+    config = KMeansConfig(k=1, seed=0, restarts=3)
+    with pytest.raises(DomainError, match="dataset is empty"):
+        run_kmeans(empty, config)
+    with pytest.raises(DomainError, match="k exceeds candidate count"):
+        lloyd(empty, [[0.5]], config)
+    with pytest.raises(DomainError, match="init has 2 centroids but config.k is 1"):
+        lloyd(empty, [[0.5], [0.2]], config)
+
+
+def test_best_of_restarts_takes_the_lowest_sse_then_the_lowest_restart():
+    def run(sse, label):
+        return Clustering(("a", "b"), [0, label], [[0.0], [1.0]], sse, 1, 0)
+
+    runs = [AssignmentDeadlockError("no slot"), run(2.0, 0), run(1.0, 1), run(1.0, 0)]
+    assert kmeans.best_of_restarts(runs) is runs[2]
+
+
+def test_lloyd_stack_holds_at_most_stack_entries(monkeypatch):
+    dataset, config, _ = lloyd_instance(43, 300, 4, 5)
+    inits = list(kmeans.restart_inits(dataset, replace(config, restarts=7)))
+    stacked = list(map(run_bits, kmeans.lloyd_stack(dataset, inits, config)))
+    # A stack's first iteration recomputes every row of every run in it.
+    firsts = []
+    full = kmeans.distance_matrix
+
+    def first_iterations(X, C, w, runs=None):
+        if len(X) == len(C) * len(dataset):
+            firsts.append(len(C))
+        return full(X, C, w, runs)
+
+    monkeypatch.setattr(kmeans, "distance_matrix", first_iterations)
+    list(kmeans.lloyd_stack(dataset, inits, config))
+    assert firsts == [7] and kmeans.STACK_ENTRIES == 2**20
+    # Three runs' rows per stack: runs 0-2, 3-5 and 6, in restart order.
+    monkeypatch.setattr(kmeans, "STACK_ENTRIES", 3 * len(dataset) + 2)
+    firsts.clear()
+    assert list(map(run_bits, kmeans.lloyd_stack(dataset, inits, config))) == stacked
+    assert firsts == [3, 3, 1]
+    # Inits are read, and outcomes given, one stack at a time.
+    read = []
+    outcomes = kmeans.lloyd_stack(dataset, (read.append(r) or init for r, init in enumerate(inits)), config)
+    assert run_bits(next(outcomes)) == stacked[0] and read == [0, 1, 2]
+    # A single run larger than the bound still runs, alone.
+    monkeypatch.setattr(kmeans, "STACK_ENTRIES", 1)
+    firsts.clear()
+    assert list(map(run_bits, kmeans.lloyd_stack(dataset, inits, config))) == stacked
+    assert firsts == [1] * 7
+
+
+if st is not None:
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        d=st.integers(1, 5),
+        k=st.integers(1, 8),
+        distinct=st.integers(1, 60),
+        grid=st.booleans(),
+        coincide=st.booleans(),
+        far=st.booleans(),
+        links=st.integers(0, 15),
+        runs=st.integers(1, 5),
+        max_size=st.one_of(st.none(), st.integers(1, 30)),
+    )
+    def test_a_stack_gives_each_run_its_single_run_outcome_property(
+        seed, n, d, k, distinct, grid, coincide, far, links, runs, max_size
+    ):
+        dataset, init, weights, components = lloyd_case(
+            seed, n, d, min(k, n), min(distinct, n), grid, coincide, far, 0, links
+        )
+        inits = stack_inits(seed, dataset, init, runs)
+        assert_stack_matches_single_runs(dataset, inits, weights, components, max_size)
 
 
 def test_silhouette_duplicated_tight_clusters():
