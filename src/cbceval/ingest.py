@@ -11,7 +11,7 @@ import io
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -74,20 +74,11 @@ class _Table(NamedTuple):
     records: list[list[str]]
 
 
-def _read_table(csv_text: str) -> _Table:
-    text = csv_text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}") from exc
-    # Records are numbered before blank ones are dropped, so a locator
-    # ``row N`` names the file's N-th record.
-    kept = list(map(str.strip, map("".join, rows)))
-    numbers = list(compress(count(1), kept))
-    records = list(compress(rows, kept))
-    if not records:
-        raise ParseError("missing header", locator="header")
-    header = [cell.strip() for cell in records[0]]
+def _header(cells: list[str]) -> tuple[AttributeSchema, list[str], list[int]]:
+    """The checked header record: its schema, its stripped cells and its
+    columns, the attribute columns in header order, then the constraints
+    column."""
+    header = [cell.strip() for cell in cells]
     if not header or header[0].lower() != "id":
         raise ParseError("first column must be 'id'", locator="header")
     constraints_cols = [i for i, name in enumerate(header) if name.lower() == "constraints"]
@@ -114,16 +105,78 @@ def _read_table(csv_text: str) -> _Table:
         schema = AttributeSchema(tuple(names))
     except DomainError as exc:
         raise ParseError(str(exc), locator="header") from exc
+    return schema, header, [*attr_cols, constraints_col]
 
-    return _Table(schema, header, [*attr_cols, constraints_col], numbers[1:], records[1:])
+
+def _read_table(text: str) -> _Table:
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
+    # Records are numbered before blank ones are dropped, so a locator
+    # ``row N`` names the file's N-th record.
+    kept = list(map(str.strip, map("".join, rows)))
+    numbers = list(compress(count(1), kept))
+    records = list(compress(rows, kept))
+    if not records:
+        raise ParseError("missing header", locator="header")
+    return _Table(*_header(records[0]), numbers[1:], records[1:])
+
+
+def _split_columns(values: np.ndarray, n: int, columns: list[int]):
+    """The ratings and constraints columns of the n rows of rating cells
+    in ``values``, which are in file order."""
+    values = values.reshape(n, len(columns))[:, [col - 1 for col in columns]]
+    return values[:, :-1], values[:, -1]
+
+
+def _read_plain(text: str) -> CandidateDataset | None:
+    """The dataset in ``text`` if the text is plain and valid, else None.
+
+    A text is plain when it has no quote, no NUL and no line longer than
+    ``csv.field_size_limit()``: ``csv.reader`` then splits it on commas and
+    line breaks alone, so one ``str.split`` finds the same cells without a
+    list per record. Every line must have the header's width. A blank
+    record has a blank id, which the constructor rejects, so none gets
+    through.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the line break that ends the last record
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        schema, header, columns = _header(lines[0].split(","))
+    except ParseError:
+        return None
+    width = len(header)
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(lines).split(",")
+    ids = list(map(str.strip, cells[width::width]))
+    del cells[::width]
+    del cells[: width - 1]
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        return CandidateDataset(schema, ids, *_split_columns(values, len(ids), columns))
+    except (ValueError, DomainError):
+        return None
 
 
 def parse_dataset(csv_text: str) -> CandidateDataset:
     """Parse dataset CSV text into a validated :class:`CandidateDataset`.
 
-    Accepts LF or CRLF line endings. Column order defines attribute order,
-    so centroid vectors are reproducible from the file alone. Ratings lie on
-    the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
+    Accepts LF, CRLF or CR line endings and a leading BOM. Column order
+    defines attribute order, so centroid vectors are reproducible from the
+    file alone. Ratings lie on the fixed scale ``SCALE_MIN``..``SCALE_MAX``.
+
+    A plain text, with no quote, no NUL and no line longer than
+    ``csv.field_size_limit()``, is read with one ``str.split`` into cells.
+    Every other text, and a plain one that is not a valid dataset, is read
+    record by record with ``csv.reader``; that path alone raises, so every
+    error text and locator comes from it.
 
     The parser checks only what needs the text: each record's cell count,
     and one ``float`` pass of the rating cells in which a cell that is not a
@@ -131,7 +184,11 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
     pass over ids and ranges. Only on a failure does the parser ask that
     pass for the earliest bad row and column, to name them in its error.
     """
-    table = _read_table(csv_text)
+    text = csv_text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    dataset = _read_plain(text)
+    if dataset is not None:
+        return dataset
+    table = _read_table(text)
     records, width = table.records, len(table.header)
     # Records from the first with a wrong cell count on are not read.
     wrong = list(map(width.__ne__, map(len, records)))
@@ -144,8 +201,7 @@ def parse_dataset(csv_text: str) -> CandidateDataset:
         values = np.fromiter(map(float, cells), dtype=np.float64)
     except ValueError:
         values = np.array([_float_or_nan(cell) for row in rows for cell in row[1:]])
-    values = values.reshape(n, width - 1)[:, [col - 1 for col in table.columns]]
-    ratings, constraints = values[:, :-1], values[:, -1]
+    ratings, constraints = _split_columns(values, n, table.columns)
     if n == len(records):
         try:
             return CandidateDataset(table.schema, ids, ratings, constraints)

@@ -505,7 +505,9 @@ def lloyd_stack(
             if not greedy:
                 # Each bound moves by at most the weighted shift of its
                 # centroid; a lower bound by the largest shift among the other
-                # centroids.
+                # centroids, widened by the margin. A lower bound can cancel to
+                # a rounding residue above zero, which would keep a component
+                # at its centroid although an equal one has a lower index.
                 shift = np.sqrt(((new_C - C) ** 2 * w).sum(axis=2))
                 upper += shift.reshape(-1)[slot]
                 others = np.zeros_like(shift)
@@ -513,7 +515,7 @@ def lloyd_stack(
                     ranked = np.sort(shift, axis=1)
                     others[:] = ranked[:, -1:]
                     others[np.arange(len(C)), shift.argmax(axis=1)] = ranked[:, -2]
-                lower -= others.reshape(-1)[slot]
+                lower -= others.reshape(-1)[slot] * (1 + BOUND_MARGIN)
             movement = np.sqrt(((new_C - C) ** 2).sum(axis=2)).max(axis=1)
             C = new_C
             done = dead | (movement <= CONVERGENCE_TOL)

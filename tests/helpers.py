@@ -1,6 +1,8 @@
 """Shared generators and fixtures for the test suite."""
 
+import csv
 import hashlib
+import io
 import json
 import random
 from typing import Iterator
@@ -9,7 +11,7 @@ import numpy as np
 
 from cbceval.constraints import build_link_components, feasibility_partition
 from cbceval.errors import AssignmentDeadlockError, DomainError, ParseError, _cut, _shown
-from cbceval.ingest import _Table
+from cbceval.ingest import _header
 from cbceval.kmeans import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
@@ -518,13 +520,29 @@ def reference_report_json(body: dict, timestamp: str) -> str:
     return json.dumps({**body, "meta": meta}, indent=2) + "\n"
 
 
-def _parse_rows(table: _Table) -> CandidateDataset:
-    """Parse ``table``'s records one at a time, raising the error of the
-    first bad record."""
-    header = table.header
+def _read_records(text: str) -> tuple[list[int], list[list[str]]]:
+    """Every record that is not blank, read with ``csv.reader``, with its
+    record number in the file."""
+    text = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
+    kept = [(number, row) for number, row in enumerate(rows, 1) if "".join(row).strip()]
+    return [number for number, _ in kept], [row for _, row in kept]
+
+
+def reference_parse_dataset(text: str) -> CandidateDataset:
+    """``parse_dataset`` record by record: read every record with
+    ``csv.reader``, check the header, then parse the records one at a time,
+    raising the error of the first bad one."""
+    numbers, records = _read_records(text)
+    if not records:
+        raise ParseError("missing header", locator="header")
+    schema, header, columns = _header(records[0])
     ids, ratings, constraints = [], [], []
     seen_ids = set()
-    for line_no, row in zip(table.numbers, table.records):
+    for line_no, row in zip(numbers[1:], records[1:]):
         cells = [cell.strip() for cell in row]
         if len(cells) != len(header):
             raise ParseError(
@@ -555,8 +573,8 @@ def _parse_rows(table: _Table) -> CandidateDataset:
             return value
 
         ids.append(cid)
-        *values, constraints_rating = map(_cell, table.columns)
+        *values, constraints_rating = map(_cell, columns)
         ratings.append(values)
         constraints.append(constraints_rating)
 
-    return CandidateDataset(table.schema, ids, ratings, constraints)
+    return CandidateDataset(schema, ids, ratings, constraints)

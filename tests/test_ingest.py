@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import string
@@ -8,7 +9,6 @@ from cbceval.cbc import CBCConfig, run_pipeline
 from cbceval.errors import DomainError, ParseError
 from cbceval.evaluate import rank
 from cbceval.ingest import (
-    _read_table,
     bind_and_validate,
     constraint_spec_to_dict,
     parse_constraint_spec,
@@ -18,7 +18,7 @@ from cbceval.ingest import (
 from cbceval.kmeans import KMeansConfig
 from cbceval.model import AttributeSchema, CandidateDataset, ConstraintSpec
 
-from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, _parse_rows, dataset_from_rows, random_dataset
+from helpers import FEASIBLE_AT_6, SAMPLE_ROWS, dataset_from_rows, random_dataset, reference_parse_dataset
 
 try:
     from hypothesis import HealthCheck, given, settings, strategies as st
@@ -413,6 +413,8 @@ def test_long_csv_cell_is_cut_in_errors(text, message):
         ("id,a,constraints\n,q,5\n", "row 2: empty id"),
         ("id,constraints,a\nx,q,11\n", "row x, column a: rating 11 out of range [1, 10]"),
         ("id,a,constraints\nx,5,5\ny,5,q\nz,5\n", "row y, column constraints: not a number: 'q'"),
+        # The cells would read as two valid rows, ids 1 and 5.
+        ("id,a,constraints\n1,5,5,5\n2,5\n", "row 2: expected 3 cells, got 4"),
     ],
     ids=[
         "short record",
@@ -425,6 +427,7 @@ def test_long_csv_cell_is_cut_in_errors(text, message):
         "empty id before its cells",
         "attributes before the constraints column",
         "constraints cell before a later short record",
+        "a long record, then a short one",
     ],
 )
 def test_row_numbers_count_blank_records(text, message):
@@ -443,10 +446,6 @@ def dataset_outcome(parse, text):
     return dataset.ids(), dataset.ratings.tobytes(), dataset.constraints_ratings.tobytes()
 
 
-def parse_by_rows(text):
-    return _parse_rows(_read_table(text))
-
-
 if st is not None:
     # Mostly valid cells, so that whole datasets parse as well as fail.
     IDS = ("p", "q", "r", "s", "t", " u", "v\t", "w\xa0", '"x,y"') * 3 + ("", "  ")
@@ -456,21 +455,62 @@ if st is not None:
     )
     BLANK_RECORDS = ("", " ", ",", " ,\t,")
     HEADERS = ("id,a,constraints", "id, a ,b,constraints", "id,constraints,a")
+    # Quote-free texts: ids are distinct unless a bad one is drawn, and bad
+    # cells and records are rare, so most of these texts are valid plain
+    # datasets. A NUL or a line longer than csv's field limit sends a text to
+    # csv.reader, which rejects only a cell longer than the limit.
+    PADS = ("",) * 6 + (" ", "\t", "\xa0")
+    PLAIN_RATINGS = ("1", "5", "10", "2.5", " 7 ", "\t3", "\xa04\u2003", "1e1", "٣", "1_0")
+    LIMIT = csv.field_size_limit()
+    BAD_RATINGS = ("", " ", "0", "11", "-1", "nan", "inf", "1e999", "x", "5 5", "0x5", "5\x00")
+    BAD_RATINGS += (" " * (LIMIT - 1) + "5", " " * LIMIT + "5") * 3
+    BAD_IDS = ("", "  ", "c0", "\x00")
+
+    def one_in(n):
+        # A sampled flag: Hypothesis draws an integer's lower bound more often.
+        return st.sampled_from((False,) * (n - 1) + (True,))
+
+    def rarely(n, common, rare):
+        return one_in(n).flatmap(lambda is_rare: st.sampled_from(rare if is_rare else common))
+
+    @st.composite
+    def quote_free_lines(draw, header: str) -> list[str]:
+        width = header.count(",") + 1
+        blanks = st.sampled_from(BLANK_RECORDS + ("," * (width - 1),))
+        few = st.sampled_from((0,) * 18 + (1, 2))
+        pads = st.sampled_from(PADS)
+        cells = rarely(30, PLAIN_RATINGS, BAD_RATINGS)
+        lines = [draw(blanks) for _ in range(draw(few))] + [header]
+        for i in range(draw(st.sampled_from(range(9)))):
+            if draw(one_in(30)):
+                lines.append(draw(blanks))
+                continue
+            padded = draw(pads) + f"c{i}" + draw(pads)
+            record = [draw(st.sampled_from(BAD_IDS)) if draw(one_in(20)) else padded]
+            record += [draw(cells) for _ in range(width - 1)]
+            extra = draw(rarely(20, (0,), (-1, 1)))  # a short or a long record
+            lines.append(",".join(record[:-1] if extra < 0 else record + ["5"] * extra))
+        return lines + [draw(blanks) for _ in range(draw(few))]
 
     @st.composite
     def dataset_texts(draw):
         header = draw(st.sampled_from(HEADERS))
-        width = header.count(",") + 1
-        lines = draw(st.lists(st.sampled_from(BLANK_RECORDS), max_size=2)) + [header]
-        for _ in range(draw(st.integers(0, 6))):
-            if draw(st.integers(0, 5)) == 0:
-                lines.append(draw(st.sampled_from(BLANK_RECORDS)))
-                continue
-            cells = [draw(st.sampled_from(IDS))]
-            cells += draw(st.lists(st.sampled_from(RATINGS), min_size=width - 1, max_size=width - 1))
-            extra = draw(st.sampled_from((0,) * 8 + (-1, 1)))  # a short or a long record
-            lines.append(",".join(cells[:-1] if extra < 0 else cells + ["5"] * extra))
-        return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\r\n")))
+        if draw(st.sampled_from((True, True, False))):
+            lines = draw(quote_free_lines(header))
+        else:
+            width = header.count(",") + 1
+            lines = draw(st.lists(st.sampled_from(BLANK_RECORDS), max_size=2)) + [header]
+            for _ in range(draw(st.integers(0, 6))):
+                if draw(st.integers(0, 5)) == 0:
+                    lines.append(draw(st.sampled_from(BLANK_RECORDS)))
+                    continue
+                cells = [draw(st.sampled_from(IDS))]
+                cells += draw(st.lists(st.sampled_from(RATINGS), min_size=width - 1, max_size=width - 1))
+                extra = draw(st.sampled_from((0,) * 8 + (-1, 1)))  # a short or a long record
+                lines.append(",".join(cells[:-1] if extra < 0 else cells + ["5"] * extra))
+        bom = draw(st.sampled_from(("",) * 5 + ("\ufeff",)))
+        newline = draw(st.sampled_from(("\n",) * 4 + ("\r\n", "\r")))
+        return bom + newline.join(lines) + draw(st.sampled_from((newline, "", "\n", "\r\n")))
 
     @settings(
         max_examples=600,
@@ -481,7 +521,28 @@ if st is not None:
     )
     @given(text=dataset_texts())
     def test_parse_dataset_matches_the_row_loop(text):
-        assert dataset_outcome(parse_dataset, text) == dataset_outcome(parse_by_rows, text)
+        assert dataset_outcome(parse_dataset, text) == dataset_outcome(reference_parse_dataset, text)
+
+
+def test_quote_free_files_are_read_without_csv_reader(monkeypatch):
+    text = HEADER + "\nT1, 1,2,3,4,5,6,7\r\nT2,2,3,4,5,6,7,8\n"
+    calls = []
+
+    def reader(*args, **kwargs):
+        calls.append(args)
+        return real_reader(*args, **kwargs)
+
+    real_reader = csv.reader
+    monkeypatch.setattr(csv, "reader", reader)
+    assert parse_dataset(text).ids() == ("T1", "T2")
+    assert calls == []
+    # A quote, or a plain text that is not a valid dataset, goes to
+    # csv.reader, which names the fault.
+    assert parse_dataset(text.replace("T2", '"T2"')).ids() == ("T1", "T2")
+    assert len(calls) == 1
+    with pytest.raises(ParseError, match="row 3: expected 8 cells, got 7"):
+        parse_dataset(text.replace(",8", ""))
+    assert len(calls) == 2
 
 
 def spec_round_trip(spec):

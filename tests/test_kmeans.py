@@ -497,6 +497,10 @@ LLOYD_CASES = {
     "must-link components": dict(seed=7, n=40, d=3, k=4, distinct=40, links=12),
     "crowded bisectors": dict(seed=1, n=60, d=1, k=5, distinct=60),
     "one attribute, linked": dict(seed=8, n=60, d=1, k=3, distinct=60, links=6),
+    # An empty-cluster repair moves centroid 2 onto centroid 3. The rows at
+    # centroid 3 then hold a lower bound of 0.75 - 0.25 - 0.5 (times the
+    # root of the weight), which rounds to above 0.
+    "centroids that meet": dict(seed=2001, n=39, d=1, k=4, distinct=4, grid=True),
 }
 
 
