@@ -136,12 +136,10 @@ def run_pipeline(
     an assignment deadlock propagates as an error. The spec's k, when set,
     overrides the config's, and the result records the config with the k
     used."""
-    report = bind_and_validate(dataset, spec)
+    k = spec.k if spec.k is not None else config.kmeans.k
+    report = bind_and_validate(dataset, spec, k)
     if not report.ok:
         raise DomainError(f"spec does not bind to dataset: {report.summary()}")
-    k = spec.k if spec.k is not None else config.kmeans.k
-    if k > len(dataset):
-        raise DomainError("k exceeds candidate count")
     config = replace(config, kmeans=replace(config.kmeans, k=k))
     log = [StageRecord("bind", f"ok, k={k}")]
 

@@ -89,38 +89,28 @@ def _load_weights(path: str | None, to_vector) -> dict | None:
 
 
 def _bound_inputs(args) -> tuple:
+    """The bound dataset and spec, and the run's k: --k or the spec's, which must agree."""
     dataset = parse_dataset(_read(args.data))
     spec = (
         parse_constraint_spec(_read(args.constraints))
         if getattr(args, "constraints", None)
         else ConstraintSpec()
     )
-    report = bind_and_validate(dataset, spec)
+    if args.k is not None and spec.k is not None and spec.k != args.k:
+        raise ParseError(f"--k {args.k} conflicts with k={spec.k} in the constraint spec")
+    k = spec.k if args.k is None else args.k
+    report = bind_and_validate(dataset, spec, k)
     if not report.ok:
         raise ParseError(report.summary())
     for locator, message in report.warnings:
         print(f"{_style('warning', '33')}: {locator}: {message}", file=sys.stderr)
-    return dataset, spec
-
-
-def _fixed_k(args, dataset, spec) -> int | None:
-    """The cluster count set by --k or the spec; the two must agree, and
-    --k must lie in [1, n]."""
-    if args.k is None:
-        return spec.k
-    if spec.k is not None and spec.k != args.k:
-        raise ParseError(f"--k {args.k} conflicts with k={spec.k} in the constraint spec")
-    if args.k < 1:
-        raise ParseError(f"k must be at least 1, got {args.k}")
-    if args.k > len(dataset):
-        raise ParseError("k exceeds candidate count")
-    return args.k
+    return dataset, spec, k
 
 
 def _cmd_cluster(args) -> int:
-    dataset, spec = _bound_inputs(args)
+    dataset, _, k = _bound_inputs(args)
     weights = _load_weights(args.weights, lambda w: _distance_weights(dataset, w))
-    config = KMeansConfig(k=_fixed_k(args, dataset, spec), seed=args.seed, restarts=args.restarts)
+    config = KMeansConfig(k=k, seed=args.seed, restarts=args.restarts)
     clustering = run_kmeans(dataset, config, weights)
     _emit_json(
         {
@@ -138,9 +128,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dataset, spec = _bound_inputs(args)
+    dataset, spec, k = _bound_inputs(args)
     weights = _load_weights(args.weights, lambda w: weight_vector(dataset.schema, w))
-    k = _fixed_k(args, dataset, spec)
     if k is None:
         k = choose_k(dataset, args.seed)
     result = run_pipeline(dataset, spec, CBCConfig(kmeans=KMeansConfig(k=k, seed=args.seed)))
@@ -153,15 +142,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    dataset, spec = _bound_inputs(args)
-    report = detect_deadlock(spec, dataset, _fixed_k(args, dataset, spec))
+    dataset, spec, k = _bound_inputs(args)
+    report = detect_deadlock(spec, dataset, k)
     _emit_json(deadlock_to_dict(report), None)
     return EXIT_DEADLOCK if report.deadlocked else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    dataset, spec = _bound_inputs(args)
-    k = _fixed_k(args, dataset, spec)
+    dataset, spec, k = _bound_inputs(args)
     # The oracle runs first, so an input over its capacity exits 4 before the engine runs.
     oracle_result = brute_force_min_sse(dataset, k, spec)
     oracle_sse = oracle_result[1] if oracle_result is not None else None

@@ -22,7 +22,6 @@ from .kmeans import _distance_weights
 from .model import (
     AttributeSchema,
     CandidateDataset,
-    COMPARATORS,
     ConstraintSpec,
     ExistentialRule,
     SCALE_MAX,
@@ -345,16 +344,12 @@ def _parse_rules(raw, locator: str) -> list[ExistentialRule]:
         attribute = entry["attribute"]
         if not isinstance(attribute, str) or not attribute:
             raise ParseError("attribute must be a non-empty string", locator=loc)
-        op = entry["op"]
-        if op not in COMPARATORS:
-            raise ParseError(
-                f"op must be one of {list(COMPARATORS)}, got {_shown(op)}", locator=loc
-            )
         threshold = _as_number(entry["threshold"], f"{loc}.threshold")
         min_count = _as_int(entry["min_count"], f"{loc}.min_count")
-        if min_count < 0:
-            raise ParseError("min_count must be nonnegative", locator=f"{loc}.min_count")
-        rules.append(ExistentialRule(attribute, op, threshold, min_count))
+        try:
+            rules.append(ExistentialRule(attribute, entry["op"], threshold, min_count))
+        except DomainError as exc:
+            raise ParseError(str(exc), locator=loc) from exc
     return rules
 
 
@@ -385,6 +380,10 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
 
     Unknown fields are rejected. Omitted optional fields stay absent; the
     feasibility threshold alone defaults (to the scale midpoint 5.5).
+
+    The parser checks JSON shape and types; the dataclasses check every
+    domain rule, and their DomainError is raised as a ParseError located at
+    its rule or ``user_spec``. ``bind_and_validate`` bounds k by n.
     """
     try:
         data = json.loads(json_text)
@@ -408,10 +407,7 @@ def parse_constraint_spec(json_text: str) -> ConstraintSpec:
         }
     for key in ("k", "min_cluster_size", "max_cluster_size"):
         if key in data:
-            value = _as_int(data[key], key)
-            if value < 0:
-                raise ParseError("must be nonnegative", locator=key)
-            kwargs[key] = value
+            kwargs[key] = _as_int(data[key], key)
     if "existential" in data:
         kwargs["existential"] = tuple(_parse_rules(data["existential"], "existential"))
     if "feasibility_threshold" in data:
@@ -454,19 +450,22 @@ def constraint_spec_to_dict(spec: ConstraintSpec) -> dict:
     return out
 
 
-def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> ValidationReport:
-    """Cross-check a parsed spec against a parsed dataset.
+def bind_and_validate(
+    dataset: CandidateDataset, spec: ConstraintSpec, k: int | None = None
+) -> ValidationReport:
+    """Cross-check a parsed spec against a parsed dataset, and the run's
+    cluster count ``k`` (the spec's when not given) against the candidate
+    count: it must lie in [1, n].
 
     Collects every failure rather than stopping at the first.
     """
     report = ValidationReport()
-    ids = set(dataset.ids())
     names = set(dataset.schema.names)
 
     for label in ("must_link", "cannot_link"):
         for i, (a, b) in enumerate(getattr(spec, label)):
             for cid in (a, b):
-                if cid not in ids:
+                if cid not in dataset.row_of:
                     report.error(f"{label}[{i}]", f"unknown id {_cut(cid)}")
 
     if spec.distance_weights is not None:
@@ -486,7 +485,10 @@ def bind_and_validate(dataset: CandidateDataset, spec: ConstraintSpec) -> Valida
         if rule.min_count == 0:
             report.warn(f"existential[{i}]", "min_count 0 makes the rule vacuous")
 
-    if spec.k is not None and spec.k > len(dataset):
+    k = spec.k if k is None else k
+    if k is not None and k < 1:
+        report.error("k", f"k must be at least 1, got {k}")
+    elif k is not None and k > len(dataset):
         report.error("k", "k exceeds candidate count")
 
     if not SCALE_MIN <= spec.feasibility_threshold <= SCALE_MAX:

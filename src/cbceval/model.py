@@ -76,9 +76,9 @@ class AttributeSchema:
             if not isinstance(name, str) or not name.strip():
                 raise DomainError("attribute names must be non-empty strings")
             if not _survives_csv(name):
-                raise DomainError(f"attribute name {name!r} {_NOT_CSV_TEXT}")
+                raise DomainError(f"attribute name {_shown(name)} {_NOT_CSV_TEXT}")
             if name.lower() == "constraints":
-                raise DomainError(f"attribute name {name!r} names the constraints column")
+                raise DomainError(f"attribute name {_shown(name)} names the constraints column")
         if len(set(names)) != len(names):
             raise DomainError("attribute names must be unique")
 
@@ -86,7 +86,7 @@ class AttributeSchema:
         try:
             return self.names.index(name)
         except ValueError:
-            raise DomainError(f"unknown attribute {name!r}") from None
+            raise DomainError(f"unknown attribute {_shown(name)}") from None
 
 
 def _first_invalid(schema: AttributeSchema, ids: list, ratings, constraints):
@@ -269,7 +269,7 @@ class ExistentialRule:
 
     def __post_init__(self):
         if self.op not in COMPARATORS:
-            raise DomainError(f"unknown comparator {self.op!r}")
+            raise DomainError(f"op must be one of {list(COMPARATORS)}, got {_shown(self.op)}")
         if self.min_count < 0:
             raise DomainError(f"min_count must be nonnegative, got {self.min_count}")
 

@@ -11,7 +11,16 @@ import numpy as np
 
 from cbceval.constraints import build_link_components, feasibility_partition
 from cbceval.errors import AssignmentDeadlockError, DomainError, ParseError, _cut, _shown
-from cbceval.ingest import _header
+from cbceval.ingest import (
+    _RULE_KEYS,
+    _SPEC_KEYS,
+    _as_int,
+    _as_number,
+    _check_keys,
+    _header,
+    _parse_pairs,
+    _parse_user_spec,
+)
 from cbceval.kmeans import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
@@ -21,6 +30,7 @@ from cbceval.kmeans import (
     weight_vector,
 )
 from cbceval.model import (
+    COMPARATORS,
     SCALE_MAX,
     SCALE_MIN,
     AttributeSchema,
@@ -578,3 +588,89 @@ def reference_parse_dataset(text: str) -> CandidateDataset:
         constraints.append(constraints_rating)
 
     return CandidateDataset(schema, ids, ratings, constraints)
+
+
+def _reference_parse_rules(raw, locator: str) -> list[ExistentialRule]:
+    if not isinstance(raw, list):
+        raise ParseError("expected an array of rules", locator=locator)
+    rules = []
+    for i, entry in enumerate(raw):
+        loc = f"{locator}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError("expected a rule object", locator=loc)
+        _check_keys(entry, _RULE_KEYS, _RULE_KEYS, loc)
+        attribute = entry["attribute"]
+        if not isinstance(attribute, str) or not attribute:
+            raise ParseError("attribute must be a non-empty string", locator=loc)
+        op = entry["op"]
+        if op not in COMPARATORS:
+            raise ParseError(
+                f"op must be one of {list(COMPARATORS)}, got {_shown(op)}", locator=loc
+            )
+        threshold = _as_number(entry["threshold"], f"{loc}.threshold")
+        min_count = _as_int(entry["min_count"], f"{loc}.min_count")
+        if min_count < 0:
+            raise ParseError("min_count must be nonnegative", locator=f"{loc}.min_count")
+        rules.append(ExistentialRule(attribute, op, threshold, min_count))
+    return rules
+
+
+def reference_parse_constraint_spec(json_text: str) -> ConstraintSpec:
+    """``parse_constraint_spec`` with the parser checking the sign of k and
+    the cluster sizes, and each rule's op and min_count, before the
+    dataclasses do: the form whose verdicts and texts the split parser must
+    keep, apart from the texts those checks gave."""
+    try:
+        data = json.loads(json_text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("top-level value must be an object")
+    _check_keys(data, _SPEC_KEYS, ())
+
+    kwargs: dict = {}
+    if "must_link" in data:
+        kwargs["must_link"] = _parse_pairs(data["must_link"], "must_link")
+    if "cannot_link" in data:
+        kwargs["cannot_link"] = _parse_pairs(data["cannot_link"], "cannot_link")
+    if "distance_weights" in data:
+        raw = data["distance_weights"]
+        if not isinstance(raw, dict):
+            raise ParseError("expected an object", locator="distance_weights")
+        kwargs["distance_weights"] = {
+            name: _as_number(v, f"distance_weights.{_cut(name)}") for name, v in raw.items()
+        }
+    for key in ("k", "min_cluster_size", "max_cluster_size"):
+        if key in data:
+            value = _as_int(data[key], key)
+            if value < 0:
+                raise ParseError("must be nonnegative", locator=key)
+            kwargs[key] = value
+    if "existential" in data:
+        kwargs["existential"] = tuple(_reference_parse_rules(data["existential"], "existential"))
+    if "feasibility_threshold" in data:
+        kwargs["feasibility_threshold"] = _as_number(
+            data["feasibility_threshold"], "feasibility_threshold"
+        )
+    if "user_spec" in data:
+        kwargs["user_spec"] = _parse_user_spec(data["user_spec"], "user_spec")
+
+    try:
+        return ConstraintSpec(**kwargs)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def reference_fixed_k(k: int | None, dataset: CandidateDataset, spec: ConstraintSpec):
+    """The command line's cluster count checked after the spec is bound:
+    ``k`` (the ``--k`` value) or the spec's, which must agree, with ``k``
+    in [1, n]."""
+    if k is None:
+        return spec.k
+    if spec.k is not None and spec.k != k:
+        raise ParseError(f"--k {k} conflicts with k={spec.k} in the constraint spec")
+    if k < 1:
+        raise ParseError(f"k must be at least 1, got {k}")
+    if k > len(dataset):
+        raise ParseError("k exceeds candidate count")
+    return k

@@ -199,8 +199,8 @@ def test_packing_proof_aborts_with_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, k, message",
     [
-        ({"max_cluster_size": 4}, "-2", "k must be at least 1, got -2"),
-        ({"max_cluster_size": 4}, "50", "k exceeds candidate count"),
+        ({"max_cluster_size": 4}, "-2", "k: k must be at least 1, got -2"),
+        ({"max_cluster_size": 4}, "50", "k: k exceeds candidate count"),
         ({"k": 2}, "3", "--k 3 conflicts with k=2 in the constraint spec"),
     ],
     ids=["negative", "above-n", "spec-conflict"],

@@ -262,9 +262,9 @@ MALFORMED_SPECS = [
     # a bool, a float and a negative value where an int is expected
     ({"k": True}, "k: expected a number, got a boolean"),
     ({"k": 2.5}, "k: expected an integer, got 2.5"),
-    ({"k": -1}, "k: must be nonnegative"),
+    ({"k": -1}, "k must be at least 1, got -1"),
     ({"k": 0}, "k must be at least 1, got 0"),
-    ({"max_cluster_size": -2}, "max_cluster_size: must be nonnegative"),
+    ({"max_cluster_size": -2}, "max_cluster_size must be nonnegative, got -2"),
     (
         with_user(parallel_instances=True),
         "user_spec.parallel_instances: expected a number, got a boolean",
@@ -281,7 +281,7 @@ MALFORMED_SPECS = [
     ),
     (
         {"existential": [{**RULE, "min_count": -1}]},
-        "existential[0].min_count: min_count must be nonnegative",
+        "existential[0]: min_count must be nonnegative, got -1",
     ),
     # non-finite numbers and out-of-domain values in user_spec
     (with_user(total_work=float("nan")), "user_spec.total_work: expected a finite number, got nan"),
@@ -580,6 +580,35 @@ def test_bind_k_exceeds_count(sample_dataset):
     spec = ConstraintSpec(k=12, feasibility_threshold=6)
     report = bind_and_validate(sample_dataset, spec)
     assert any("k exceeds candidate count" in msg for _, msg in report.errors)
+
+
+@pytest.mark.parametrize(
+    "spec_k, k, errors",
+    [
+        (None, None, []),
+        (3, None, []),
+        (None, 10, []),
+        (None, 0, [("k", "k must be at least 1, got 0")]),
+        (None, -2, [("k", "k must be at least 1, got -2")]),
+        (None, 11, [("k", "k exceeds candidate count")]),
+        (11, None, [("k", "k exceeds candidate count")]),
+        # a given k is the run's, in place of the spec's
+        (11, 3, []),
+        (3, 11, [("k", "k exceeds candidate count")]),
+    ],
+)
+def test_bind_bounds_the_runs_k(sample_dataset, spec_k, k, errors):
+    spec = ConstraintSpec(k=spec_k, feasibility_threshold=6)
+    assert bind_and_validate(sample_dataset, spec, k).errors == errors
+    if k is None:
+        assert bind_and_validate(sample_dataset, spec).errors == errors
+
+
+def test_pipeline_binds_the_config_k(sample_dataset):
+    spec = ConstraintSpec(feasibility_threshold=6)
+    with pytest.raises(DomainError) as info:
+        run_pipeline(sample_dataset, spec, CBCConfig(KMeansConfig(k=11, seed=0)))
+    assert str(info.value) == "spec does not bind to dataset: k: k exceeds candidate count"
 
 
 def test_bind_collects_all_failures(sample_dataset):

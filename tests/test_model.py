@@ -92,6 +92,19 @@ def test_dataset_cuts_long_ids_in_errors():
         f"candidate id ' {'x' * 38}... (5003 characters) "
         "must not start or end with whitespace or hold a carriage return"
     )
+    with pytest.raises(DomainError) as info:
+        AttributeSchema(("a", " " + "n" * 999))
+    assert str(info.value) == (
+        f"attribute name ' {'n' * 38}... (1002 characters) "
+        "must not start or end with whitespace or hold a carriage return"
+    )
+    with pytest.raises(DomainError) as info:
+        schema.index_of("m" * 1000)
+    assert str(info.value) == f"unknown attribute '{'m' * 39}... (1002 characters)"
+    # Only an 11-character name can name the constraints column: never cut.
+    with pytest.raises(DomainError) as info:
+        AttributeSchema(("a", "Constraints"))
+    assert str(info.value) == "attribute name 'Constraints' names the constraints column"
 
 
 LONG_ID = "x" * 5000
